@@ -1,17 +1,18 @@
 """One-dimensional finite-volume solvers.
 
-Three backends share the grid and time loop:
+Three schemes share the grid and time loop:
 
   muscl-rusanov     second order MUSCL-Hancock on the conservative
-                    five-equation system, Rusanov (local Lax-Friedrichs)
-                    interface flux;
+                    five-equation (SHTC) system, Rusanov interface flux;
+  muscl-pathcons-bn the same kernel on the Baer-Nunziato block variables
+                    (alpha1, a1*r1, a2*r2, a1*r1*u1, a2*r2*u2), path-
+                    conservative: Rusanov flux of the conservative part
+                    plus the segment-path products of u_I and p_I;
   force-godunov     first order Godunov update with the FORCE flux
-                    (mean of Lax-Friedrichs and two-step Lax-Wendroff);
-  muscl-pathcons-bn second order path-conservative MUSCL-Hancock for
-                    the Baer-Nunziato block variables
-                    (alpha1, a1*r1, a2*r2, a1*r1*u1, a2*r2*u2) with a
-                    segment path for the u_I, p_I products and
-                    Rusanov-type dissipation.
+                    (mean of Lax-Friedrichs and two-step Lax-Wendroff).
+
+The two models share their eigenvalues; a small system description
+(`_System`) carries all that separates their second-order schemes.
 
 Pressure and velocity relaxation enter by operator splitting (Strang by
 default).  The velocity sub-step integrates dw/dt = -c1*c2*w/theta2
@@ -25,6 +26,7 @@ density and the mixture momentum to round-off.
 import logging
 import time as _time
 from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -108,8 +110,7 @@ class SolverConfig:
 def limited_slope(dl, dr, limiter):
     """TVD slope from one-sided differences, elementwise."""
     if limiter == "minmod":
-        s = np.where((dl > 0) & (dr > 0), np.minimum(dl, dr), 0.0)
-        return np.where((dl < 0) & (dr < 0), np.maximum(dl, dr), s)
+        return _minmod2(dl, dr)
     if limiter == "superbee":
         a = _minmod2(dr, 2.0 * dl)
         b = _minmod2(dl, 2.0 * dr)
@@ -137,27 +138,152 @@ def _pad_transmissive(u, layers=2):
 
 
 # ---------------------------------------------------------------------------
-# numerical fluxes (conservative system)
+# cell systems: conservative (SHTC) cells and Baer-Nunziato blocks
+# ---------------------------------------------------------------------------
+
+def _invalid_cons(u):
+    w1, w2, w3 = u[:, 0], u[:, 1], u[:, 2]
+    bad = (w3 <= 0.0) | (w1 <= 0.0) | (w1 >= w3) | (w2 <= 0.0) | (w2 >= w3)
+    return bad | ~np.all(np.isfinite(u), axis=1)
+
+
+def _floor_cons(u, bad):
+    # rebuild from clipped primitives, keeping mixture mass; cells whose
+    # density or mass partition had to be floored are emptied of
+    # momentum and slip (a vacuum cell has no meaningful velocity and a
+    # stale w4 over a floored w3 explodes the speeds)
+    w1, w2, w3 = np.nan_to_num(u[:, :3], nan=RHO_FLOOR).T
+    vacuous = bad & ((w3 <= RHO_FLOOR) | (w2 <= RHO_FLOOR) | (w2 >= w3 - RHO_FLOOR))
+    w3f = np.maximum(w3, RHO_FLOOR)
+    alpha = np.clip(w1 / w3f, ALPHA_FLOOR, 1.0 - ALPHA_FLOOR)
+    m1 = np.clip(np.minimum(w2, w3f - RHO_FLOOR), RHO_FLOOR, None)
+    m2 = np.clip(w3f - m1, RHO_FLOOR, None)
+    out = np.nan_to_num(u, nan=0.0)
+    out[:, 0] = alpha * (m1 + m2)
+    out[:, 1] = m1
+    out[:, 2] = m1 + m2
+    out[vacuous, 3:] = 0.0
+    return out
+
+
+def bn_from_prim(v):
+    v = np.asarray(v, dtype=float)
+    alpha1, rho1, rho2, u1, u2 = (v[..., i] for i in range(5))
+    m1 = alpha1 * rho1
+    m2 = (1.0 - alpha1) * rho2
+    return np.stack([alpha1, m1, m2, m1 * u1, m2 * u2], axis=-1)
+
+
+def bn_to_prim(b):
+    b = np.asarray(b, dtype=float)
+    alpha1, m1, m2, q1, q2 = (b[..., i] for i in range(5))
+    return np.stack(
+        [alpha1, m1 / alpha1, m2 / (1.0 - alpha1), q1 / m1, q2 / m2], axis=-1
+    )
+
+
+def _bn_flux(b, v, eos_pair):
+    """Conservative part of the Baer-Nunziato flux of blocks b decoded
+    to v: (0, m1 u1, m2 u2, m1 u1^2 + alpha1 p1, m2 u2^2 + alpha2 p2)."""
+    alpha1, m1, m2, q1, q2 = (b[..., i] for i in range(5))
+    p1 = eos_pair.phase1.pressure(v[..., 1])
+    p2 = eos_pair.phase2.pressure(v[..., 2])
+    z = np.zeros_like(alpha1)
+    return np.stack(
+        [z, q1, q2, q1**2 / m1 + alpha1 * p1, q2**2 / m2 + (1.0 - alpha1) * p2],
+        axis=-1,
+    )
+
+
+def _bn_nonconservative(bl, br, eos_pair):
+    """B(V) dV along the segment path from bl to br: (u_I dalpha, 0, 0,
+    -p_I dalpha, +p_I dalpha) with u_I = u and p_I = (m2 p1 + m1 p2)/rho
+    at the midpoint.  The single nonconservative column makes the path
+    integral exact up to the midpoint rule for u_I, p_I."""
+    alpha1, m1, m2, q1, q2 = ((0.5 * (bl + br))[..., i] for i in range(5))
+    dalpha = br[..., 0] - bl[..., 0]
+    rho = m1 + m2
+    u_i = (q1 + q2) / rho
+    p1 = eos_pair.phase1.pressure(m1 / alpha1)
+    p2 = eos_pair.phase2.pressure(m2 / (1.0 - alpha1))
+    p_i = (m2 * p1 + m1 * p2) / rho
+    z = np.zeros_like(alpha1)
+    return np.stack([u_i * dalpha, z, z, -p_i * dalpha, p_i * dalpha], axis=-1)
+
+
+def _invalid_bn(b):
+    alpha1, m1, m2 = b[:, 0], b[:, 1], b[:, 2]
+    bad = (alpha1 <= 0.0) | (alpha1 >= 1.0) | (m1 <= 0.0) | (m2 <= 0.0)
+    return bad | ~np.all(np.isfinite(b), axis=1)
+
+
+def _floor_bn(b, bad):
+    out = np.nan_to_num(b, nan=RHO_FLOOR)
+    out[:, 0] = np.clip(out[:, 0], ALPHA_FLOOR, 1.0 - ALPHA_FLOOR)
+    out[:, 1:3] = np.clip(out[:, 1:3], RHO_FLOOR, None)
+    return out
+
+
+@dataclass(frozen=True)
+class _System:
+    """What the MUSCL-Hancock kernel and run_simulation need of a cell layout.
+    Entries look their helpers up by module-level name at call time, so
+    a rebinding of those names (by a profiler, say) reaches every call."""
+
+    decode: Callable  # cells -> primitive (n, 5)
+    encode: Callable  # primitive -> cells
+    flux: Callable  # (c, v, eos_pair): conservative flux of cells c decoded to v
+    nonconservative: Optional[Callable]  # (cl, cr, eos_pair): product on the path cl -> cr
+    invalid: Callable  # cells -> mask of broken state invariants
+    floor: Callable  # (c, bad): floor-mode repair of the masked cells
+    conserved_view: Callable  # the components of a 5-vector the ledger closure balances
+    variables: tuple  # names of the five cell components
+
+
+_SHTC = _System(
+    decode=lambda c: cons_to_prim_array(c),
+    encode=lambda v: prim_to_cons_array(v),
+    flux=lambda c, v, eos_pair: flux_primitive_array(v, eos_pair),
+    nonconservative=None,
+    invalid=lambda c: _invalid_cons(c),
+    floor=lambda c, bad: _floor_cons(c, bad),
+    conserved_view=lambda vec: np.asarray(vec),
+    variables=("alpha1*rho", "alpha1*rho1", "rho", "rho*u", "w"),
+)
+
+# alpha1 and the phase momenta are not conservative; closure is checked
+# on the masses and the momentum sum
+_BN = _System(
+    decode=lambda b: bn_to_prim(b),
+    encode=lambda v: bn_from_prim(v),
+    flux=lambda b, v, eos_pair: _bn_flux(b, v, eos_pair),
+    nonconservative=lambda bl, br, eos_pair: _bn_nonconservative(bl, br, eos_pair),
+    invalid=lambda b: _invalid_bn(b),
+    floor=lambda b, bad: _floor_bn(b, bad),
+    conserved_view=lambda vec: np.array([vec[1], vec[2], vec[3] + vec[4]]),
+    variables=("alpha1", "alpha1*rho1", "alpha2*rho2", "q1", "q2"),
+)
+
+
+# ---------------------------------------------------------------------------
+# numerical fluxes
 # ---------------------------------------------------------------------------
 
 def _cons_flux(u, eos_pair):
     return flux_primitive_array(cons_to_prim_array(u), eos_pair)
 
 
-def _interface_smax(ul, ur, eos_pair):
-    sl = max_wavespeed_array(cons_to_prim_array(ul), eos_pair)
-    sr = max_wavespeed_array(cons_to_prim_array(ur), eos_pair)
-    return np.maximum(sl, sr)
-
-
-def rusanov_flux(ul, ur, eos_pair):
-    """0.5 (F_L + F_R) - 0.5 s_max (U_R - U_L) with the analytic
-    spectral radius over both states."""
+def rusanov_flux(ul, ur, eos_pair, system=_SHTC):
+    """0.5 (F_L + F_R) - 0.5 s_max (U_R - U_L) with the analytic spectral
+    radius over both states, each decoded once for its flux and speed;
+    conservative cells unless `system` says otherwise."""
     ul = np.asarray(ul, dtype=float)
     ur = np.asarray(ur, dtype=float)
-    fl = _cons_flux(ul, eos_pair)
-    fr = _cons_flux(ur, eos_pair)
-    smax = _interface_smax(ul, ur, eos_pair)
+    vl = system.decode(ul)
+    vr = system.decode(ur)
+    fl = system.flux(ul, vl, eos_pair)
+    fr = system.flux(ur, vr, eos_pair)
+    smax = np.maximum(max_wavespeed_array(vl, eos_pair), max_wavespeed_array(vr, eos_pair))
     return 0.5 * (fl + fr) - 0.5 * smax[..., None] * (ur - ul)
 
 
@@ -178,14 +304,8 @@ def force_flux(ul, ur, dx, dt, eos_pair):
 
 
 # ---------------------------------------------------------------------------
-# steps: conservative backends
+# steps
 # ---------------------------------------------------------------------------
-
-def _invalid_cons(u):
-    w1, w2, w3 = u[:, 0], u[:, 1], u[:, 2]
-    bad = (w3 <= 0.0) | (w1 <= 0.0) | (w1 >= w3) | (w2 <= 0.0) | (w2 >= w3)
-    return bad | ~np.all(np.isfinite(u), axis=1)
-
 
 def _abort_if_strict(bad, states, mode, t, where):
     if mode != "strict":
@@ -197,76 +317,77 @@ def _abort_if_strict(bad, states, mode, t, where):
     )
 
 
-def _enforce_positivity(u, mode, t, where="update"):
-    bad = _invalid_cons(u)
+def _enforce_positivity(system, c, mode, t):
+    bad = system.invalid(c)
     if not np.any(bad):
-        return u
-    if mode == "strict":
-        cell = int(np.argmax(bad))
-        raise PositivityError(
-            f"state invariants violated in cell {cell} ({where}): w={u[cell]}",
-            cell=cell, time=t,
-        )
-    # floor mode: rebuild from clipped primitives, keeping mixture mass;
-    # cells whose density or mass partition had to be floored are
-    # emptied of momentum and slip (a vacuum cell has no meaningful
-    # velocity and a stale w4 over a floored w3 explodes the speeds)
-    _log.warning("flooring %d cells at t=%g (%s)", int(np.sum(bad)), t, where)
-    w1 = np.nan_to_num(u[:, 0], nan=RHO_FLOOR)
-    w2 = np.nan_to_num(u[:, 1], nan=RHO_FLOOR)
-    w3 = np.nan_to_num(u[:, 2], nan=RHO_FLOOR)
-    vacuous = bad & ((w3 <= RHO_FLOOR) | (w2 <= RHO_FLOOR) | (w2 >= w3 - RHO_FLOOR))
-    w3f = np.maximum(w3, RHO_FLOOR)
-    alpha = np.clip(w1 / w3f, ALPHA_FLOOR, 1.0 - ALPHA_FLOOR)
-    m1 = np.clip(np.minimum(w2, w3f - RHO_FLOOR), RHO_FLOOR, None)
-    m2 = np.clip(w3f - m1, RHO_FLOOR, None)
-    out = np.nan_to_num(u, nan=0.0)
-    out[:, 0] = alpha * (m1 + m2)
-    out[:, 1] = m1
-    out[:, 2] = m1 + m2
-    out[vacuous, 3] = 0.0
-    out[vacuous, 4] = 0.0
-    return out
+        return c
+    _abort_if_strict(bad, c, mode, t, "update")
+    _log.warning("flooring %d cells at t=%g (update)", int(np.sum(bad)), t)
+    return system.floor(c, bad)
 
 
-def muscl_hancock_step(u, dt, dx, config, eos_pair, t=0.0):
-    """One second-order MUSCL-Hancock update of the interior cells.
+def _muscl_hancock(system, c, dt, dx, config, eos_pair, t):
+    """One second-order MUSCL-Hancock update of the interior cells
+    (Toro, ch. 14) in path-conservative form (Pares 2006):
 
-    Reconstruction in conserved variables, limiter from the config,
-    half-step boundary-extrapolated evolution with the physical flux,
-    Rusanov interface fluxes.  Returns (u_new, boundary_fluxes) where
-    boundary_fluxes are the fluxes used at the two domain boundaries
-    (the ledger needs them).
+        c - dt/dx (F_{i+1/2} - F_{i-1/2} + (P_{i-1/2} + P_{i+1/2})/2 + P_i)
+
+    with Rusanov fluxes F between the half-evolved face states, the
+    products P_{i+-1/2} along the segments joining them and the in-cell
+    product P_i; the P terms vanish for a conservative system.  Returns
+    (c_new, boundary_fluxes), the interface fluxes at the two domain
+    edges, which the ledger needs.
     """
-    up = _pad_transmissive(u, 2)
-    dl = up[1:-1] - up[:-2]
-    dr = up[2:] - up[1:-1]
+    cp = _pad_transmissive(c, 2)
+    dl = cp[1:-1] - cp[:-2]
+    dr = cp[2:] - cp[1:-1]
     slope = limited_slope(dl, dr, config.limiter)
     # component-wise TVD slopes can still break the cross-component
     # state invariants near extreme jumps; strict mode aborts, floor
     # mode drops the offending cells to first order
-    u_minus = up[1:-1] - 0.5 * slope
-    u_plus = up[1:-1] + 0.5 * slope
-    bad = _invalid_cons(u_minus) | _invalid_cons(u_plus)
+    c_minus = cp[1:-1] - 0.5 * slope
+    c_plus = cp[1:-1] + 0.5 * slope
+    bad = system.invalid(c_minus) | system.invalid(c_plus)
     if np.any(bad):
-        _abort_if_strict(bad, u_minus, config.positivity, t, "reconstruction")
+        _abort_if_strict(bad, c_minus, config.positivity, t, "reconstruction")
         slope[bad] = 0.0
-        u_minus = up[1:-1] - 0.5 * slope
-        u_plus = up[1:-1] + 0.5 * slope
-    f_minus = _cons_flux(u_minus, eos_pair)
-    f_plus = _cons_flux(u_plus, eos_pair)
-    evo = 0.5 * (dt / dx) * (f_plus - f_minus)
-    u_minus_h = u_minus - evo
-    u_plus_h = u_plus - evo
-    bad = _invalid_cons(u_minus_h) | _invalid_cons(u_plus_h)
+        c_minus = cp[1:-1] - 0.5 * slope
+        c_plus = cp[1:-1] + 0.5 * slope
+    f_minus = system.flux(c_minus, system.decode(c_minus), eos_pair)
+    f_plus = system.flux(c_plus, system.decode(c_plus), eos_pair)
+    drift = f_plus - f_minus
+    if system.nonconservative is not None:
+        drift = drift + system.nonconservative(c_minus, c_plus, eos_pair)
+    evo = 0.5 * (dt / dx) * drift
+    c_minus_h = c_minus - evo
+    c_plus_h = c_plus - evo
+    bad = system.invalid(c_minus_h) | system.invalid(c_plus_h)
     if np.any(bad):
-        _abort_if_strict(bad, u_minus_h, config.positivity, t, "half step")
-        u_minus_h[bad] = u_minus[bad]
-        u_plus_h[bad] = u_plus[bad]
-    flux = rusanov_flux(u_plus_h[:-1], u_minus_h[1:], eos_pair)
-    u_new = u - (dt / dx) * (flux[1:] - flux[:-1])
-    u_new = _enforce_positivity(u_new, config.positivity, t)
-    return u_new, (flux[0], flux[-1])
+        _abort_if_strict(bad, c_minus_h, config.positivity, t, "half step")
+        c_minus_h[bad] = c_minus[bad]
+        c_plus_h[bad] = c_plus[bad]
+    # interface i+1/2 joins the right face of cell i to the left face of i+1
+    cl, cr = c_plus_h[:-1], c_minus_h[1:]
+    flux = rusanov_flux(cl, cr, eos_pair, system)
+    div = flux[1:] - flux[:-1]
+    if system.nonconservative is not None:
+        p_face = system.nonconservative(cl, cr, eos_pair)
+        p_cell = system.nonconservative(c_minus_h[1:-1], c_plus_h[1:-1], eos_pair)
+        div = div + 0.5 * (p_face[:-1] + p_face[1:]) + p_cell
+    c_new = _enforce_positivity(system, c - (dt / dx) * div, config.positivity, t)
+    return c_new, (flux[0], flux[-1])
+
+
+def muscl_hancock_step(u, dt, dx, config, eos_pair, t=0.0):
+    """MUSCL-Hancock update of conservative cells (see _muscl_hancock)."""
+    return _muscl_hancock(_SHTC, u, dt, dx, config, eos_pair, t)
+
+
+def path_conservative_step(b, dt, dx, config, eos_pair, t=0.0):
+    """Path-conservative MUSCL-Hancock update of Baer-Nunziato blocks
+    (see _muscl_hancock); the Rusanov dissipation uses the analytic
+    spectral radius, which the blocks share with the conservative form."""
+    return _muscl_hancock(_BN, b, dt, dx, config, eos_pair, t)
 
 
 def force_godunov_step(u, dt, dx, config, eos_pair, t=0.0):
@@ -274,142 +395,8 @@ def force_godunov_step(u, dt, dx, config, eos_pair, t=0.0):
     up = _pad_transmissive(u, 1)
     flux = force_flux(up[:-1], up[1:], dx, dt, eos_pair)
     u_new = u - (dt / dx) * (flux[1:] - flux[:-1])
-    u_new = _enforce_positivity(u_new, config.positivity, t)
+    u_new = _enforce_positivity(_SHTC, u_new, config.positivity, t)
     return u_new, (flux[0], flux[-1])
-
-
-# ---------------------------------------------------------------------------
-# Baer-Nunziato block backend
-# ---------------------------------------------------------------------------
-
-def bn_from_prim(v):
-    v = np.asarray(v, dtype=float)
-    alpha1, rho1, rho2, u1, u2 = (v[..., i] for i in range(5))
-    m1 = alpha1 * rho1
-    m2 = (1.0 - alpha1) * rho2
-    return np.stack([alpha1, m1, m2, m1 * u1, m2 * u2], axis=-1)
-
-
-def bn_to_prim(b):
-    b = np.asarray(b, dtype=float)
-    alpha1, m1, m2, q1, q2 = (b[..., i] for i in range(5))
-    return np.stack(
-        [alpha1, m1 / alpha1, m2 / (1.0 - alpha1), q1 / m1, q2 / m2], axis=-1
-    )
-
-
-def _bn_flux(b, eos_pair):
-    """Conservative part of the Baer-Nunziato flux:
-    (0, m1 u1, m2 u2, m1 u1^2 + alpha1 p1, m2 u2^2 + alpha2 p2)."""
-    alpha1, m1, m2, q1, q2 = (b[..., i] for i in range(5))
-    p1 = eos_pair.phase1.pressure(m1 / alpha1)
-    p2 = eos_pair.phase2.pressure(m2 / (1.0 - alpha1))
-    z = np.zeros_like(alpha1)
-    return np.stack(
-        [z, q1, q2, q1**2 / m1 + alpha1 * p1, q2**2 / m2 + (1.0 - alpha1) * p2],
-        axis=-1,
-    )
-
-
-def _bn_nonconservative(b, dalpha, eos_pair):
-    """B(V) dV for the alpha column: (u_I dalpha, 0, 0, -p_I dalpha,
-    +p_I dalpha) with u_I = u and p_I = (m2 p1 + m1 p2)/rho."""
-    alpha1, m1, m2, q1, q2 = (b[..., i] for i in range(5))
-    rho = m1 + m2
-    u_i = (q1 + q2) / rho
-    p1 = eos_pair.phase1.pressure(m1 / alpha1)
-    p2 = eos_pair.phase2.pressure(m2 / (1.0 - alpha1))
-    p_i = (m2 * p1 + m1 * p2) / rho
-    z = np.zeros_like(alpha1)
-    return np.stack([u_i * dalpha, z, z, -p_i * dalpha, p_i * dalpha], axis=-1)
-
-
-def _invalid_bn(b):
-    alpha1, m1, m2 = b[:, 0], b[:, 1], b[:, 2]
-    bad = (alpha1 <= 0.0) | (alpha1 >= 1.0) | (m1 <= 0.0) | (m2 <= 0.0)
-    return bad | ~np.all(np.isfinite(b), axis=1)
-
-
-def _bn_positivity(b, mode, t):
-    bad = _invalid_bn(b)
-    if not np.any(bad):
-        return b
-    if mode == "strict":
-        cell = int(np.argmax(bad))
-        raise PositivityError(
-            f"block invariants violated in cell {cell}: v={b[cell]}", cell=cell, time=t
-        )
-    out = np.nan_to_num(b, nan=RHO_FLOOR)
-    out[:, 0] = np.clip(out[:, 0], ALPHA_FLOOR, 1.0 - ALPHA_FLOOR)
-    out[:, 1] = np.clip(out[:, 1], RHO_FLOOR, None)
-    out[:, 2] = np.clip(out[:, 2], RHO_FLOOR, None)
-    return out
-
-
-def path_conservative_step(b, dt, dx, config, eos_pair, t=0.0):
-    """Second-order path-conservative MUSCL-Hancock update.
-
-    Segment path in the block variables; the single nonconservative
-    column makes the path integral exact up to the midpoint rule for
-    u_I, p_I.  Interface fluctuations carry Rusanov dissipation with
-    the analytic spectral radius (the system shares its eigenvalues
-    with the conservative form).  Returns (b_new, boundary_fluxes)
-    where the boundary fluxes are the conservative-part fluxes at the
-    domain edges (the fluctuations vanish there for transmissive
-    ghosts).
-    """
-    bp = _pad_transmissive(b, 2)
-    dl = bp[1:-1] - bp[:-2]
-    dr = bp[2:] - bp[1:-1]
-    slope = limited_slope(dl, dr, config.limiter)
-    b_minus = bp[1:-1] - 0.5 * slope
-    b_plus = bp[1:-1] + 0.5 * slope
-    bad = _invalid_bn(b_minus) | _invalid_bn(b_plus)
-    if np.any(bad):
-        _abort_if_strict(bad, b_minus, config.positivity, t, "reconstruction")
-        slope[bad] = 0.0
-        b_minus = bp[1:-1] - 0.5 * slope
-        b_plus = bp[1:-1] + 0.5 * slope
-    g_minus = _bn_flux(b_minus, eos_pair)
-    g_plus = _bn_flux(b_plus, eos_pair)
-    center = 0.5 * (b_minus + b_plus)
-    nc_cell = _bn_nonconservative(center, b_plus[:, 0] - b_minus[:, 0], eos_pair)
-    evo = 0.5 * (dt / dx) * (g_plus - g_minus + nc_cell)
-    b_minus_h = b_minus - evo
-    b_plus_h = b_plus - evo
-    bad = _invalid_bn(b_minus_h) | _invalid_bn(b_plus_h)
-    if np.any(bad):
-        _abort_if_strict(bad, b_minus_h, config.positivity, t, "half step")
-        b_minus_h[bad] = b_minus[bad]
-        b_plus_h[bad] = b_plus[bad]
-
-    vl = b_plus_h[:-1]
-    vr = b_minus_h[1:]
-    gl = _bn_flux(vl, eos_pair)
-    gr = _bn_flux(vr, eos_pair)
-    mid = 0.5 * (vl + vr)
-    ncb = _bn_nonconservative(mid, vr[:, 0] - vl[:, 0], eos_pair)
-    smax = np.maximum(
-        max_wavespeed_array(bn_to_prim(vl), eos_pair),
-        max_wavespeed_array(bn_to_prim(vr), eos_pair),
-    )[..., None]
-    dv = vr - vl
-    total = gr - gl + ncb
-    d_minus = 0.5 * total - 0.5 * smax * dv
-    d_plus = 0.5 * total + 0.5 * smax * dv
-
-    # in-cell smooth contribution of the interior (half-evolved) states
-    g_m_h = _bn_flux(b_minus_h[1:-1], eos_pair)
-    g_p_h = _bn_flux(b_plus_h[1:-1], eos_pair)
-    center_h = 0.5 * (b_minus_h[1:-1] + b_plus_h[1:-1])
-    nc_h = _bn_nonconservative(
-        center_h, b_plus_h[1:-1, 0] - b_minus_h[1:-1, 0], eos_pair
-    )
-    b_new = b - (dt / dx) * (
-        d_plus[:-1] + d_minus[1:] + g_p_h - g_m_h + nc_h
-    )
-    b_new = _bn_positivity(b_new, config.positivity, t)
-    return b_new, (gl[0], gr[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +485,6 @@ def relax_primitive(v, dt, theta1, theta2, eos_pair):
     return np.stack([alpha1, rho1, rho2, u1, u2], axis=-1)
 
 
-def relaxation_step(u, dt, theta1, theta2, eos_pair):
-    """Relaxation sub-step on conservative cells (see relax_primitive)."""
-    v = cons_to_prim_array(np.asarray(u, dtype=float))
-    return prim_to_cons_array(relax_primitive(v, dt, theta1, theta2, eos_pair))
-
-
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
@@ -526,10 +507,9 @@ class SimulationResult:
 
 def _riemann_cells(left, right, grid, x0):
     x = grid.centers()
-    v = np.where(
+    return np.where(
         (x < x0)[:, None], left.as_array()[None, :], right.as_array()[None, :]
     )
-    return v
 
 
 def run_simulation(left, right, grid, config, eos_pair, x0=None):
@@ -543,54 +523,31 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
         x0 = 0.5 * (grid.x_min + grid.x_max)
     v0 = _riemann_cells(left, right, grid, x0)
     dx = grid.dx
-    bn = config.scheme == "muscl-pathcons-bn"
-    if bn:
-        cells = bn_from_prim(v0)
-
-        def step(c, dt, t):
-            return path_conservative_step(c, dt, dx, config, eos_pair, t)
-
-        def to_prim(c):
-            return bn_to_prim(c)
-
-    else:
-        cells = prim_to_cons_array(v0)
-        stepper = muscl_hancock_step if config.scheme == "muscl-rusanov" else force_godunov_step
-
-        def step(c, dt, t):
-            return stepper(c, dt, dx, config, eos_pair, t)
-
-        def to_prim(c):
-            return cons_to_prim_array(c)
-
-    def relax(c, dt):
-        if not config.relaxing:
-            return c
-        vp = relax_primitive(to_prim(c), dt, config.theta1, config.theta2, eos_pair)
-        return bn_from_prim(vp) if bn else prim_to_cons_array(vp)
-
-    if bn:
-        # alpha1 and the phase momenta are not conservative; closure is
-        # checked on the masses and the momentum sum
-        def conserved_view(vec):
-            vec = np.asarray(vec)
-            return np.array([vec[1], vec[2], vec[3] + vec[4]])
-
-    else:
-        def conserved_view(vec):
-            return np.asarray(vec)
+    system = _BN if config.scheme == "muscl-pathcons-bn" else _SHTC
+    stepper = {
+        "muscl-rusanov": muscl_hancock_step,
+        "force-godunov": force_godunov_step,
+        "muscl-pathcons-bn": path_conservative_step,
+    }[config.scheme]
+    cells = system.encode(v0)
 
     t = 0.0
     steps = 0
     totals0 = cells.sum(axis=0) * dx
     boundary_integral = np.zeros(5)
     relax_delta = np.zeros(5)
+
+    def relax(c, dt):
+        vp = relax_primitive(system.decode(c), dt, config.theta1, config.theta2, eos_pair)
+        out = system.encode(vp)
+        relax_delta[:] += out.sum(axis=0) * dx - c.sum(axis=0) * dx
+        return out
     worst_closure = 0.0
     smax_history = []
     smax_prev = None
     t_wall = _time.perf_counter()
     while t < config.t_end - 1e-15 * max(1.0, config.t_end):
-        prim = to_prim(cells)
+        prim = system.decode(cells)
         smax = float(np.max(max_wavespeed_array(prim, eos_pair)))
         smax_history.append(smax)
         if smax_prev is not None and smax > config.wavespeed_growth_guard * smax_prev:
@@ -603,27 +560,22 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
         dt = min(config.cfl * dx / smax, config.t_end - t)
 
         if config.relaxing and config.splitting == "strang":
-            before = cells.sum(axis=0) * dx
             cells = relax(cells, 0.5 * dt)
-            relax_delta += cells.sum(axis=0) * dx - before
 
         before = cells.sum(axis=0) * dx
-        cells, (f_left, f_right) = step(cells, dt, t)
+        cells, (f_left, f_right) = stepper(cells, dt, dx, config, eos_pair, t)
         after = cells.sum(axis=0) * dx
         boundary_integral += dt * (np.asarray(f_right) - np.asarray(f_left))
-        closure = conserved_view(after - before) + dt * conserved_view(
-            np.asarray(f_right) - np.asarray(f_left)
-        )
+        view = system.conserved_view
+        closure = view(after - before) + dt * view(np.asarray(f_right) - np.asarray(f_left))
         # totals of signed fields can cancel to zero; scale by the L1 mass
-        abs_mass = conserved_view(np.abs(cells).sum(axis=0) * dx)
-        scale = np.maximum(np.abs(conserved_view(after)), abs_mass)
+        abs_mass = view(np.abs(cells).sum(axis=0) * dx)
+        scale = np.maximum(np.abs(view(after)), abs_mass)
         scale = np.maximum(scale, 1e-30)
         worst_closure = max(worst_closure, float(np.max(np.abs(closure) / scale)))
 
         if config.relaxing:
-            before = cells.sum(axis=0) * dx
             cells = relax(cells, 0.5 * dt if config.splitting == "strang" else dt)
-            relax_delta += cells.sum(axis=0) * dx - before
 
         t += dt
         steps += 1
@@ -636,14 +588,10 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
         "boundary_flux_integrals": boundary_integral.tolist(),
         "relaxation_source_integrals": relax_delta.tolist(),
         "worst_step_closure": worst_closure,
-        "variables": (
-            ["alpha1", "alpha1*rho1", "alpha2*rho2", "q1", "q2"]
-            if bn
-            else ["alpha1*rho", "alpha1*rho1", "rho", "rho*u", "w"]
-        ),
+        "variables": list(system.variables),
         "wall_seconds": _time.perf_counter() - t_wall,
         "steps": steps,
     }
-    prim = to_prim(cells)
+    prim = system.decode(cells)
     cons = prim_to_cons_array(prim)
     return SimulationResult(grid, config, t, steps, prim, cons, ledger, smax_history)

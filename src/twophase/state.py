@@ -1,4 +1,4 @@
-"""State vectors, conversions, flux and eigenstructure of the two-phase system.
+r"""State vectors, conversions, flux and eigenstructure of the two-phase system.
 
 Primitive variables   V = (alpha1, rho1, rho2, u1, u2)
 Conserved variables   U = (alpha1*rho, alpha1*rho1, rho, rho*u, u1 - u2)

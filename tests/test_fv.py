@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from conftest import random_state_array
 from twophase.errors import ConfigError, PositivityError
 from twophase.fv import (
+    LIMITERS,
     Grid,
     SolverConfig,
     bn_from_prim,
@@ -17,7 +18,6 @@ from twophase.fv import (
     muscl_hancock_step,
     path_conservative_step,
     relax_primitive,
-    relaxation_step,
     run_simulation,
     rusanov_flux,
 )
@@ -27,6 +27,7 @@ from twophase.state import (
     cons_to_prim_array,
     flux_primitive_array,
     jacobian_primitive,
+    max_wavespeed_array,
     prim_to_cons_array,
 )
 
@@ -102,8 +103,6 @@ def test_force_consistency_and_lf_limit(ideal_pair):
     # dt -> 0: the Lax-Friedrichs half dominates
     ul, ur = u[:3], u[3:]
     dx = 0.1
-    from twophase.state import max_wavespeed_array
-
     smax = float(np.max(max_wavespeed_array(cons_to_prim_array(u), ideal_pair)))
     dt = 1e-12 * dx / smax
     f = force_flux(ul, ur, dx, dt, ideal_pair)
@@ -149,20 +148,35 @@ def test_muscl_step_conserves_compact_perturbation(ideal_pair):
     assert np.max(np.abs(change) / scale) < 1e-12
 
 
-def test_muscl_positivity_error_names_cell(ideal_pair):
+# the two cell systems of the shared MUSCL-Hancock kernel: step, encode, decode
+SYSTEMS = {
+    "shtc": (muscl_hancock_step, prim_to_cons_array, cons_to_prim_array),
+    "bn": (path_conservative_step, bn_from_prim, bn_to_prim),
+}
+
+
+@pytest.mark.parametrize("system", ["shtc", "bn"])
+def test_muscl_positivity_error_names_cell(ideal_pair, system):
+    step, encode, decode = SYSTEMS[system]
     v = np.tile([0.5, 1.0, 1.0, 0.0, 0.0], (16, 1))
     v[7:, 3] = 40.0   # violent expansion
     v[:7, 3] = -40.0
-    u = prim_to_cons_array(v)
+    u = encode(v)
     cfg = SolverConfig(t_end=1.0)
     with pytest.raises(PositivityError) as err:
-        muscl_hancock_step(u, 2e-2, 0.01, cfg, ideal_pair, t=0.123)
-    assert err.value.cell is not None
+        step(u, 2e-2, 0.01, cfg, ideal_pair, t=0.123)
+    assert err.value.cell == 6
     assert err.value.time == 0.123
-    # floor mode survives the same update
+    # floor mode survives the same update with every invariant restored
     cfg_floor = SolverConfig(t_end=1.0, positivity="floor")
-    out, _ = muscl_hancock_step(u, 2e-2, 0.01, cfg_floor, ideal_pair)
-    assert np.all(out[:, 2] > 0)
+    out, _ = step(u, 2e-2, 0.01, cfg_floor, ideal_pair)
+    assert np.all(np.isfinite(out))
+    vout = decode(out)
+    assert np.all((vout[:, 0] > 0) & (vout[:, 0] < 1))
+    assert np.all(vout[:, 0] * vout[:, 1] > 0)
+    assert np.all((1 - vout[:, 0]) * vout[:, 2] > 0)
+    if system == "shtc":
+        assert np.all(out[:, 2] > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +262,72 @@ def test_bn_total_momentum_conserved(ideal_pair):
     assert mom_change + flux_diff == pytest.approx(0.0, abs=1e-13 * scale)
 
 
+def _pares_bn_step(b, dt, dx, limiter, eos_pair):
+    """Reference path-conservative MUSCL-Hancock step in fluctuation form
+    (Pares 2006): each interface splits its flux jump plus segment-path
+    product into D-/D+ with Rusanov dissipation, and each cell adds the
+    flux difference and product of its half-evolved face states."""
+
+    def flux(q):
+        alpha1, m1, m2, q1, q2 = q.T
+        p1 = eos_pair.phase1.pressure(m1 / alpha1)
+        p2 = eos_pair.phase2.pressure(m2 / (1.0 - alpha1))
+        z = np.zeros_like(alpha1)
+        return np.column_stack(
+            [z, q1, q2, q1**2 / m1 + alpha1 * p1, q2**2 / m2 + (1.0 - alpha1) * p2]
+        )
+
+    def product(ql, qr):
+        # B(V) dV at the segment midpoint, u_I = u, p_I = (m2 p1 + m1 p2)/rho
+        alpha1, m1, m2, q1, q2 = (0.5 * (ql + qr)).T
+        dalpha = qr[:, 0] - ql[:, 0]
+        rho = m1 + m2
+        p1 = eos_pair.phase1.pressure(m1 / alpha1)
+        p2 = eos_pair.phase2.pressure(m2 / (1.0 - alpha1))
+        p_i = (m2 * p1 + m1 * p2) / rho
+        z = np.zeros_like(alpha1)
+        return np.column_stack([(q1 + q2) / rho * dalpha, z, z, -p_i * dalpha, p_i * dalpha])
+
+    bp = np.vstack([b[:1], b[:1], b, b[-1:], b[-1:]])
+    slope = limited_slope(bp[1:-1] - bp[:-2], bp[2:] - bp[1:-1], limiter)
+    b_minus = bp[1:-1] - 0.5 * slope
+    b_plus = bp[1:-1] + 0.5 * slope
+    evo = 0.5 * dt / dx * (flux(b_plus) - flux(b_minus) + product(b_minus, b_plus))
+    b_minus_h, b_plus_h = b_minus - evo, b_plus - evo
+    vl, vr = b_plus_h[:-1], b_minus_h[1:]
+    total = flux(vr) - flux(vl) + product(vl, vr)
+    smax = np.maximum(
+        max_wavespeed_array(bn_to_prim(vl), eos_pair),
+        max_wavespeed_array(bn_to_prim(vr), eos_pair),
+    )[:, None]
+    d_minus = 0.5 * total - 0.5 * smax * (vr - vl)
+    d_plus = 0.5 * total + 0.5 * smax * (vr - vl)
+    inner_m, inner_p = b_minus_h[1:-1], b_plus_h[1:-1]
+    in_cell = flux(inner_p) - flux(inner_m) + product(inner_m, inner_p)
+    b_new = b - dt / dx * (d_plus[:-1] + d_minus[1:] + in_cell)
+    return b_new, (flux(vl)[0], flux(vr)[-1])
+
+
+@pytest.mark.parametrize("limiter", LIMITERS)
+def test_bn_step_matches_fluctuation_form(ideal_pair, limiter):
+    # the flux-difference update of the shared kernel equals the D-/D+
+    # fluctuation sum to round-off, with alpha1 jumping between cells so
+    # that every nonconservative product is active
+    rng = np.random.default_rng(9)
+    b = bn_from_prim(random_state_array(rng, 40, u=(-1.0, 1.0)))
+    dx = 0.01
+    dt = 0.2 * dx / np.max(max_wavespeed_array(bn_to_prim(b), ideal_pair))
+    cfg = SolverConfig(t_end=1.0, scheme="muscl-pathcons-bn", limiter=limiter)
+    out, (fl, fr) = path_conservative_step(b, dt, dx, cfg, ideal_pair)
+    ref, (rl, rr) = _pares_bn_step(b, dt, dx, limiter, ideal_pair)
+    assert np.ptp(ref[:, 0]) > 0.5
+    scale = np.max(np.abs(ref), axis=0)
+    assert np.all(np.abs(out - ref) <= 1e-13 * scale)
+    # transmissive ghosts: the edge fluxes are the physical ones
+    assert np.all(np.abs(fl - rl) <= 1e-13 * scale)
+    assert np.all(np.abs(fr - rr) <= 1e-13 * scale)
+
+
 # ---------------------------------------------------------------------------
 # relaxation
 # ---------------------------------------------------------------------------
@@ -324,7 +404,8 @@ def test_implicit_pressure_step_partial(ideal_pair):
 def test_relaxation_step_conserved_view(ideal_pair):
     rng = np.random.default_rng(8)
     u = prim_to_cons_array(random_state_array(rng, 50, u=(-0.5, 0.5)))
-    out = relaxation_step(u, 1e-2, 1e-3, 1e-8, ideal_pair)
+    v = relax_primitive(cons_to_prim_array(u), 1e-2, 1e-3, 1e-8, ideal_pair)
+    out = prim_to_cons_array(v)
     # alpha1 rho1, rho, rho u conserved; alpha1 rho and w carry sources
     assert np.allclose(out[:, 1], u[:, 1], rtol=1e-12)
     assert np.allclose(out[:, 2], u[:, 2], rtol=1e-14)
