@@ -41,7 +41,6 @@ from .exact import SOLUTION_COLUMNS, solution_table, validate_solution
 from .fv import Grid, SolverConfig, run_simulation
 from .models import kapila_limit_diagnostics
 from .problems import get_problem
-from .state import mixture_props
 
 SNAPSHOT_COLUMNS = ["x", "alpha1", "rho1", "rho2", "u1", "u2", "rho", "u", "w", "p"]
 
@@ -157,18 +156,16 @@ def _cells_for(problem, args):
     return problem.paper_cells if args.paper_scale else problem.desk_cells
 
 
-def _snapshot_rows(result, eos_pair):
-    rows = []
-    for x, v in zip(result.x, result.prim):
-        alpha1, rho1, rho2, u1, u2 = v
-        p1 = eos_pair.phase1.pressure(rho1)
-        p2 = eos_pair.phase2.pressure(rho2)
-        rho = alpha1 * rho1 + (1 - alpha1) * rho2
-        u = (alpha1 * rho1 * u1 + (1 - alpha1) * rho2 * u2) / rho
-        rows.append(
-            [x, alpha1, rho1, rho2, u1, u2, rho, u, u1 - u2, alpha1 * p1 + (1 - alpha1) * p2]
-        )
-    return rows
+def _snapshot_rows(xs, prim, eos_pair):
+    """Snapshot table: x, the five primitives, mixture rho, u, w and p."""
+    alpha1, rho1, rho2, u1, u2 = np.asarray(prim, dtype=float).T
+    p1 = eos_pair.phase1.pressure(rho1)
+    p2 = eos_pair.phase2.pressure(rho2)
+    rho = alpha1 * rho1 + (1 - alpha1) * rho2
+    u = (alpha1 * rho1 * u1 + (1 - alpha1) * rho2 * u2) / rho
+    return np.column_stack(
+        [xs, alpha1, rho1, rho2, u1, u2, rho, u, u1 - u2, alpha1 * p1 + (1 - alpha1) * p2]
+    )
 
 
 def cmd_simulate(args):
@@ -184,7 +181,8 @@ def cmd_simulate(args):
         print(f"  relaxation: theta1={config.theta1}, theta2={config.theta2}")
     result = run_simulation(left, right, grid, config, problem.eos_pair, x0=problem.x0)
     out = _out_dir(args, problem, "simulate")
-    write_csv(out / "snapshot.csv", SNAPSHOT_COLUMNS, _snapshot_rows(result, problem.eos_pair))
+    rows = _snapshot_rows(result.x, result.prim, problem.eos_pair)
+    write_csv(out / "snapshot.csv", SNAPSHOT_COLUMNS, rows)
     write_json(out / "ledger.json", result.ledger)
     if config.relaxing:
         diag = kapila_limit_diagnostics(result.prim, problem.eos_pair)
@@ -227,18 +225,15 @@ def cmd_compare(args):
         print(f"  ran {model} ({scheme}): {runs[model].steps} steps")
 
     columns = SNAPSHOT_COLUMNS[1:]
-    tables = {
-        m: np.asarray(_snapshot_rows(r, problem.eos_pair))[:, 1:] for m, r in runs.items()
-    }
+    tables = {m: _snapshot_rows(r.x, r.prim, problem.eos_pair)[:, 1:] for m, r in runs.items()}
     report = {"problem": problem.name, "cells": cells, "pairs": {}, "verdicts": []}
 
     exact_ref = None
     if problem.exact_spec is not None and not args.theta1 and not args.theta2:
         solution = problem.build_exact()
-        xi = (grid.centers() - problem.x0) / runs[models[0]].t
-        exact_tab = np.asarray(
-            [_snapshot_from_state(solution.sample(x), problem.eos_pair) for x in xi]
-        )
+        xs = grid.centers()
+        xi = (xs - problem.x0) / runs[models[0]].t
+        exact_tab = _snapshot_rows(xs, solution.sample_many(xi), problem.eos_pair)[:, 1:]
         for m in models:
             err = _l1(tables[m][:, 5], exact_tab[:, 5], grid.dx)
             report.setdefault("exact_errors_rho", {})[m] = err
@@ -282,14 +277,6 @@ def cmd_compare(args):
     write_json(out / "compare.json", report)
     print(f"wrote {out}/compare.json")
     return EXIT_OK
-
-
-def _snapshot_from_state(state, eos_pair):
-    mp = mixture_props(state, eos_pair)
-    return [
-        state.alpha1, state.rho1, state.rho2, state.u1, state.u2,
-        mp.rho, mp.u, mp.w, mp.p,
-    ]
 
 
 def cmd_eigen(args):

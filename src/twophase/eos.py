@@ -15,8 +15,11 @@ from this law:
     G(rho)      = 1 + (rho/a) da/drho         fundamental derivative
 
 For the power law these have closed forms; quadrature only appears in
-the test oracles.  Only differences of Psi are ever observable, so the
-integration constant is fixed to zero.
+the test oracles.  So do the rarefaction fans built on them: the
+invariant u -+ int a/rho drho is explicit, and waves._fan_state needs
+only gamma and the edge sound speed to place any in-fan state, for a
+whole array of similarity coordinates at once.  Only differences of Psi
+are ever observable, so the integration constant is fixed to zero.
 """
 
 from dataclasses import dataclass
@@ -123,8 +126,3 @@ class EosPair:
 
     def __iter__(self):
         return iter((self.phase1, self.phase2))
-
-
-def ideal_gas_pair(gamma1=1.4, gamma2=2.0):
-    """The unit ideal-gas pair p_i = rho_i**gamma_i used by several benchmarks."""
-    return EosPair(BarotropicEos(1.0, gamma1), BarotropicEos(1.0, gamma2))

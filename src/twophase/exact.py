@@ -24,6 +24,7 @@ from .errors import ConstructionError, InadmissibleWaveError, TwoPhaseError
 from .state import PrimitiveState, eigenvalues, mixture_props
 from .waves import (
     WaveFamily,
+    _fan_state,
     classify_discontinuity,
     contact_connect,
     contact_residuals,
@@ -116,14 +117,13 @@ class _Fan:
     lo: float
     hi: float
     family: WaveFamily
-    anchor: PrimitiveState  # any edge state of the fan; carries the invariant
+    edge: tuple  # (rho, u) of this phase at either edge; carries the invariant
 
 
 @dataclass(frozen=True)
 class _Jump:
     xi: float
-    left_value: tuple  # (rho, u) of this phase just left of the jump
-    right_value: tuple
+    right_value: tuple  # (rho, u) of this phase just right of the jump
 
 
 class _PhaseTrack:
@@ -139,35 +139,35 @@ class _PhaseTrack:
         return (state.rho2, state.u2)
 
     def add_fan(self, lo, hi, family, anchor):
-        self.events.append(_Fan(float(lo), float(hi), family, anchor))
+        self.events.append(_Fan(float(lo), float(hi), family, self._values(anchor)))
 
-    def add_jump(self, xi, left_state, right_state):
-        self.events.append(
-            _Jump(float(xi), self._values(left_state), self._values(right_state))
-        )
+    def add_jump(self, xi, right_state):
+        self.events.append(_Jump(float(xi), self._values(right_state)))
 
     def finalize(self, outer_left_state):
         self.events.sort(key=lambda e: (e.lo, e.hi) if isinstance(e, _Fan) else (e.xi, e.xi))
-        self._starts = [e.lo if isinstance(e, _Fan) else e.xi for e in self.events]
         self._left_value = self._values(outer_left_state)
 
     def sample(self, xi, eos_pair):
-        value = self._left_value
+        """(rho, u) of this phase at every point of the array xi.
+
+        Each event overwrites the points at or right of its start, so
+        the last event started wins and every jump is right-continuous.
+        A fan is evaluated at min(xi, hi): points past it take its far
+        edge value.
+        """
+        rho = np.full(xi.shape, self._left_value[0])
+        u = np.full(xi.shape, self._left_value[1])
         for ev in self.events:
             if isinstance(ev, _Fan):
-                if xi < ev.lo:
-                    return value
-                if xi <= ev.hi:
-                    st = rarefaction_sample(ev.anchor, ev.family, xi, eos_pair)
-                    return self._values(st)
-                # passed the fan: value at its right edge
-                st = rarefaction_sample(ev.anchor, ev.family, ev.hi, eos_pair)
-                value = self._values(st)
+                at = xi >= ev.lo
+                rho[at], u[at] = _fan_state(
+                    ev.family, ev.family.eos_of(eos_pair), *ev.edge, np.minimum(xi[at], ev.hi)
+                )
             else:
-                if xi < ev.xi:
-                    return value
-                value = ev.right_value
-        return value
+                at = xi >= ev.xi
+                rho[at], u[at] = ev.right_value
+        return rho, u
 
 
 @dataclass
@@ -178,6 +178,10 @@ class ExactSolution:
     x-ordered and include the contact.  The constant states between
     waves are reachable through element bounds; `left_state` and
     `right_state` are the Riemann data the construction implies.
+
+    Sampling is right-continuous: at the speed of a discontinuity
+    (shock, interior shock or contact) both phases and alpha1 take the
+    state right of it, `el.right`.
     """
 
     eos_pair: object
@@ -190,14 +194,17 @@ class ExactSolution:
     _tracks: dict = field(repr=False, default=None)
 
     def sample(self, xi):
-        xi = float(xi)
-        alpha1 = self.contact_left.alpha1 if xi < self.contact_speed else self.contact_right.alpha1
-        rho1, u1 = self._tracks[1].sample(xi, self.eos_pair)
-        rho2, u2 = self._tracks[2].sample(xi, self.eos_pair)
-        return PrimitiveState(alpha1, rho1, rho2, u1, u2)
+        return PrimitiveState.from_array(self.sample_many([xi])[0])
 
     def sample_many(self, xis):
-        return np.array([self.sample(x).as_array() for x in np.asarray(xis, dtype=float)])
+        """Rows (alpha1, rho1, rho2, u1, u2), one per point of xis."""
+        xi = np.asarray(xis, dtype=float)
+        rho1, u1 = self._tracks[1].sample(xi, self.eos_pair)
+        rho2, u2 = self._tracks[2].sample(xi, self.eos_pair)
+        alpha1 = np.where(
+            xi < self.contact_speed, self.contact_left.alpha1, self.contact_right.alpha1
+        )
+        return np.column_stack([alpha1, rho1, rho2, u1, u2])
 
     def wave_speeds(self):
         """All breakpoints (heads, tails, discontinuity speeds), sorted."""
@@ -209,11 +216,13 @@ class ExactSolution:
 
     def eigen_curves(self, xis):
         """Five eigenvalues sampled along xi, columns 1-,2-,C,1+,2+."""
-        rows = []
-        for x in xis:
-            lam = eigenvalues(self.sample(x), self.eos_pair)
-            rows.append([lam["1-"], lam["2-"], lam["C"], lam["1+"], lam["2+"]])
-        return np.array(rows)
+        alpha1, rho1, rho2, u1, u2 = self.sample_many(xis).T
+        alpha2 = 1.0 - alpha1
+        rho = alpha1 * rho1 + alpha2 * rho2
+        u = alpha1 * rho1 / rho * u1 + alpha2 * rho2 / rho * u2  # as PrimitiveState.u
+        a1 = self.eos_pair.phase1.sound_speed(rho1)
+        a2 = self.eos_pair.phase2.sound_speed(rho2)
+        return np.column_stack([u1 - a1, u2 - a2, u, u1 + a1, u2 + a2])
 
     def summary(self):
         waves = []
@@ -234,11 +243,6 @@ class ExactSolution:
             "alpha1_right": self.contact_right.alpha1,
             "waves": waves,
         }
-
-
-def initial_data(solution):
-    """Outermost constant states (the Riemann data of the construction)."""
-    return solution.left_state, solution.right_state
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +296,12 @@ def _walk_side(contact_state, specs, side, eos_pair, tracks, label_prefix):
                 post, data = shock_connect(current, fam, spec.speed, eos_pair)
                 if side == "left":
                     elements.append(WaveElement(fam, SHOCK, spec.speed, spec.speed, post, current))
-                    tracks[1].add_jump(spec.speed, post, current)
-                    tracks[2].add_jump(spec.speed, post, current)
+                    tracks[1].add_jump(spec.speed, current)
+                    tracks[2].add_jump(spec.speed, current)
                 else:
                     elements.append(WaveElement(fam, SHOCK, spec.speed, spec.speed, current, post))
-                    tracks[1].add_jump(spec.speed, current, post)
-                    tracks[2].add_jump(spec.speed, current, post)
+                    tracks[1].add_jump(spec.speed, post)
+                    tracks[2].add_jump(spec.speed, post)
                 current = post
             elif spec.kind == SHOCK_IN_RAREFACTION:
                 current = _interior_shock(
@@ -362,16 +366,16 @@ def _interior_shock(current, host, spec, side, eos_pair, tracks, elements, label
         elements.append(WaveElement(interior_family, INTERIOR_SHOCK, S, S, pre, post))
         elements.append(WaveElement(host, RAREFACTION, resume, tail, post, outer))
         tracks[ph].add_fan(head, S, host, current)
-        tracks[1].add_jump(S, pre, post)
-        tracks[2].add_jump(S, pre, post)
+        tracks[1].add_jump(S, post)
+        tracks[2].add_jump(S, post)
         tracks[ph].add_fan(resume, tail, host, post)
     else:
         elements.append(WaveElement(host, RAREFACTION, S, head, pre, current))
         elements.append(WaveElement(interior_family, INTERIOR_SHOCK, S, S, post, pre))
         elements.append(WaveElement(host, RAREFACTION, tail, resume, outer, post))
         tracks[ph].add_fan(S, head, host, current)
-        tracks[1].add_jump(S, post, pre)
-        tracks[2].add_jump(S, post, pre)
+        tracks[1].add_jump(S, pre)
+        tracks[2].add_jump(S, pre)
         tracks[ph].add_fan(tail, resume, host, post)
     return outer
 
@@ -393,8 +397,8 @@ def build_solution(contact_left, alpha1_right, left_waves, right_waves, eos_pair
         contact_right = contact_connect(contact_left, alpha1_right, eos_pair)
     except TwoPhaseError as exc:
         raise ConstructionError("contact", str(exc)) from exc
-    tracks[1].add_jump(u_c, contact_left, contact_right)
-    tracks[2].add_jump(u_c, contact_left, contact_right)
+    tracks[1].add_jump(u_c, contact_right)
+    tracks[2].add_jump(u_c, contact_right)
     contact_el = WaveElement(
         family_from_key("C"), CONTACT_KIND, u_c, u_c, contact_left, contact_right
     )
@@ -662,12 +666,9 @@ def solution_table(solution, xis):
     Columns: xi, alpha1, rho1, rho2, u1, u2, rho, u, w, p, p_bar.
     """
     rows = []
-    for x in xis:
-        st = solution.sample(x)
-        mp = mixture_props(st, solution.eos_pair)
-        rows.append(
-            [x, st.alpha1, st.rho1, st.rho2, st.u1, st.u2, mp.rho, mp.u, mp.w, mp.p, mp.p_bar]
-        )
+    for x, v in zip(xis, solution.sample_many(xis)):
+        mp = mixture_props(PrimitiveState.from_array(v), solution.eos_pair)
+        rows.append([x, *v, mp.rho, mp.u, mp.w, mp.p, mp.p_bar])
     return np.array(rows)
 
 

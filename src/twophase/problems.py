@@ -17,7 +17,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .eos import BarotropicEos, EosPair
-from .errors import ConfigError
+from .errors import ConfigError, StateDecodeError
 from .exact import build_solution, raref, shock, shock_in_raref
 from .state import PrimitiveState
 
@@ -329,42 +329,56 @@ def _parse_kv(path):
     return entries
 
 
-def _eos_from(entries, section):
-    def get(key, default=None, cast=float):
-        raw = entries.get(f"{section}.{key}")
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing {section}.{key}")
-            return default
-        return cast(raw)
+_REQUIRED = object()
 
+
+def _get(entries, key, default=_REQUIRED, cast=float):
+    """entries[key] through `cast`; ConfigError names the key when it is
+    missing (and has no default) or does not parse."""
+    raw = entries.get(key)
+    if raw is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing {key}")
+        return default
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ConfigError(f"{key} = {raw!r} is not a valid {cast.__name__}") from None
+
+
+def _eos_from(entries, section):
     return BarotropicEos(
-        A=get("A"),
-        gamma=get("gamma"),
-        rho_ref=get("rho_ref", 1.0),
-        B=get("B", 0.0),
-        mode=get("mode", "isentropic", cast=str),
+        A=_get(entries, f"{section}.A"),
+        gamma=_get(entries, f"{section}.gamma"),
+        rho_ref=_get(entries, f"{section}.rho_ref", 1.0),
+        B=_get(entries, f"{section}.B", 0.0),
+        mode=_get(entries, f"{section}.mode", "isentropic", cast=str),
     )
 
 
 def _state_from(entries, section):
     if f"{section}.rho1" not in entries:
         return None
-    vals = [entries.get(f"{section}.{k}") for k in ("alpha1", "rho1", "rho2", "u1", "u2")]
-    if any(v is None for v in vals):
-        raise ConfigError(f"incomplete state section {section}.*")
-    return PrimitiveState(*(float(v) for v in vals))
+    keys = [f"{section}.{k}" for k in ("alpha1", "rho1", "rho2", "u1", "u2")]
+    values = [_get(entries, k) for k in keys]
+    try:
+        return PrimitiveState(*values)
+    except StateDecodeError as exc:
+        given = ", ".join(f"{k} = {v:g}" for k, v in zip(keys, values))
+        raise ConfigError(f"{given}: {exc}") from exc
 
 
-def _parse_wave(token):
+def _parse_wave(token, key):
     parts = token.strip().split(":")
     kind = parts[0]
+    # through the getter, so a bad number names the wave-list key
+    speeds = [_get({key: raw}, key) for raw in parts[2:]]
     if kind == "raref" and len(parts) == 3:
-        return raref(parts[1], float(parts[2]))
+        return raref(parts[1], *speeds)
     if kind == "shock" and len(parts) == 3:
-        return shock(parts[1], float(parts[2]))
+        return shock(parts[1], *speeds)
     if kind == "sir" and len(parts) == 4:
-        return shock_in_raref(parts[1], float(parts[2]), float(parts[3]))
+        return shock_in_raref(parts[1], *speeds)
     raise ConfigError(
         f"bad wave token {token!r}; use raref:FAM:tail, shock:FAM:S or sir:FAM:tail:S"
     )
@@ -374,7 +388,7 @@ def _waves_from(entries, key):
     raw = entries.get(key, "").strip()
     if not raw:
         return ()
-    return tuple(_parse_wave(tok) for tok in raw.split(",") if tok.strip())
+    return tuple(_parse_wave(tok, key) for tok in raw.split(",") if tok.strip())
 
 
 def load_problem_file(path):
@@ -383,22 +397,14 @@ def load_problem_file(path):
     left = _state_from(entries, "left")
     right = _state_from(entries, "right")
 
-    def grid(key, default=None, cast=float):
-        raw = entries.get(f"grid.{key}")
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing grid.{key}")
-            return default
-        return cast(raw)
-
-    x_min = grid("x_min")
-    x_max = grid("x_max")
+    x_min = _get(entries, "grid.x_min")
+    x_max = _get(entries, "grid.x_max")
     exact_spec = None
     seed = _state_from(entries, "waves.seed")
     if seed is not None:
         exact_spec = ExactSpec(
             seed,
-            float(entries.get("waves.alpha1_right", seed.alpha1)),
+            _get(entries, "waves.alpha1_right", seed.alpha1),
             _waves_from(entries, "waves.left"),
             _waves_from(entries, "waves.right"),
         )
@@ -410,15 +416,15 @@ def load_problem_file(path):
         eos_pair=eos_pair,
         x_min=x_min,
         x_max=x_max,
-        x0=grid("x0", 0.5 * (x_min + x_max)),
-        t_end=grid("t_end"),
-        cfl=grid("cfl", 0.25),
-        paper_cells=grid("paper_cells", 10000, cast=int),
-        desk_cells=grid("cells", 2000, cast=int),
+        x0=_get(entries, "grid.x0", 0.5 * (x_min + x_max)),
+        t_end=_get(entries, "grid.t_end"),
+        cfl=_get(entries, "grid.cfl", 0.25),
+        paper_cells=_get(entries, "grid.paper_cells", 10000, cast=int),
+        desk_cells=_get(entries, "grid.cells", 2000, cast=int),
         default_scheme=entries.get("grid.scheme", "muscl-rusanov"),
         left=left,
         right=right,
         exact_spec=exact_spec,
-        theta1=float(entries["grid.theta1"]) if "grid.theta1" in entries else None,
-        theta2=float(entries["grid.theta2"]) if "grid.theta2" in entries else None,
+        theta1=_get(entries, "grid.theta1", None),
+        theta2=_get(entries, "grid.theta2", None),
     )

@@ -119,49 +119,39 @@ def _with_phase(state, phase, rho, u):
 # rarefactions
 # ---------------------------------------------------------------------------
 
-def _fan_speed(family, eos, rho_edge, u_edge, rho):
-    """Characteristic speed along the integral curve anchored at the edge."""
-    ri = eos.riemann_integral(rho_edge, rho)
-    a = eos.sound_speed(rho)
-    if family.sign < 0:
-        return u_edge - ri - a
-    return u_edge + ri + a
+def _fan_state(family, eos, rho_edge, u_edge, xi):
+    """(rho, u) where the fan through the edge state has characteristic
+    speed xi; array-valued in xi.
 
+    For the power law the invariant u -+ int a/rho drho is explicit
+    (Toro ch. 4).  With lambda_e = u_e +- a_e the edge characteristic,
+    gamma != 1 makes the sound speed linear in xi,
 
-def _fan_solve(family, eos, rho_edge, u_edge, target):
-    """Root of fan_speed(rho) = target; the map is strictly monotone
-    (slope -+ a*G/rho), so an expanding bracket plus brentq is safe."""
+        a = a_e +- (gamma-1)/(gamma+1) (xi - lambda_e),
+        rho = rho_e (a/a_e)**(2/(gamma-1)),
 
-    def g(rho):
-        return _fan_speed(family, eos, rho_edge, u_edge, rho) - target
-
-    g0 = g(rho_edge)
-    if g0 == 0.0:
-        return rho_edge
-    # minus family: g decreasing in rho; plus family: increasing
-    go_up = (g0 > 0.0) if family.sign < 0 else (g0 < 0.0)
-    lo, hi = rho_edge, rho_edge
-    if go_up:
-        for _ in range(400):
-            hi *= 2.0
-            if g(hi) * g0 < 0.0:
-                break
+    and gamma == 1 (constant a) makes the density exponential,
+    rho = rho_e exp(+-(xi - lambda_e)/a_e).  Either way u = xi -+ a.
+    """
+    sign = family.sign
+    a_e = eos.sound_speed(rho_edge)
+    lam_e = u_edge + sign * a_e
+    gamma = eos.gamma
+    with np.errstate(over="ignore"):
+        if gamma == 1.0:
+            a = a_e
+            rho = rho_edge * np.exp(sign * (xi - lam_e) / a_e)
         else:
-            raise NumericsError("rarefaction root bracket failure (density -> inf)")
-    else:
-        for _ in range(400):
-            lo *= 0.5
-            if g(lo) * g0 < 0.0:
-                break
-        else:
-            # density heading to vacuum: the fan cannot reach this speed
-            raise OutOfFanError(
-                f"speed {target} beyond the vacuum front of the {family} fan"
-            )
-        lo, hi = lo, rho_edge
-    if go_up:
-        lo, hi = rho_edge, hi
-    return brentq(g, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+            a = a_e + sign * (gamma - 1.0) / (gamma + 1.0) * (xi - lam_e)
+            if np.any(a <= 0.0):
+                raise OutOfFanError(f"speed {xi} beyond the vacuum front of the {family} fan")
+            rho = rho_edge * (a / a_e) ** (2.0 / (gamma - 1.0))
+    if not np.all(np.isfinite(rho)):
+        raise NumericsError(f"{family} fan density not finite at speed {xi}")
+    if not np.all(rho > 0.0):
+        # the density underflowed: the speed lies at the vacuum front
+        raise OutOfFanError(f"speed {xi} beyond the vacuum front of the {family} fan")
+    return rho, xi - sign * a
 
 
 def rarefaction_connect(state, family, target, eos_pair):
@@ -175,9 +165,6 @@ def rarefaction_connect(state, family, target, eos_pair):
     """
     if not family.acoustic:
         raise InadmissibleWaveError("rarefactions exist only for acoustic families")
-    eos = family.eos_of(eos_pair)
-    rho_e = family.rho_of(state)
-    u_e = family.u_of(state)
     head = family.speed_of(state, eos_pair)
     scale = max(1.0, abs(head), abs(target))
     if abs(target - head) < ZERO_STRENGTH_TOL * scale:
@@ -190,9 +177,9 @@ def rarefaction_connect(state, family, target, eos_pair):
         raise InadmissibleWaveError(
             f"{family} fan would compress: target {target} < head {head}"
         )
-    rho = _fan_solve(family, eos, rho_e, u_e, target)
-    # invariant: u -+ integral a/rho drho = const along the fan
-    u = u_e + family.sign * eos.riemann_integral(rho_e, rho)
+    rho, u = _fan_state(
+        family, family.eos_of(eos_pair), family.rho_of(state), family.u_of(state), target
+    )
     return _with_phase(state, family.phase, rho, u)
 
 
@@ -210,11 +197,9 @@ def rarefaction_sample(state, family, xi, eos_pair, bounds=None):
         pad = ZERO_STRENGTH_TOL * max(1.0, abs(lo), abs(hi))
         if xi < lo - pad or xi > hi + pad:
             raise OutOfFanError(f"xi={xi} outside fan [{lo}, {hi}]")
-    eos = family.eos_of(eos_pair)
-    rho_e = family.rho_of(state)
-    u_e = family.u_of(state)
-    rho = _fan_solve(family, eos, rho_e, u_e, xi)
-    u = u_e + family.sign * eos.riemann_integral(rho_e, rho)
+    rho, u = _fan_state(
+        family, family.eos_of(eos_pair), family.rho_of(state), family.u_of(state), xi
+    )
     return _with_phase(state, family.phase, rho, u)
 
 

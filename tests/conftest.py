@@ -1,21 +1,18 @@
 import numpy as np
 import pytest
 
-from twophase.eos import BarotropicEos, EosPair, ideal_gas_pair
+from twophase.problems import IDEAL_PAIR, STIFF_PAIR
 from twophase.state import PrimitiveState
 
 
 @pytest.fixture(scope="session")
 def ideal_pair():
-    return ideal_gas_pair()
+    return IDEAL_PAIR
 
 
 @pytest.fixture(scope="session")
 def stiff_pair():
-    return EosPair(
-        BarotropicEos(1e5, 1.4, 1.0, 0.0),
-        BarotropicEos(8.5e8, 2.8, 1e3, 8.4999e8),
-    )
+    return STIFF_PAIR
 
 
 def random_states(rng, n, alpha=(0.05, 0.95), rho=(0.1, 5.0), u=(-3.0, 3.0)):

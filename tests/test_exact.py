@@ -8,14 +8,13 @@ import pytest
 from twophase.errors import ConstructionError
 from twophase.exact import (
     build_solution,
-    initial_data,
     raref,
     shock,
     shock_in_raref,
     solution_table,
     validate_solution,
 )
-from twophase.problems import IDEAL_PAIR, get_problem, table_states
+from twophase.problems import IDEAL_PAIR, PRESETS, get_problem, table_states
 from twophase.state import PrimitiveState, eigenvalues
 
 # frozen reconstruction of the shock-in-rarefaction benchmark: the
@@ -76,13 +75,12 @@ def test_constant_solution():
     sol = build_solution(st, 0.55, [], [], IDEAL_PAIR)
     for xi in (-3.0, 0.0, 2.0):
         assert np.allclose(sol.sample(xi).as_array(), st.as_array(), rtol=1e-12)
-    left, right = initial_data(sol)
-    assert np.allclose(left.as_array(), right.as_array(), rtol=1e-14)
+    assert np.allclose(sol.left_state.as_array(), sol.right_state.as_array(), rtol=1e-14)
 
 
 def test_initial_data_rp4_matches_table():
     sol = get_problem("RP4").build_exact()
-    left, right = initial_data(sol)
+    left, right = sol.left_state, sol.right_state
     tab = dict(table_states("RP4"))
     assert np.max(np.abs(left.as_array() - tab["U_L"].as_array()) / np.abs(tab["U_L"].as_array())) < 1e-4
     assert np.max(np.abs(right.as_array() - tab["U_R"].as_array()) / np.abs(tab["U_R"].as_array())) < 1e-4
@@ -141,6 +139,19 @@ def test_sampling_converges_to_bounding_states():
         right = sol.sample(el.speed + eps).as_array()
         assert np.allclose(left, el.left.as_array(), rtol=1e-6, atol=1e-9)
         assert np.allclose(right, el.right.as_array(), rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_sampling_right_continuous_at_discontinuities(name):
+    # at a discontinuity's own speed both phases take the state right of
+    # it, interior shocks included (phase 1 used to stop in its host fan)
+    sol = get_problem(name).build_exact()
+    for el in sol.elements:
+        if not el.is_discontinuity:
+            continue
+        got = sol.sample(el.speed).as_array()
+        want = el.right.as_array()
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), el.label()
 
 
 def test_mirror_symmetry():

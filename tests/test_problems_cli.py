@@ -92,6 +92,40 @@ def test_problem_file_rejects_garbage(tmp_path):
         load_problem_file(path)
 
 
+RIEMANN_FILE = """
+phase1.A = 1.0
+phase1.gamma = 1.4
+phase2.A = 1.0
+phase2.gamma = 2.0
+grid.x_min = -1.0
+grid.x_max = 1.0
+grid.t_end = 0.25
+left.alpha1 = 0.7
+left.rho1 = 2.0
+left.rho2 = 1.0
+left.u1 = 0.0
+left.u2 = 0.0
+right.alpha1 = 0.3
+right.rho1 = 1.0
+right.rho2 = 2.0
+right.u1 = 0.0
+right.u2 = 0.0
+"""
+
+
+@pytest.mark.parametrize(
+    "key, value", [("right.u2", "oops"), ("grid.t_end", "soon"), ("right.alpha1", "1.5")]
+)
+def test_cli_problem_file_errors_exit_2(tmp_path, capsys, key, value):
+    # a bad value is a configuration error naming its key, not a raw
+    # traceback or a numerics failure
+    path = tmp_path / "bad.txt"
+    path.write_text(RIEMANN_FILE.replace(f"{key} = ", f"{key} = {value}  # "))
+    rc = cli.main(["simulate", str(path), "--cells", "8", "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_VALIDATION
+    assert key in capsys.readouterr().err
+
+
 def test_cli_exact_and_eigen(tmp_path):
     out = tmp_path / "exact"
     rc = cli.main(["exact", "RP1", "--samples", "301", "--out", str(out)])

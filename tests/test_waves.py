@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from twophase.eos import BarotropicEos, EosPair
 from twophase.errors import (
     DegenerateShockError,
     InadmissibleWaveError,
+    NumericsError,
     OutOfFanError,
 )
 from twophase.problems import IDEAL_PAIR, STIFF_PAIR, table_states
@@ -95,26 +97,44 @@ def test_rarefaction_sample_defining_property():
         assert F1P.speed_of(s, IDEAL_PAIR) == pytest.approx(xi, abs=1e-10)
 
 
-def test_rarefaction_sample_bisection_oracle():
+ISOTHERMAL_PAIR = EosPair(BarotropicEos(1.0, 1.0), BarotropicEos(1.0, 1.0))
+ISOTHERMAL_STATE = PrimitiveState(0.5, 1.0, 1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "pair, state, family, xi, bracket",
+    [
+        # ideal gamma = 1.4, density rising from the head of a 1+ fan
+        (IDEAL_PAIR, RP1["U**_R"], F1P, 0.9, (RP1["U**_R"].rho1, 2.0)),
+        # stiff closure (gamma = 2.8, B != 0) on RP3's 2- fan
+        (STIFF_PAIR, dict(table_states("RP3"))["U**_L"], F2M, -2000.0, (200.0, 2000.0)),
+        # isothermal (gamma = 1): a minus fan from its head, a plus fan
+        # from its dense far edge
+        (ISOTHERMAL_PAIR, ISOTHERMAL_STATE, F1M, -1.5, (1.0, 10.0)),
+        (ISOTHERMAL_PAIR, ISOTHERMAL_STATE, F2P, 0.4, (0.01, 1.0)),
+    ],
+    ids=["ideal-1+", "stiff-2-", "isothermal-1-", "isothermal-2+"],
+)
+def test_rarefaction_sample_bisection_oracle(pair, state, family, xi, bracket):
     # independent bisection on the fan relation finds the same density
-    st = RP1["U**_R"]
-    xi = 0.9
-    s = rarefaction_sample(st, F1P, xi, IDEAL_PAIR)
-    eos = IDEAL_PAIR.phase1
+    s = rarefaction_sample(state, family, xi, pair)
+    eos = family.eos_of(pair)
+    rho_e, u_e = family.rho_of(state), family.u_of(state)
 
-    def fan_speed(rho):
-        u = st.u1 + eos.riemann_integral(st.rho1, rho)
-        return u + eos.sound_speed(rho) - xi
+    def rising(rho):
+        # sign * (lambda - xi) grows with rho for both families
+        u = u_e + family.sign * eos.riemann_integral(rho_e, rho)
+        return family.sign * (u + family.sign * eos.sound_speed(rho) - xi)
 
-    lo, hi = st.rho1, 2.0
-    assert fan_speed(lo) < 0 < fan_speed(hi)
+    lo, hi = bracket
+    assert rising(lo) < 0 < rising(hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if fan_speed(mid) > 0:
+        if rising(mid) > 0:
             hi = mid
         else:
             lo = mid
-    assert s.rho1 == pytest.approx(0.5 * (lo + hi), abs=1e-10)
+    assert family.rho_of(s) == pytest.approx(0.5 * (lo + hi), abs=1e-10)
 
 
 def test_rarefaction_sample_out_of_fan():
@@ -124,6 +144,13 @@ def test_rarefaction_sample_out_of_fan():
     # beyond the vacuum front of the fan (low-density side of a plus fan)
     with pytest.raises(OutOfFanError):
         rarefaction_sample(st, F1P, -100.0, IDEAL_PAIR)
+    # gamma = 1 has no finite vacuum front; far enough out the density
+    # underflows to zero
+    with pytest.raises(OutOfFanError):
+        rarefaction_sample(ISOTHERMAL_STATE, F1P, -1000.0, ISOTHERMAL_PAIR)
+    # on the dense side the density overflows instead
+    with pytest.raises(NumericsError):
+        rarefaction_sample(ISOTHERMAL_STATE, F1P, 1000.0, ISOTHERMAL_PAIR)
 
 
 # ---------------------------------------------------------------------------

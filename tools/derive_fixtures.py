@@ -23,17 +23,10 @@ Run from the repository root:  python3 tools/derive_fixtures.py
 import numpy as np
 from scipy.optimize import minimize_scalar, root
 
-from twophase.eos import BarotropicEos, EosPair
 from twophase.exact import build_solution, raref, shock
-from twophase.problems import get_problem, table_states
+from twophase.problems import IDEAL_PAIR, STIFF_PAIR, get_problem, table_states
 from twophase.state import PrimitiveState
 from twophase.waves import family_from_key, rarefaction_connect, rhc_residuals, shock_connect
-
-IDEAL_PAIR = EosPair(BarotropicEos(1.0, 1.4), BarotropicEos(1.0, 2.0))
-STIFF_PAIR = EosPair(
-    BarotropicEos(1e5, 1.4, 1.0, 0.0),
-    BarotropicEos(8.5e8, 2.8, 1e3, 8.4999e8),
-)
 
 
 def rp3_targets():
