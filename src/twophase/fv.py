@@ -406,48 +406,39 @@ def force_godunov_step(u, dt, dx, config, eos_pair, t=0.0):
 def _equilibrium_alpha(alpha0, m1, m2, dt, theta1, eos_pair, tol=1e-13):
     """Advance dalpha1/dt = (p1 - p2)/theta1 implicitly (or project to
     p1 = p2 for theta1 below the stiff threshold), partial masses
-    frozen.  Vectorized safeguarded Newton on the monotone residual;
-    the root is always bracketed in (0, 1)."""
-    project = theta1 < RELAX_PROJECTION_FACTOR * dt
-    lam = 0.0 if project else dt / theta1
+    frozen.  Vectorized safeguarded Newton on the increasing residual
+    mu (alpha - alpha0) - (p1 - p2), mu = theta1/dt (0 when projecting);
+    the root is always bracketed in (0, 1), and a cell stops moving
+    once it meets the tolerance."""
+    mu = 0.0 if theta1 < RELAX_PROJECTION_FACTOR * dt else theta1 / dt
 
     e1, e2 = eos_pair.phase1, eos_pair.phase2
 
     def residual(a):
         p1 = e1.pressure(m1 / a)
         p2 = e2.pressure(m2 / (1.0 - a))
-        if project:
-            return p1 - p2, p1, p2
-        return a - alpha0 - lam * (p1 - p2), p1, p2
+        return mu * (a - alpha0) - (p1 - p2), p1, p2
 
     def derivative(a):
         a1sq = e1.sound_speed_sq(m1 / a)
         a2sq = e2.sound_speed_sq(m2 / (1.0 - a))
-        dp = -a1sq * m1 / a**2 - a2sq * m2 / (1.0 - a) ** 2  # d(p1 - p2)/dalpha
-        if project:
-            return dp
-        return 1.0 - lam * dp
+        return mu + a1sq * m1 / a**2 + a2sq * m2 / (1.0 - a) ** 2
 
     lo = np.full_like(alpha0, 1e-14)
     hi = np.full_like(alpha0, 1.0 - 1e-14)
     x = np.clip(alpha0, 1e-12, 1.0 - 1e-12)
     f, p1, p2 = residual(x)
-    # residual sign orientation: increasing for implicit form, decreasing
-    # for the projection form
-    sgn = -1.0 if project else 1.0
     for _ in range(200):
-        pscale = np.maximum(np.maximum(np.abs(p1), np.abs(p2)), 1e-300)
-        fscale = pscale if project else np.maximum(1.0, lam * pscale)
-        if np.all(np.abs(f) <= tol * fscale) or np.all(hi - lo < 1e-16):
+        fscale = np.maximum(np.maximum(mu, np.maximum(np.abs(p1), np.abs(p2))), 1e-300)
+        active = ~(np.abs(f) <= tol * fscale)  # a NaN residual stays active
+        if not np.any(active) or np.all(hi - lo < 1e-16):
             break
-        above = sgn * f > 0.0
+        above = f > 0.0
         hi = np.where(above, np.minimum(hi, x), hi)
         lo = np.where(~above, np.maximum(lo, x), lo)
-        step = -f / derivative(x)
-        xn = x + step
-        outside = (xn <= lo) | (xn >= hi) | ~np.isfinite(xn)
-        xn = np.where(outside, 0.5 * (lo + hi), xn)
-        x = xn
+        xn = x - f / derivative(x)
+        outside = (xn < lo) | (xn > hi) | ~np.isfinite(xn)
+        x = np.where(active, np.where(outside, 0.5 * (lo + hi), xn), x)
         f, p1, p2 = residual(x)
     else:
         raise RelaxationError("pressure relaxation solve did not converge")

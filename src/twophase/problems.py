@@ -17,7 +17,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .eos import BarotropicEos, EosPair
-from .errors import ConfigError, StateDecodeError
+from .errors import ConfigError, InadmissibleWaveError, StateDecodeError
 from .exact import build_solution, raref, shock, shock_in_raref
 from .state import PrimitiveState
 
@@ -56,8 +56,6 @@ class Problem:
     left: PrimitiveState = None   # None: derived from the construction
     right: PrimitiveState = None
     exact_spec: ExactSpec = None
-    theta1: float = None
-    theta2: float = None
     notes: str = ""
 
     def build_exact(self):
@@ -271,7 +269,6 @@ _register(
             (raref("1-", -_RP5_T1), raref("2-", -_RP5_T2)),
             (raref("1+", _RP5_T1), raref("2+", _RP5_T2)),
         ),
-        theta1=1e-3, theta2=1e-8,
         notes="no EOS published; ideal-gas pair (gamma 1.4/2) assumed",
     )
 )
@@ -292,7 +289,6 @@ _register(
             (raref("1-", _RP6_T1M), shock("2-", _RP6_S2M)),
             (shock_in_raref("2+", _RP6_T2P, _RP6_S1P),),
         ),
-        theta1=1e-3, theta2=1e-8,
         notes="no EOS published; ideal-gas pair (gamma 1.4/2) assumed",
     )
 )
@@ -330,6 +326,16 @@ def _parse_kv(path):
 
 
 _REQUIRED = object()
+_STATE_FIELDS = ("alpha1", "rho1", "rho2", "u1", "u2")
+# every key a problem file may set; relaxation times are run options
+# (--theta1/--theta2), not part of a problem
+_KNOWN_KEYS = frozenset(
+    [f"{ph}.{k}" for ph in ("phase1", "phase2") for k in ("A", "gamma", "rho_ref", "B", "mode")]
+    + [f"{sec}.{k}" for sec in ("left", "right", "waves.seed") for k in _STATE_FIELDS]
+    + [f"grid.{k}" for k in ("x_min", "x_max", "x0", "t_end", "cfl", "paper_cells", "cells",
+                             "scheme")]
+    + ["waves.alpha1_right", "waves.left", "waves.right"]
+)
 
 
 def _get(entries, key, default=_REQUIRED, cast=float):
@@ -357,9 +363,9 @@ def _eos_from(entries, section):
 
 
 def _state_from(entries, section):
-    if f"{section}.rho1" not in entries:
+    keys = [f"{section}.{k}" for k in _STATE_FIELDS]
+    if not any(k in entries for k in keys):
         return None
-    keys = [f"{section}.{k}" for k in ("alpha1", "rho1", "rho2", "u1", "u2")]
     values = [_get(entries, k) for k in keys]
     try:
         return PrimitiveState(*values)
@@ -373,12 +379,15 @@ def _parse_wave(token, key):
     kind = parts[0]
     # through the getter, so a bad number names the wave-list key
     speeds = [_get({key: raw}, key) for raw in parts[2:]]
-    if kind == "raref" and len(parts) == 3:
-        return raref(parts[1], *speeds)
-    if kind == "shock" and len(parts) == 3:
-        return shock(parts[1], *speeds)
-    if kind == "sir" and len(parts) == 4:
-        return shock_in_raref(parts[1], *speeds)
+    try:
+        if kind == "raref" and len(parts) == 3:
+            return raref(parts[1], *speeds)
+        if kind == "shock" and len(parts) == 3:
+            return shock(parts[1], *speeds)
+        if kind == "sir" and len(parts) == 4:
+            return shock_in_raref(parts[1], *speeds)
+    except InadmissibleWaveError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
     raise ConfigError(
         f"bad wave token {token!r}; use raref:FAM:tail, shock:FAM:S or sir:FAM:tail:S"
     )
@@ -393,6 +402,9 @@ def _waves_from(entries, key):
 
 def load_problem_file(path):
     entries = _parse_kv(path)
+    unknown = sorted(set(entries) - _KNOWN_KEYS)
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {', '.join(unknown)}")
     eos_pair = EosPair(_eos_from(entries, "phase1"), _eos_from(entries, "phase2"))
     left = _state_from(entries, "left")
     right = _state_from(entries, "right")
@@ -408,8 +420,14 @@ def load_problem_file(path):
             _waves_from(entries, "waves.left"),
             _waves_from(entries, "waves.right"),
         )
+    else:
+        orphans = sorted(k for k in entries if k.startswith("waves."))
+        if orphans:
+            raise ConfigError(f"{path}: {', '.join(orphans)} given without a waves.seed state")
     if left is None and exact_spec is None:
         raise ConfigError(f"{path}: need left./right. states or a waves. construction")
+    if (left is None) != (right is None):
+        raise ConfigError(f"{path}: left. and right. states come as a pair")
     return Problem(
         name=Path(path).stem,
         description=f"problem file {path}",
@@ -425,6 +443,4 @@ def load_problem_file(path):
         left=left,
         right=right,
         exact_spec=exact_spec,
-        theta1=_get(entries, "grid.theta1", None),
-        theta2=_get(entries, "grid.theta2", None),
     )

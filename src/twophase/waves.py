@@ -29,7 +29,6 @@ shocks produce  -Q [[Psi_1 + (u_1 - S)^2/2]] <= 0.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq, root as _scipy_root
 
 from .errors import (
     DegenerateShockError,
@@ -262,62 +261,35 @@ def _shock_scales(pre, alpha1, Q1, Q2, eos_pair):
     return np.array([max(s1, 1e-300), max(s2, 1e-300)])
 
 
-def _shock_newton(x0, pre, alpha1, Q1, Q2, eos_pair, fallback=True):
-    scales = _shock_scales(pre, alpha1, Q1, Q2, eos_pair)
+def _damped_newton(residual, jacobian, x0, scales, what):
+    """Newton on residual(x) = 0, halving each step until the max-norm
+    of residual/scales falls and both phase densities x[0], x[1] stay
+    positive.  Raises NumericsError unless that error ends below 1e-9."""
     x = np.array(x0, dtype=float)
-    f = _shock_residuals(x, pre, alpha1, Q1, Q2, eos_pair)
+    f = residual(x)
     err = np.max(np.abs(f) / scales)
-    stalled = False
     for _ in range(NEWTON_MAXITER):
         if err < NEWTON_TOL:
             return x
-        J = _shock_jacobian(x, alpha1, Q1, Q2, eos_pair)
         try:
-            step = np.linalg.solve(J, -f)
+            step = np.linalg.solve(jacobian(x), -f)
         except np.linalg.LinAlgError:
-            stalled = True
             break
         lam = 1.0
         for _ in range(25):
             xn = x + lam * step
             if xn[0] > 0.0 and xn[1] > 0.0:
-                fn = _shock_residuals(xn, pre, alpha1, Q1, Q2, eos_pair)
+                fn = residual(xn)
                 errn = np.max(np.abs(fn) / scales)
                 if errn < err or errn < NEWTON_TOL:
                     x, f, err = xn, fn, errn
                     break
             lam *= 0.5
         else:
-            stalled = True
             break
     if err < 1e-9:
         return x
-    if stalled and fallback:
-        # damped Newton can hang on curved landscapes (e.g. a requested
-        # speed overrunning the other family); hand over to a trust
-        # region solve and re-verify the scaled residual.  Landing back
-        # on the unjumped state does not count as progress.
-        sol = _scipy_root(
-            lambda y: _shock_residuals(np.abs(y), pre, alpha1, Q1, Q2, eos_pair) / scales,
-            x,
-            method="hybr",
-            tol=1e-14,
-            options={"maxfev": 400},
-        )
-        y = np.abs(sol.x)
-        errn = np.max(
-            np.abs(_shock_residuals(y, pre, alpha1, Q1, Q2, eos_pair)) / scales
-        )
-        trivial = np.all(
-            np.abs(y - np.array([pre.rho1, pre.rho2]))
-            <= 1e-8 * np.array([pre.rho1, pre.rho2])
-        )
-        if errn < NEWTON_TOL * 10 and not trivial:
-            return y
-        raise NumericsError("shock Newton stalled", residual=float(min(err, errn)))
-    if stalled:
-        raise NumericsError("shock Newton stalled", residual=float(err))
-    raise NumericsError("shock Newton did not converge", residual=float(err))
+    raise NumericsError(f"{what} Newton did not converge", residual=float(err))
 
 
 def _weak_shock_guess(pre, family, S, eos_pair):
@@ -350,8 +322,7 @@ def _orient(state, post, family, post_side, lam_pre=None, S=None):
     return (post, state) if post_side == "left" else (state, post)
 
 
-def shock_connect(state, family, S, eos_pair, post_side=None, initial_guess=None,
-                  prefer_evolutionary=True):
+def shock_connect(state, family, S, eos_pair, post_side=None, initial_guess=None):
     """Connect across a shock of `family` with speed S given one side.
 
     Returns (post_state, ShockData).  alpha1 is continuous; both phase
@@ -363,8 +334,8 @@ def shock_connect(state, family, S, eos_pair, post_side=None, initial_guess=None
     `post_side` ("left"/"right") orients the jump bracket of the
     entropy production; by default the known side goes left when its
     family characteristic outruns the shock (the Lax orientation).
-    `initial_guess` pins the Newton start (branch control);
-    `prefer_evolutionary=False` keeps the first root found.
+    `initial_guess` pins the first Newton start (branch control), and
+    the first root found is kept.
     """
     if not family.acoustic:
         raise InadmissibleWaveError("shock family must be acoustic")
@@ -381,41 +352,14 @@ def shock_connect(state, family, S, eos_pair, post_side=None, initial_guess=None
         raise DegenerateShockError(
             f"requested {family} shock has zero strength (S on the characteristic)"
         )
-
-    def newton_from(x0):
-        return _shock_newton(x0, state, state.alpha1, Q1, Q2, eos_pair)
-
-    def continuation():
-        # walk the speed from the weak-shock limit to the target,
-        # halving the stride whenever a sub-step refuses to converge
-        x = _weak_shock_guess(state, family, S, eos_pair)
-        frac = 0.0
-        stride = 0.1
-        budget = 200
-        while frac < 1.0:
-            budget -= 1
-            if budget <= 0:
-                raise NumericsError("shock continuation exhausted its step budget")
-            nxt = min(1.0, frac + stride)
-            S_k = lam_pre + nxt * (S - lam_pre)
-            Q1k = -state.rho1 * (state.u1 - S_k)
-            Q2k = -state.rho2 * (state.u2 - S_k)
-            try:
-                x = _shock_newton(x, state, state.alpha1, Q1k, Q2k, eos_pair, fallback=False)
-            except NumericsError:
-                stride *= 0.5
-                if stride < 1e-3:
-                    raise
-                continue
-            frac = nxt
-            stride = min(2.0 * stride, 0.25)
-        return x
-
+    alpha1 = state.alpha1
+    scales = _shock_scales(state, alpha1, Q1, Q2, eos_pair)
+    rho_pre = family.rho_of(state)
     roots = []
 
     def add_root(x):
-        if _trivial_root(x, state, family):
-            return False
+        if abs(x[family.phase - 1] - rho_pre) < ZERO_STRENGTH_TOL * rho_pre:
+            return False  # collapsed onto the unjumped state
         for r in roots:
             if np.all(np.abs(x - r) <= 1e-8 * np.abs(r)):
                 return False
@@ -438,26 +382,24 @@ def shock_connect(state, family, S, eos_pair, post_side=None, initial_guess=None
         trial[nu - 1] = rho_nu * (1.0 + d)
         starts.append(trial)
 
-    settle_on_first = initial_guess is not None or not prefer_evolutionary
     x = None
     for x0 in starts:
         try:
-            fresh = add_root(newton_from(x0))
+            fresh = add_root(_damped_newton(
+                lambda y: _shock_residuals(y, state, alpha1, Q1, Q2, eos_pair),
+                lambda y: _shock_jacobian(y, alpha1, Q1, Q2, eos_pair),
+                x0, scales, "shock",
+            ))
         except NumericsError:
             continue
         if not roots:
             continue
-        if settle_on_first:
+        if initial_guess is not None:
             x = roots[0]
             break
         if fresh and is_evolutionary(roots[-1]):
             x = roots[-1]
             break
-    if not roots:
-        try:
-            add_root(continuation())
-        except NumericsError:
-            pass
     if not roots:
         raise DegenerateShockError("shock solve collapses onto the unjumped state")
     if x is None:
@@ -468,81 +410,6 @@ def shock_connect(state, family, S, eos_pair, post_side=None, initial_guess=None
     Q = state.alpha1 * Q1 + state.alpha2 * Q2
     production = _entropy_bracket(w_l, w_r, S, eos_pair, Q)
     return post, ShockData(S, Q, Q1, Q2, production)
-
-
-def _trivial_root(x, pre, family):
-    rho_pre = family.rho_of(pre)
-    rho_post = x[family.phase - 1]
-    return abs(rho_post - rho_pre) < ZERO_STRENGTH_TOL * rho_pre
-
-
-def shock_connect_to_density(state, family, rho_target, eos_pair):
-    """Connect a shock whose post state carries the given density in
-    the shock family's phase, root-finding on the speed.
-
-    Along the admissible branch the post density grows monotonically
-    with the shock strength |S - lambda(state)|; the speed is bracketed
-    by geometric expansion and polished with brentq.  Returns
-    (post_state, ShockData) like shock_connect.
-    """
-    if not family.acoustic:
-        raise InadmissibleWaveError("shock family must be acoustic")
-    rho_pre = family.rho_of(state)
-    if rho_target <= rho_pre:
-        raise InadmissibleWaveError(
-            f"downstream density {rho_target} must exceed the upstream {rho_pre} "
-            f"(expansion shocks are not connected)"
-        )
-    lam = family.speed_of(state, eos_pair)
-    last_root = {}
-
-    def gap(S):
-        # light probe: warm-started Newton tracking one branch; the
-        # final answer is recomputed through the full connector
-        Q1 = -state.rho1 * (state.u1 - S)
-        Q2 = -state.rho2 * (state.u2 - S)
-        x0 = last_root.get("x")
-        if x0 is None:
-            x0 = _weak_shock_guess(state, family, S, eos_pair)
-        x = _shock_newton(x0, state, state.alpha1, Q1, Q2, eos_pair, fallback=False)
-        if _trivial_root(x, state, family):
-            raise NumericsError("probe collapsed onto the unjumped state")
-        last_root["x"] = x
-        return x[family.phase - 1] - rho_target
-
-    # the known side is upstream (the post state is denser); the shock
-    # runs supersonic-side of its characteristic: minus shocks below
-    # lambda, plus shocks above.  weak-shock start, expand outward,
-    # backing off when a probe outruns the solver's reach.
-    good_step = 1e-3 * max(1.0, abs(lam))
-    direction = -1.0 if family.sign < 0 else 1.0
-    s_lo = lam + direction * good_step
-    g_lo = gap(s_lo)
-    if g_lo > 0.0:
-        raise NumericsError("target density below the weak-shock branch", residual=g_lo)
-    s_hi = None
-    grow = 2.0
-    for _ in range(400):
-        probe_step = good_step * grow
-        probe = lam + direction * probe_step
-        try:
-            g = gap(probe)
-        except (NumericsError, DegenerateShockError):
-            # inch toward the last good probe; the warm-started branch
-            # extends once the stride is small enough
-            grow = 1.0 + 0.5 * (grow - 1.0)
-            if grow - 1.0 < 1e-4:
-                raise
-            continue
-        if g > 0.0:
-            s_hi = probe
-            break
-        s_lo, g_lo, good_step = probe, g, probe_step
-        grow = 2.0
-    if s_hi is None:
-        raise NumericsError("no shock speed reaches the requested density")
-    S = brentq(gap, min(s_lo, s_hi), max(s_lo, s_hi), xtol=1e-14, rtol=8.9e-16)
-    return shock_connect(state, family, S, eos_pair)
 
 
 def shock_mass_flux_system(w_minus, w_plus, alpha1, eos_pair):
@@ -643,50 +510,7 @@ def _contact_scales(state, eos_pair):
     )
 
 
-def _contact_newton(x0, alpha1, targets, u_mix, scales, eos_pair):
-    x = np.array(x0, dtype=float)
-    f = _contact_residuals(x, alpha1, targets, u_mix, eos_pair)
-    err = np.max(np.abs(f) / scales)
-    stalled = False
-    for _ in range(NEWTON_MAXITER):
-        if err < NEWTON_TOL:
-            return x
-        J = _contact_jacobian(x, alpha1, eos_pair)
-        try:
-            step = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError:
-            stalled = True
-            break
-        lam = 1.0
-        for _ in range(25):
-            xn = x + lam * step
-            if xn[0] > 0.0 and xn[1] > 0.0:
-                fn = _contact_residuals(xn, alpha1, targets, u_mix, eos_pair)
-                errn = np.max(np.abs(fn) / scales)
-                if errn < err or errn < NEWTON_TOL:
-                    x, f, err = xn, fn, errn
-                    break
-            lam *= 0.5
-        else:
-            stalled = True
-            break
-    if err < 1e-9:
-        return x
-    if stalled:
-        def wrapped(y):
-            z = np.array([abs(y[0]), abs(y[1]), y[2]])
-            return _contact_residuals(z, alpha1, targets, u_mix, eos_pair) / scales
-
-        sol = _scipy_root(wrapped, x, method="hybr", tol=1e-14)
-        z = np.array([abs(sol.x[0]), abs(sol.x[1]), sol.x[2]])
-        errn = np.max(np.abs(_contact_residuals(z, alpha1, targets, u_mix, eos_pair)) / scales)
-        if errn < NEWTON_TOL * 10:
-            return z
-        raise NumericsError("contact Newton stalled", residual=float(min(err, errn)))
-    raise NumericsError("contact Newton did not converge", residual=float(err))
-
-
-def contact_connect(state, alpha1_right, eos_pair, steps=None):
+def contact_connect(state, alpha1_right, eos_pair):
     """State right of the contact given the left state and alpha1 there.
 
     The mixture velocity is the contact invariant; the three unknowns
@@ -698,18 +522,22 @@ def contact_connect(state, alpha1_right, eos_pair, steps=None):
     u_mix = state.u
     targets = _contact_targets(state, eos_pair)
     scales = _contact_scales(state, eos_pair)
-    x = np.array([state.rho1, state.rho2, state.w])
-    if steps is None:
-        steps = 1 if abs(alpha1_right - state.alpha1) < 0.25 else 10
-    alphas = np.linspace(state.alpha1, alpha1_right, steps + 1)[1:]
-    try:
-        for a in alphas:
-            x = _contact_newton(x, a, targets, u_mix, scales, eos_pair)
-    except NumericsError:
-        # retry with a finer continuation path
+
+    def walk(steps):
         x = np.array([state.rho1, state.rho2, state.w])
-        for a in np.linspace(state.alpha1, alpha1_right, 41)[1:]:
-            x = _contact_newton(x, a, targets, u_mix, scales, eos_pair)
+        for a in np.linspace(state.alpha1, alpha1_right, steps + 1)[1:]:
+            x = _damped_newton(
+                lambda y: _contact_residuals(y, a, targets, u_mix, eos_pair),
+                lambda y: _contact_jacobian(y, a, eos_pair),
+                x, scales, "contact",
+            )
+        return x
+
+    try:
+        x = walk(1 if abs(alpha1_right - state.alpha1) < 0.25 else 10)
+    except NumericsError:
+        # a finer continuation path reaches jumps the coarse one misses
+        x = walk(40)
     return _contact_state(alpha1_right, x, u_mix)
 
 

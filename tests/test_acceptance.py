@@ -70,6 +70,7 @@ SMOOTH_ORDER_MIN = 1.5
 SMOOTH_WINDOWS = {"RP1": (1.55, 2.0), "RP3": (-220.0, -100.0), "RP5": (0.2, 0.8)}
 CONVERGENCE_CELLS = (500, 1000, 2000)
 DESK_CELLS = 2000
+STIFF_THETAS = (1e-3, 1e-8)  # relaxation times (theta1, theta2) of the stiff runs
 PLATEAU_INSET = 10         # cells dropped at each edge of a plateau window
 
 
@@ -520,7 +521,7 @@ def test_c3_admissibility_case_suite(ideal_pair):
     pre = rarefaction_sample(sol1.contact_right, F1P, 0.95, ideal_pair)
     post, _ = shock_connect(
         pre, F2P, 1.0, ideal_pair,
-        initial_guess=[pre.rho1 * 1.15, pre.rho2 * 0.82], prefer_evolutionary=False,
+        initial_guess=[pre.rho1 * 1.15, pre.rho2 * 0.82],
     )
     c = classify_discontinuity(pre, post, 1.0, ideal_pair)
     results["case (ii) rejected"] = (not c.evolutionary) and c.o == 5
@@ -651,8 +652,8 @@ def comparison_runs():
         for tag, scheme, th in (
             ("shtc", "muscl-rusanov", (None, None)),
             ("bn", "muscl-pathcons-bn", (None, None)),
-            ("shtc_stiff", "muscl-rusanov", (p.theta1, p.theta2)),
-            ("bn_stiff", "muscl-pathcons-bn", (p.theta1, p.theta2)),
+            ("shtc_stiff", "muscl-rusanov", STIFF_THETAS),
+            ("bn_stiff", "muscl-pathcons-bn", STIFF_THETAS),
         ):
             runs[tag] = run_simulation(
                 left, right, g,

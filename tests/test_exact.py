@@ -246,8 +246,12 @@ def test_validation_flags_shock_resonance_ensemble():
 def test_grammar_rejects_wave_past_contact():
     # a left wave whose fan interval crosses the contact speed
     seed = PrimitiveState(0.9, 1.0, 1.0, 2.0, -20.0)  # u = -0.2, lam1- = 0.82
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError, match="crosses the contact speed"):
+        build_solution(seed, 0.8, [raref("1-", 0.5)], [], IDEAL_PAIR)
+    # a volume fraction jump the contact solve cannot reach is named too
+    with pytest.raises(ConstructionError) as err:
         build_solution(seed, 0.3, [raref("1-", 0.5)], [], IDEAL_PAIR)
+    assert err.value.wave == "contact"
 
 
 def test_grammar_rejects_wrong_side_family():

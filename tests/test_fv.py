@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import random_state_array
+from twophase.eos import BarotropicEos, EosPair
 from twophase.errors import ConfigError, PositivityError
 from twophase.fv import (
     LIMITERS,
@@ -399,6 +400,36 @@ def test_implicit_pressure_step_partial(ideal_pair):
     assert a_new - 0.5 == pytest.approx(1e-3 / 1e-2 * (p1 - p2), rel=1e-10)
     assert 0.5 < a_new < 1.0  # p1 > p2 pushes alpha1 up
     assert abs(p1 - p2) < abs(p1_0 - p2_0)
+
+
+def test_pressure_relaxation_newton_iteration_count():
+    # every iteration of the vectorized Newton evaluates the phase-1
+    # sound speed once; a cell that has met the tolerance must not be
+    # sent back to its bracket midpoint and hold the whole batch up
+    calls = []
+
+    class CountingEos(BarotropicEos):
+        def sound_speed_sq(self, rho):
+            calls.append(1)
+            return super().sound_speed_sq(rho)
+
+    pair = EosPair(CountingEos(1.0, 1.4), BarotropicEos(1.0, 2.0))
+    rng = np.random.default_rng(21)
+    n = 2000
+    v = np.column_stack([
+        rng.uniform(0.05, 0.95, n), rng.uniform(0.3, 3.0, n), rng.uniform(0.3, 3.0, n),
+        np.zeros(n), np.zeros(n),
+    ])
+    dt = 1e-3
+    # implicit step (mu = theta1/dt) and projection (theta1 << dt, mu = 0)
+    for theta1, mu in ((1e-3, 1.0), (1e-12, 0.0)):
+        calls.clear()
+        out = relax_primitive(v, dt, theta1, None, pair)
+        assert 0 < len(calls) <= 25, theta1
+        p1 = out[:, 1] ** 1.4
+        p2 = out[:, 2] ** 2.0
+        balance = mu * (out[:, 0] - v[:, 0]) - (p1 - p2)
+        assert np.max(np.abs(balance) / np.maximum(mu, np.maximum(p1, p2))) < 1e-12
 
 
 def test_relaxation_step_conserved_view(ideal_pair):

@@ -90,6 +90,13 @@ def test_problem_file_rejects_garbage(tmp_path):
     path.write_text("phase1.A = 1.0\nphase2.A = 1.0\n")
     with pytest.raises(ConfigError):
         load_problem_file(path)
+    # half a Riemann pair, and half a state
+    path.write_text(RIEMANN_FILE.split("right.alpha1")[0])
+    with pytest.raises(ConfigError, match="pair"):
+        load_problem_file(path)
+    path.write_text(RIEMANN_FILE.replace("right.rho1 = 1.0\n", ""))
+    with pytest.raises(ConfigError, match="right.rho1"):
+        load_problem_file(path)
 
 
 RIEMANN_FILE = """
@@ -113,14 +120,41 @@ right.u2 = 0.0
 """
 
 
+SEED_LINES = """
+waves.seed.alpha1 = 0.7
+waves.seed.rho1 = 0.47883
+waves.seed.rho2 = 1.1064
+waves.seed.u1 = -0.18865
+waves.seed.u2 = -0.14351
+"""
+
+
+BAD_FILE_CASES = [
+    ("right.u2", "oops", ""),
+    ("grid.t_end", "soon", ""),
+    ("right.alpha1", "1.5", ""),
+    # keys the file cannot honour are rejected, not ignored
+    ("grid.typo_key", "3", ""),
+    ("grid.theta1", "1e-3", ""),
+    ("grid.theta2", "1e-8", ""),
+    ("waves.left", "raref:1-:-2.5", ""),  # no waves.seed state
+    ("waves.right", "raref:9+:1.0", SEED_LINES),  # unknown family
+]
+
+
 @pytest.mark.parametrize(
-    "key, value", [("right.u2", "oops"), ("grid.t_end", "soon"), ("right.alpha1", "1.5")]
+    "key, value, extra", BAD_FILE_CASES, ids=[f"{k}-{v}" for k, v, _ in BAD_FILE_CASES]
 )
-def test_cli_problem_file_errors_exit_2(tmp_path, capsys, key, value):
-    # a bad value is a configuration error naming its key, not a raw
-    # traceback or a numerics failure
+def test_cli_problem_file_errors_exit_2(tmp_path, capsys, key, value, extra):
+    # a bad value or key is a configuration error naming the key, not a
+    # raw traceback or a numerics failure
     path = tmp_path / "bad.txt"
-    path.write_text(RIEMANN_FILE.replace(f"{key} = ", f"{key} = {value}  # "))
+    text = RIEMANN_FILE + extra
+    if f"\n{key} = " in text:
+        text = text.replace(f"{key} = ", f"{key} = {value}  # ")
+    else:
+        text += f"{key} = {value}\n"
+    path.write_text(text)
     rc = cli.main(["simulate", str(path), "--cells", "8", "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_VALIDATION
     assert key in capsys.readouterr().err

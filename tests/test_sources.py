@@ -1,5 +1,8 @@
-"""Package sources compile cleanly."""
+"""Package sources compile cleanly and import without test-only dependencies."""
 
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -22,3 +25,16 @@ def test_sources_compile_with_warnings_as_errors():
             except SyntaxError as exc:
                 failed[path.name] = str(exc)
     assert not failed, failed
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test and tooling dependency only; importing it would
+    # cost the command line most of its start-up time
+    # a fresh interpreter, pointed at the same package as this one
+    code = "import sys, twophase.cli; print('scipy' in sys.modules)"
+    src = str(Path(twophase.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
