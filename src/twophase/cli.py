@@ -41,6 +41,7 @@ from .exact import SOLUTION_COLUMNS, solution_table, validate_solution
 from .fv import Grid, SolverConfig, run_simulation
 from .models import kapila_limit_diagnostics
 from .problems import get_problem
+from .state import mixture_table
 
 SNAPSHOT_COLUMNS = ["x", "alpha1", "rho1", "rho2", "u1", "u2", "rho", "u", "w", "p"]
 
@@ -156,18 +157,6 @@ def _cells_for(problem, args):
     return problem.paper_cells if args.paper_scale else problem.desk_cells
 
 
-def _snapshot_rows(xs, prim, eos_pair):
-    """Snapshot table: x, the five primitives, mixture rho, u, w and p."""
-    alpha1, rho1, rho2, u1, u2 = np.asarray(prim, dtype=float).T
-    p1 = eos_pair.phase1.pressure(rho1)
-    p2 = eos_pair.phase2.pressure(rho2)
-    rho = alpha1 * rho1 + (1 - alpha1) * rho2
-    u = (alpha1 * rho1 * u1 + (1 - alpha1) * rho2 * u2) / rho
-    return np.column_stack(
-        [xs, alpha1, rho1, rho2, u1, u2, rho, u, u1 - u2, alpha1 * p1 + (1 - alpha1) * p2]
-    )
-
-
 def cmd_simulate(args):
     problem = get_problem(args.problem)
     _print_header(problem)
@@ -181,7 +170,7 @@ def cmd_simulate(args):
         print(f"  relaxation: theta1={config.theta1}, theta2={config.theta2}")
     result = run_simulation(left, right, grid, config, problem.eos_pair, x0=problem.x0)
     out = _out_dir(args, problem, "simulate")
-    rows = _snapshot_rows(result.x, result.prim, problem.eos_pair)
+    rows = mixture_table(result.x, result.prim, problem.eos_pair)
     write_csv(out / "snapshot.csv", SNAPSHOT_COLUMNS, rows)
     write_json(out / "ledger.json", result.ledger)
     if config.relaxing:
@@ -225,7 +214,7 @@ def cmd_compare(args):
         print(f"  ran {model} ({scheme}): {runs[model].steps} steps")
 
     columns = SNAPSHOT_COLUMNS[1:]
-    tables = {m: _snapshot_rows(r.x, r.prim, problem.eos_pair)[:, 1:] for m, r in runs.items()}
+    tables = {m: mixture_table(r.x, r.prim, problem.eos_pair)[:, 1:] for m, r in runs.items()}
     report = {"problem": problem.name, "cells": cells, "pairs": {}, "verdicts": []}
 
     exact_ref = None
@@ -233,7 +222,7 @@ def cmd_compare(args):
         solution = problem.build_exact()
         xs = grid.centers()
         xi = (xs - problem.x0) / runs[models[0]].t
-        exact_tab = _snapshot_rows(xs, solution.sample_many(xi), problem.eos_pair)[:, 1:]
+        exact_tab = mixture_table(xs, solution.sample_many(xi), problem.eos_pair)[:, 1:]
         for m in models:
             err = _l1(tables[m][:, 5], exact_tab[:, 5], grid.dx)
             report.setdefault("exact_errors_rho", {})[m] = err

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionError, InadmissibleWaveError, TwoPhaseError
-from .state import PrimitiveState, eigenvalues, mixture_props
+from .state import PrimitiveState, check_resonance, eigenvalues, mixture_props, mixture_table
 from .waves import (
     WaveFamily,
     _fan_state,
@@ -386,10 +386,11 @@ def build_solution(contact_left, alpha1_right, left_waves, right_waves, eos_pair
 
     `left_waves` and `right_waves` are ordered moving away from the
     contact.  Every discontinuity is checked for jump residuals,
-    evolutionarity and entropy production; the ensemble is checked for
-    speed ordering (with the sanctioned overlaps), resonance and the
-    single alpha jump.  Failures raise ConstructionError naming the
-    wave unless `validate` is False.
+    evolutionarity and entropy production, and the two states of every
+    element for resonance (an acoustic speed equal to the contact
+    speed u); the ensemble is checked for speed ordering (with the
+    sanctioned overlaps) and the single alpha jump.  Failures raise
+    ConstructionError naming the wave unless `validate` is False.
     """
     tracks = {1: _PhaseTrack(1), 2: _PhaseTrack(2)}
     u_c = contact_left.u
@@ -543,6 +544,7 @@ def validate_solution(solution, residual_tol=RESIDUAL_TOL):
     eos_pair = solution.eos_pair
     reports = []
     ensemble = []
+    eigen_map = []
     for el in solution.elements:
         flags = []
         census = None
@@ -563,7 +565,6 @@ def validate_solution(solution, residual_tol=RESIDUAL_TOL):
             if resid > residual_tol:
                 flags.append(f"jump residual {resid:.3e} above {residual_tol:g}")
             entropy = entropy_production(el.left, el.right, el.speed, eos_pair, check=False)
-            scale = abs(entropy)
             mp = mixture_props(el.left, eos_pair)
             ent_tol = 1e-9 * max(1.0, abs(mp.p_bar))
             if entropy > ent_tol:
@@ -590,6 +591,12 @@ def validate_solution(solution, residual_tol=RESIDUAL_TOL):
                 flags.append("fan bounds do not match the characteristic speeds")
             if lam_r < lam_l - tol:
                 flags.append("fan is not expanding")
+        eig = {"label": el.label()}
+        for side, state in (("left", el.left), ("right", el.right)):
+            eig[side] = {k: float(v) for k, v in eigenvalues(state, eos_pair).items()}
+            for k in check_resonance(state, eos_pair, eig[side]).coinciding:
+                flags.append(f"resonant {side} state: lambda_{k} = u")
+        eigen_map.append(eig)
         reports.append(
             ElementReport(
                 el.label(), el.kind, str(el.family), el.xi_head, el.xi_tail,
@@ -598,17 +605,6 @@ def validate_solution(solution, residual_tol=RESIDUAL_TOL):
         )
 
     _ensemble_checks(solution, ensemble)
-    eigen_map = []
-    for el in solution.elements:
-        lam_l = eigenvalues(el.left, eos_pair)
-        lam_r = eigenvalues(el.right, eos_pair)
-        eigen_map.append(
-            {
-                "label": el.label(),
-                "left": {k: float(v) for k, v in lam_l.items()},
-                "right": {k: float(v) for k, v in lam_r.items()},
-            }
-        )
     return ValidationReport(reports, ensemble, eigen_map)
 
 
@@ -665,11 +661,11 @@ def solution_table(solution, xis):
 
     Columns: xi, alpha1, rho1, rho2, u1, u2, rho, u, w, p, p_bar.
     """
-    rows = []
-    for x, v in zip(xis, solution.sample_many(xis)):
-        mp = mixture_props(PrimitiveState.from_array(v), solution.eos_pair)
-        rows.append([x, *v, mp.rho, mp.u, mp.w, mp.p, mp.p_bar])
-    return np.array(rows)
+    tab = mixture_table(xis, solution.sample_many(xis), solution.eos_pair)
+    _, alpha1, rho1, rho2, _, _, rho, _, w, p = tab.T
+    c1 = alpha1 * rho1 / rho
+    c2 = (1.0 - alpha1) * rho2 / rho
+    return np.column_stack([tab, rho * c1 * c2 * w**2 + p])
 
 
 SOLUTION_COLUMNS = ["xi", "alpha1", "rho1", "rho2", "u1", "u2", "rho", "u", "w", "p", "p_bar"]

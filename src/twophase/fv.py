@@ -14,18 +14,19 @@ Three schemes share the grid and time loop:
 The two models share their eigenvalues; a small system description
 (`_System`) carries all that separates their second-order schemes.
 
-Pressure and velocity relaxation enter by operator splitting (Strang by
-default).  The velocity sub-step integrates dw/dt = -c1*c2*w/theta2
-exactly with frozen mass fractions; the pressure sub-step advances
-dalpha1/dt = (p1 - p2)/theta1 by an implicit solve in alpha1 with the
-partial masses frozen.  Both project instantaneously for theta below
-1e-6*dt.  The sub-steps conserve the partial masses, the mixture
-density and the mixture momentum to round-off.
+Pressure and velocity relaxation enter as Strang-split half steps
+around each transport step.  The velocity sub-step integrates
+dw/dt = -c1*c2*w/theta2 exactly with frozen mass fractions; the
+pressure sub-step advances dalpha1/dt = (p1 - p2)/theta1 by an
+implicit solve in alpha1 with the partial masses frozen.  Both project
+instantaneously for theta below 1e-6*dt.  The sub-steps conserve the
+partial masses, the mixture density and the mixture momentum to
+round-off.
 """
 
 import logging
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,6 +40,7 @@ from .state import (
 )
 
 RELAX_PROJECTION_FACTOR = 1e-6  # theta < factor*dt switches to projection
+WAVESPEED_GROWTH_GUARD = 1.5  # abort when max|lambda| grows by more in one step
 ALPHA_FLOOR = 1e-12
 RHO_FLOOR = 1e-12
 
@@ -76,10 +78,7 @@ class SolverConfig:
     limiter: str = "minmod"
     theta1: float = None  # pressure relaxation time; None = off
     theta2: float = None  # velocity relaxation time; None = off
-    boundary: str = "transmissive"
     positivity: str = "strict"  # or "floor"
-    splitting: str = "strang"  # or "godunov"
-    wavespeed_growth_guard: float = 1.5  # abort when max|lambda| jumps by more
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -88,12 +87,8 @@ class SolverConfig:
             raise ConfigError(f"unknown limiter {self.limiter!r}")
         if not 0.0 < self.cfl <= 0.5:
             raise ConfigError("MUSCL-Hancock needs 0 < cfl <= 0.5")
-        if self.boundary != "transmissive":
-            raise ConfigError("only transmissive boundaries are supported")
         if self.positivity not in ("strict", "floor"):
             raise ConfigError("positivity mode must be strict or floor")
-        if self.splitting not in ("strang", "godunov"):
-            raise ConfigError("splitting must be strang or godunov")
         for th in (self.theta1, self.theta2):
             if th is not None and th <= 0.0:
                 raise ConfigError("relaxation times must be positive (or None for off)")
@@ -144,7 +139,9 @@ def _pad_transmissive(u, layers=2):
 def _invalid_cons(u):
     w1, w2, w3 = u[:, 0], u[:, 1], u[:, 2]
     bad = (w3 <= 0.0) | (w1 <= 0.0) | (w1 >= w3) | (w2 <= 0.0) | (w2 >= w3)
-    return bad | ~np.all(np.isfinite(u), axis=1)
+    finite = np.isfinite(u)
+    # the row-wise reduction costs more than the rest; skip it when all is finite
+    return bad if finite.all() else bad | ~finite.all(axis=1)
 
 
 def _floor_cons(u, bad):
@@ -214,7 +211,8 @@ def _bn_nonconservative(bl, br, eos_pair):
 def _invalid_bn(b):
     alpha1, m1, m2 = b[:, 0], b[:, 1], b[:, 2]
     bad = (alpha1 <= 0.0) | (alpha1 >= 1.0) | (m1 <= 0.0) | (m2 <= 0.0)
-    return bad | ~np.all(np.isfinite(b), axis=1)
+    finite = np.isfinite(b)
+    return bad if finite.all() else bad | ~finite.all(axis=1)
 
 
 def _floor_bn(b, bad):
@@ -287,20 +285,33 @@ def rusanov_flux(ul, ur, eos_pair, system=_SHTC):
     return 0.5 * (fl + fr) - 0.5 * smax[..., None] * (ur - ul)
 
 
-def force_combine(fl, fr, ul, ur, dx, dt, flux_of):
-    """Standard FORCE assembly given the two physical fluxes, the two
-    states and a flux evaluator for the Lax-Wendroff midpoint."""
-    f_lf = 0.5 * (fl + fr) - 0.5 * (dx / dt) * (ur - ul)
-    u_lw = 0.5 * (ul + ur) - 0.5 * (dt / dx) * (fr - fl)
-    return 0.5 * (f_lf + flux_of(u_lw))
-
-
-def force_flux(ul, ur, dx, dt, eos_pair):
+def force_flux(ul, ur, dx, dt, eos_pair, positivity="strict", t=0.0):
+    """FORCE flux (Toro & Billett 2000): the mean of the Lax-Friedrichs
+    flux and the flux at the two-step Lax-Wendroff midpoint.  A face
+    whose midpoint breaks the state invariants raises PositivityError in
+    strict mode and takes the Lax-Friedrichs flux alone in floor mode."""
     ul = np.asarray(ul, dtype=float)
     ur = np.asarray(ur, dtype=float)
     fl = _cons_flux(ul, eos_pair)
     fr = _cons_flux(ur, eos_pair)
-    return force_combine(fl, fr, ul, ur, dx, dt, lambda u: _cons_flux(u, eos_pair))
+    f_lf = 0.5 * (fl + fr) - 0.5 * (dx / dt) * (ur - ul)
+    u_lw = 0.5 * (ul + ur) - 0.5 * (dt / dx) * (fr - fl)
+    bad = _invalid_cons(u_lw)
+    if np.any(bad):
+        if positivity == "strict":
+            face = int(np.argmax(bad))
+            raise PositivityError(
+                f"FORCE Lax-Wendroff midpoint violates the state invariants at face "
+                f"{face}: {u_lw[face]}",
+                cell=face, time=t,
+            )
+        _log.warning(
+            "Lax-Friedrichs flux on %d faces at t=%g (FORCE midpoint)", int(np.sum(bad)), t
+        )
+        u_lw[bad] = ul[bad]  # any valid state: its flux is not used
+    flux = 0.5 * (f_lf + flux_primitive_array(cons_to_prim_array(u_lw, strict=False), eos_pair))
+    flux[bad] = f_lf[bad]
+    return flux
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +404,7 @@ def path_conservative_step(b, dt, dx, config, eos_pair, t=0.0):
 def force_godunov_step(u, dt, dx, config, eos_pair, t=0.0):
     """First-order Godunov-type update with the FORCE flux."""
     up = _pad_transmissive(u, 1)
-    flux = force_flux(up[:-1], up[1:], dx, dt, eos_pair)
+    flux = force_flux(up[:-1], up[1:], dx, dt, eos_pair, config.positivity, t)
     u_new = u - (dt / dx) * (flux[1:] - flux[:-1])
     u_new = _enforce_positivity(_SHTC, u_new, config.positivity, t)
     return u_new, (flux[0], flux[-1])
@@ -489,7 +500,6 @@ class SimulationResult:
     prim: np.ndarray  # (n, 5) primitive cells
     cons: np.ndarray  # (n, 5) conservative cells
     ledger: dict
-    max_wavespeed_history: list = field(repr=False, default_factory=list)
 
     @property
     def x(self):
@@ -534,23 +544,21 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
         relax_delta[:] += out.sum(axis=0) * dx - c.sum(axis=0) * dx
         return out
     worst_closure = 0.0
-    smax_history = []
     smax_prev = None
     t_wall = _time.perf_counter()
     while t < config.t_end - 1e-15 * max(1.0, config.t_end):
         prim = system.decode(cells)
         smax = float(np.max(max_wavespeed_array(prim, eos_pair)))
-        smax_history.append(smax)
-        if smax_prev is not None and smax > config.wavespeed_growth_guard * smax_prev:
+        if smax_prev is not None and smax > WAVESPEED_GROWTH_GUARD * smax_prev:
             raise PositivityError(
                 f"max wave speed grew from {smax_prev:.6g} to {smax:.6g} in one step "
-                f"(guard factor {config.wavespeed_growth_guard}); t={t:.6g}, step={steps}",
+                f"(guard factor {WAVESPEED_GROWTH_GUARD}); t={t:.6g}, step={steps}",
                 time=t,
             )
         smax_prev = smax
         dt = min(config.cfl * dx / smax, config.t_end - t)
 
-        if config.relaxing and config.splitting == "strang":
+        if config.relaxing:
             cells = relax(cells, 0.5 * dt)
 
         before = cells.sum(axis=0) * dx
@@ -566,7 +574,7 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
         worst_closure = max(worst_closure, float(np.max(np.abs(closure) / scale)))
 
         if config.relaxing:
-            cells = relax(cells, 0.5 * dt if config.splitting == "strang" else dt)
+            cells = relax(cells, 0.5 * dt)
 
         t += dt
         steps += 1
@@ -585,4 +593,4 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
     }
     prim = system.decode(cells)
     cons = prim_to_cons_array(prim)
-    return SimulationResult(grid, config, t, steps, prim, cons, ledger, smax_history)
+    return SimulationResult(grid, config, t, steps, prim, cons, ledger)

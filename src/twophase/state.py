@@ -33,9 +33,6 @@ from .errors import StateDecodeError
 FAMILY_KEYS = ("1-", "2-", "C", "1+", "2+")
 ACOUSTIC_KEYS = ("1-", "1+", "2-", "2+")
 
-GENUINELY_NONLINEAR = "genuinely-nonlinear"
-LINEARLY_DEGENERATE = "linearly-degenerate"
-
 # eigenvalues coincide when |li - lj| < tol * max(1, |li|, |lj|);
 # eigenvector collapse when the smallest singular value of the stacked
 # set falls below tol * largest
@@ -90,30 +87,6 @@ class PrimitiveState:
 
 
 @dataclass(frozen=True)
-class ConservedState:
-    w1: float  # alpha1 * rho
-    w2: float  # alpha1 * rho1
-    w3: float  # rho
-    w4: float  # rho * u
-    w5: float  # u1 - u2
-
-    def __post_init__(self):
-        if self.w3 <= 0.0:
-            raise StateDecodeError(f"non-positive mixture density: {self.w3}")
-        if not 0.0 < self.w1 / self.w3 < 1.0:
-            raise StateDecodeError(f"volume fraction w1/w3 outside (0,1): {self.w1 / self.w3}")
-        if not 0.0 < self.w2 < self.w3:
-            raise StateDecodeError(f"partial density w2 outside (0, w3): {self.w2}")
-
-    def as_array(self):
-        return np.array([self.w1, self.w2, self.w3, self.w4, self.w5])
-
-    @staticmethod
-    def from_array(u):
-        return ConservedState(*(float(x) for x in u))
-
-
-@dataclass(frozen=True)
 class MixtureProps:
     """Mixture quantities of a primitive state, including the generalized
     total pressure p_bar = rho*c1*c2*w**2 + p that is continuous across
@@ -134,6 +107,19 @@ def mixture_props(state, eos_pair):
     p = state.alpha1 * p1 + state.alpha2 * p2
     rho, c1, c2, w = state.rho, state.c1, state.c2, state.w
     return MixtureProps(rho, c1, c2, state.u, w, p, rho * c1 * c2 * w**2 + p)
+
+
+def mixture_table(xs, prim, eos_pair):
+    """Rows x, the five primitives, mixture rho, u, w and p, one per
+    point of xs with its (n, 5) primitive state."""
+    alpha1, rho1, rho2, u1, u2 = np.asarray(prim, dtype=float).T
+    p1 = eos_pair.phase1.pressure(rho1)
+    p2 = eos_pair.phase2.pressure(rho2)
+    rho = alpha1 * rho1 + (1 - alpha1) * rho2
+    u = (alpha1 * rho1 * u1 + (1 - alpha1) * rho2 * u2) / rho
+    return np.column_stack(
+        [xs, alpha1, rho1, rho2, u1, u2, rho, u, u1 - u2, alpha1 * p1 + (1 - alpha1) * p2]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +158,6 @@ def cons_to_prim_array(u, strict=True):
     rho1 = w2 / alpha1
     rho2 = (w3 - w2) / (1.0 - alpha1)
     return np.stack([alpha1, rho1, rho2, u1, u2], axis=-1)
-
-
-def to_conserved(state):
-    return ConservedState.from_array(prim_to_cons_array(state.as_array()))
-
-
-def to_primitive(cons):
-    return PrimitiveState.from_array(cons_to_prim_array(cons.as_array()))
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +218,6 @@ def flux_primitive_array(v, eos_pair):
     f4 = alpha1 * rho1 * u1**2 + alpha2 * rho2 * u2**2 + alpha1 * p1 + alpha2 * p2
     f5 = 0.5 * u1**2 - 0.5 * u2**2 + psi1 - psi2
     return np.stack([f1, f2, f3, f4, f5], axis=-1)
-
-
-def physical_flux(cons, eos_pair):
-    return flux_conserved_array(cons.as_array(), eos_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -317,47 +291,36 @@ def _coincide(la, lb):
 
 @dataclass(frozen=True)
 class Eigenstructure:
-    """Five (speed, right eigenvector) pairs with field classification.
+    """Five (speed, right eigenvector) pairs keyed by family.
 
     No speed ordering is assumed: the system is not strictly hyperbolic
-    and the family order changes across waves.  `sorted_keys` gives the
-    ascending-speed view.  `contact_degenerate` is set when the contact
-    speed coincides with an acoustic speed, where the contact
-    eigenvector collapses into that family's span (null for the triple
-    coincidence); the raw vector is still stored.
+    and the family order changes across waves.  Where the contact speed
+    coincides with an acoustic speed the contact eigenvector collapses
+    into that family's span; at the triple coincidence it is the null
+    vector.
     """
 
     speeds: dict
     vectors: dict
-    kinds: dict
-    sorted_keys: tuple
-    contact_degenerate: bool
-
-    def matrix(self):
-        return np.stack([self.vectors[k] for k in FAMILY_KEYS], axis=-1)
 
 
-def eigenstructure(state, eos_pair):
-    lam = eigenvalues(state, eos_pair)
+def _eigenvectors(state, eos_pair, rc):
+    """Right eigenvectors with the raw contact vector rc normalized."""
     a1 = eos_pair.phase1.sound_speed(state.rho1)
     a2 = eos_pair.phase2.sound_speed(state.rho2)
-    vectors = {
+    nrm = float(np.linalg.norm(rc))
+    return {
         "1-": np.array([0.0, 1.0, 0.0, -a1 / state.rho1, 0.0]),
         "1+": np.array([0.0, 1.0, 0.0, +a1 / state.rho1, 0.0]),
         "2-": np.array([0.0, 0.0, 1.0, 0.0, -a2 / state.rho2]),
         "2+": np.array([0.0, 0.0, 1.0, 0.0, +a2 / state.rho2]),
+        "C": rc / nrm if nrm > 0.0 else rc,  # triple coincidence: the null vector
     }
+
+
+def eigenstructure(state, eos_pair):
     rc = _contact_eigenvector_raw(state, eos_pair)
-    nrm = float(np.linalg.norm(rc))
-    degenerate = any(_coincide(lam[k], lam["C"]) for k in ACOUSTIC_KEYS)
-    if nrm > 0.0:
-        vectors["C"] = rc / nrm
-    else:
-        vectors["C"] = rc  # triple coincidence: the null vector
-    kinds = {k: GENUINELY_NONLINEAR for k in ACOUSTIC_KEYS}
-    kinds["C"] = LINEARLY_DEGENERATE
-    sorted_keys = tuple(sorted(FAMILY_KEYS, key=lambda k: lam[k]))
-    return Eigenstructure(lam, vectors, kinds, sorted_keys, degenerate)
+    return Eigenstructure(eigenvalues(state, eos_pair), _eigenvectors(state, eos_pair, rc))
 
 
 def field_characterization(state, eos_pair):
@@ -396,23 +359,25 @@ class ResonanceReport:
         return bool(self.coinciding)
 
 
-def check_resonance(state, eos_pair):
-    lam = eigenvalues(state, eos_pair)
-    es = eigenstructure(state, eos_pair)
+def check_resonance(state, eos_pair, speeds=None):
+    """Resonance report of a state; `speeds` are its `eigenvalues` when
+    the caller already has them.  Without a coincidence there is no
+    collapse to test, so no eigenvector is formed."""
+    lam = eigenvalues(state, eos_pair) if speeds is None else speeds
+    coinciding = tuple(k for k in ACOUSTIC_KEYS if _coincide(lam[k], lam["C"]))
+    if not coinciding:
+        return ResonanceReport((), (), False)
     rc = _contact_eigenvector_raw(state, eos_pair)
-    nrm = float(np.linalg.norm(rc))
+    vectors = _eigenvectors(state, eos_pair, rc)
     # scale of the raw contact vector if no factor vanished
     a1sq = eos_pair.phase1.sound_speed_sq(state.rho1)
     a2sq = eos_pair.phase2.sound_speed_sq(state.rho2)
     scale = (a1sq / state.rho1) * (a2sq / state.rho2)
-    rc_null = nrm < COLLAPSE_TOL * scale
-    coinciding = tuple(k for k in ACOUSTIC_KEYS if _coincide(lam[k], lam["C"]))
+    rc_null = float(np.linalg.norm(rc)) < COLLAPSE_TOL * scale
     collapsed = []
     for k in coinciding:
         phase = k[0]
-        basis = np.stack(
-            [es.vectors[phase + "-"], es.vectors[phase + "+"], es.vectors["C"]], axis=-1
-        )
+        basis = np.stack([vectors[phase + "-"], vectors[phase + "+"], vectors["C"]], axis=-1)
         sv = np.linalg.svd(basis, compute_uv=False)
         if rc_null or sv[-1] < COLLAPSE_TOL * sv[0]:
             collapsed.append(k)

@@ -37,3 +37,13 @@ def random_state_array(rng, n, alpha=(0.05, 0.95), rho=(0.1, 5.0), u=(-3.0, 3.0)
             rng.uniform(*u, n),
         ]
     )
+
+
+def coincident_state(pair, alpha1=0.45, rho1=1.1, rho2=0.8, u=0.2):
+    """State with (u - u1)^2 = a1^2, i.e. lambda_{1+} = lambda_C."""
+    a1 = pair.phase1.sound_speed(rho1)
+    rho = alpha1 * rho1 + (1 - alpha1) * rho2
+    c2 = (1 - alpha1) * rho2 / rho
+    w = -a1 / c2  # u - u1 = -c2 w = a1
+    c1 = 1 - c2
+    return PrimitiveState(alpha1, rho1, rho2, u + c2 * w, u - c1 * w)

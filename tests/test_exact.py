@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import coincident_state
 from twophase.errors import ConstructionError
 from twophase.exact import (
     build_solution,
@@ -241,6 +242,18 @@ def test_validation_flags_shock_resonance_ensemble():
     corrupted = dataclasses.replace(sol4, elements=els)
     rep = validate_solution(corrupted)
     assert any("coinciding discontinuities" in f for f in rep.failures)
+
+
+def test_validation_flags_resonant_state():
+    # lambda_{1+} = u on both sides of a zero-strength contact
+    st = coincident_state(IDEAL_PAIR)
+    sol = build_solution(st, st.alpha1, [], [], IDEAL_PAIR, validate=False)
+    rep = validate_solution(sol)
+    assert not rep.passed
+    assert any("resonant left state: lambda_1+" in f for f in rep.failures)
+    assert any("resonant right state: lambda_1+" in f for f in rep.failures)
+    with pytest.raises(ConstructionError, match="lambda_1\\+"):
+        build_solution(st, st.alpha1, [], [], IDEAL_PAIR)
 
 
 def test_grammar_rejects_wave_past_contact():

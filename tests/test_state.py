@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_state_array, random_states
+from conftest import coincident_state, random_state_array, random_states
 from twophase.errors import StateDecodeError
 from twophase.state import (
     ACOUSTIC_KEYS,
     FAMILY_KEYS,
-    ConservedState,
     PrimitiveState,
     check_resonance,
     cons_to_prim_array,
@@ -19,29 +18,26 @@ from twophase.state import (
     flux_primitive_array,
     jacobian_primitive,
     mixture_props,
-    physical_flux,
     prim_to_cons_array,
-    to_conserved,
-    to_primitive,
 )
 
 RP1_LEFT = PrimitiveState(0.7, 1.2449, 1.2969, -1.2638, -0.38947)
 
 
 def test_symmetric_rest_state_conversion():
-    w = to_conserved(PrimitiveState(0.5, 1.0, 1.0, 0.0, 0.0))
-    assert (w.w1, w.w2, w.w3, w.w4, w.w5) == (0.5, 0.5, 1.0, 0.0, 0.0)
+    w = prim_to_cons_array(PrimitiveState(0.5, 1.0, 1.0, 0.0, 0.0).as_array())
+    assert tuple(w) == (0.5, 0.5, 1.0, 0.0, 0.0)
 
 
 def test_rp1_left_mixture_density():
-    w = to_conserved(RP1_LEFT)
-    assert w.w3 == pytest.approx(0.7 * 1.2449 + 0.3 * 1.2969, rel=1e-14)
+    w = prim_to_cons_array(RP1_LEFT.as_array())
+    assert w[2] == pytest.approx(0.7 * 1.2449 + 0.3 * 1.2969, rel=1e-14)
 
 
 def test_round_trip_scalar():
-    v = PrimitiveState(0.37, 2.1, 0.6, 1.3, -0.8)
-    back = to_primitive(to_conserved(v))
-    assert np.allclose(back.as_array(), v.as_array(), rtol=1e-14, atol=0)
+    v = PrimitiveState(0.37, 2.1, 0.6, 1.3, -0.8).as_array()
+    back = cons_to_prim_array(prim_to_cons_array(v))
+    assert np.allclose(back, v, rtol=1e-14, atol=0)
 
 
 def test_round_trip_property():
@@ -53,16 +49,16 @@ def test_round_trip_property():
 
 def test_decode_rejects_boundary():
     with pytest.raises(StateDecodeError):
-        ConservedState(0.5, 0.25, 0.5, 0.0, 0.0)  # w1 == w3
+        cons_to_prim_array(np.array([0.5, 0.25, 0.5, 0.0, 0.0]))  # w1 == w3
     with pytest.raises(StateDecodeError):
         cons_to_prim_array(np.array([[0.5, 0.25, 0.5, 0.0, 0.0]]))
     with pytest.raises(StateDecodeError):
-        ConservedState(0.2, 0.5, 0.4, 0.0, 0.0)  # w2 > w3
+        cons_to_prim_array(np.array([0.2, 0.5, 0.4, 0.0, 0.0]))  # w2 > w3
 
 
 def test_flux_rest_state(ideal_pair):
     st = PrimitiveState(0.4, 1.2, 0.9, 0.0, 0.0)
-    f = physical_flux(to_conserved(st), ideal_pair)
+    f = flux_conserved_array(prim_to_cons_array(st.as_array()), ideal_pair)
     mp = mixture_props(st, ideal_pair)
     psi_diff = ideal_pair.phase1.psi(st.rho1) - ideal_pair.phase2.psi(st.rho2)
     assert np.allclose(f[:3], 0.0, atol=1e-15)
@@ -71,9 +67,9 @@ def test_flux_rest_state(ideal_pair):
 
 
 def test_flux_identity_row(ideal_pair):
-    w = to_conserved(RP1_LEFT)
-    f = physical_flux(w, ideal_pair)
-    assert f[2] == pytest.approx(w.w4, rel=1e-14)
+    w = prim_to_cons_array(RP1_LEFT.as_array())
+    f = flux_conserved_array(w, ideal_pair)
+    assert f[2] == pytest.approx(w[3], rel=1e-14)
 
 
 def test_flux_two_assembly_paths(ideal_pair):
@@ -148,9 +144,9 @@ def test_eigen_residuals_random(ideal_pair):
     rng = np.random.default_rng(4)
     for st in random_states(rng, 300):
         A = jacobian_primitive(st, ideal_pair)
-        es = eigenstructure(st, ideal_pair)
-        if es.contact_degenerate:
+        if check_resonance(st, ideal_pair).resonant:
             continue
+        es = eigenstructure(st, ideal_pair)
         nA = np.linalg.norm(A)
         for k in FAMILY_KEYS:
             R = es.vectors[k]
@@ -165,22 +161,12 @@ def test_contact_speed_bounded(ideal_pair):
         assert min(lam["1-"], lam["2-"]) < lam["C"] < max(lam["1+"], lam["2+"])
 
 
-def _coincident_state(pair, alpha1=0.45, rho1=1.1, rho2=0.8, u=0.2):
-    """State with (u - u1)^2 = a1^2, i.e. lambda_{1+} = lambda_C."""
-    a1 = pair.phase1.sound_speed(rho1)
-    rho = alpha1 * rho1 + (1 - alpha1) * rho2
-    c2 = (1 - alpha1) * rho2 / rho
-    w = -a1 / c2  # u - u1 = -c2 w = a1
-    c1 = 1 - c2
-    return PrimitiveState(alpha1, rho1, rho2, u + c2 * w, u - c1 * w)
-
-
 def test_degeneracy_flag_and_collapse(ideal_pair):
-    st = _coincident_state(ideal_pair)
+    st = coincident_state(ideal_pair)
     lam = eigenvalues(st, ideal_pair)
     assert lam["1+"] == pytest.approx(lam["C"], abs=1e-12)
+    assert check_resonance(st, ideal_pair).resonant
     es = eigenstructure(st, ideal_pair)
-    assert es.contact_degenerate
     # R_C falls into span{R_1-, R_1+}: components 0, 2, 4 vanish
     rc = es.vectors["C"]
     assert np.max(np.abs(rc[[0, 2, 4]])) < 1e-9 * max(np.linalg.norm(rc), 1e-30)
@@ -192,7 +178,7 @@ def test_check_resonance_reports(ideal_pair):
     rep = check_resonance(generic, ideal_pair)
     assert rep.coinciding == () and not rep.resonant and not rep.rc_null
 
-    single = _coincident_state(ideal_pair)
+    single = coincident_state(ideal_pair)
     rep = check_resonance(single, ideal_pair)
     assert rep.coinciding == ("1+",)
     assert rep.collapsed == ("1+",)
@@ -236,9 +222,9 @@ def _fd_grad_lambda(st, pair, key, h=1e-7):
 def test_field_characterization(ideal_pair):
     rng = np.random.default_rng(8)
     for st in random_states(rng, 30):
-        es = eigenstructure(st, ideal_pair)
-        if es.contact_degenerate:
+        if check_resonance(st, ideal_pair).resonant:
             continue
+        es = eigenstructure(st, ideal_pair)
         vals = field_characterization(st, ideal_pair)
         assert vals["C"] == 0.0
         a1 = ideal_pair.phase1.sound_speed(st.rho1)
@@ -279,7 +265,7 @@ def test_conserved_flux_jacobian_spectrum(ideal_pair):
     # dF/dU differenced numerically shares the analytic spectrum
     rng = np.random.default_rng(14)
     for st in random_states(rng, 15, u=(-1.5, 1.5)):
-        u0 = to_conserved(st).as_array()
+        u0 = prim_to_cons_array(st.as_array())
         spec_num = np.sort(np.linalg.eigvals(_fd_flux_jacobian_conserved(u0, ideal_pair)).real)
         lam = eigenvalues(st, ideal_pair)
         spec_ana = np.sort([lam[k] for k in FAMILY_KEYS])
