@@ -38,7 +38,7 @@ class BarotropicEos:
     Immutable after construction; safe to share between threads.
     The `mode` tag records the thermodynamic regime; both regimes share
     a**2 = dp/drho and dPsi/drho = a**2/rho, so it never changes the
-    numerics.
+    numerics.  Its underscored formulas skip the density check.
     """
 
     A: float
@@ -71,14 +71,20 @@ class BarotropicEos:
         elif not rho > 0.0:
             raise EosDomainError(f"density must be positive, got {rho}")
 
+    def _pressure(self, rho):
+        return self._p_scale * rho**self.gamma + self.B
+
     def pressure(self, rho):
         self._check_density(rho)
-        return self._p_scale * rho**self.gamma + self.B
+        return self._pressure(rho)
+
+    def _sound_speed_sq(self, rho):
+        return self._k * rho ** (self.gamma - 1.0)
 
     def sound_speed_sq(self, rho):
         """dp/drho = A*gamma*rho**(gamma-1)/rho_ref**gamma, positive for rho > 0."""
         self._check_density(rho)
-        return self._k * rho ** (self.gamma - 1.0)
+        return self._sound_speed_sq(rho)
 
     def sound_speed(self, rho):
         return np.sqrt(self.sound_speed_sq(rho))
@@ -89,6 +95,9 @@ class BarotropicEos:
         gamma == 1 takes the logarithmic branch (A/rho_ref)*log(rho).
         """
         self._check_density(rho)
+        return self._psi(rho)
+
+    def _psi(self, rho):
         if self.gamma == 1.0:
             return (self.A / self.rho_ref) * np.log(rho)
         return self._k / (self.gamma - 1.0) * rho ** (self.gamma - 1.0)

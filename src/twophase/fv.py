@@ -12,7 +12,9 @@ Three schemes share the grid and time loop:
                     (mean of Lax-Friedrichs and two-step Lax-Wendroff).
 
 The two models share their eigenvalues; a small system description
-(`_System`) carries all that separates their second-order schemes.
+(`_System`) carries all that separates their second-order schemes.  The
+kernels hold cells component-major, as (5, n) rows, and check the state
+invariants once per stage; the public (n, 5) steps check their input once.
 
 Pressure and velocity relaxation enter as Strang-split half steps
 around each transport step.  The velocity sub-step integrates
@@ -33,9 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, PositivityError, RelaxationError
 from .state import (
-    cons_to_prim_array,
-    flux_primitive_array,
-    max_wavespeed_array,
+    _checked_rows, _flux_rows, _invalid_cons, _max_wavespeed_rows, _or_nonfinite, _prim_rows,
     prim_to_cons_array,
 )
 
@@ -122,44 +122,36 @@ def limited_slope(dl, dr, limiter):
 
 
 def _minmod2(a, b):
-    s = np.where((a > 0) & (b > 0), np.minimum(a, b), 0.0)
-    return np.where((a < 0) & (b < 0), np.maximum(a, b), s)
+    # min(a, b) where both are positive, max(a, b) where both are negative, else 0
+    return np.maximum(np.minimum(a, b), 0.0) + np.minimum(np.maximum(a, b), 0.0)
 
 
-def _pad_transmissive(u, layers=2):
-    head = np.repeat(u[:1], layers, axis=0)
-    tail = np.repeat(u[-1:], layers, axis=0)
-    return np.concatenate([head, u, tail], axis=0)
+def _pad_transmissive(c, layers):
+    """Rows c (5, n) with `layers` copies of each edge cell added."""
+    return np.concatenate([c[:, :1]] * layers + [c] + [c[:, -1:]] * layers, axis=1)
 
 
 # ---------------------------------------------------------------------------
-# cell systems: conservative (SHTC) cells and Baer-Nunziato blocks
+# cell systems: conservative (SHTC) cells and Baer-Nunziato blocks, as rows
+# (5, ...) with the component first
 # ---------------------------------------------------------------------------
 
-def _invalid_cons(u):
-    w1, w2, w3 = u[:, 0], u[:, 1], u[:, 2]
-    bad = (w3 <= 0.0) | (w1 <= 0.0) | (w1 >= w3) | (w2 <= 0.0) | (w2 >= w3)
-    finite = np.isfinite(u)
-    # the row-wise reduction costs more than the rest; skip it when all is finite
-    return bad if finite.all() else bad | ~finite.all(axis=1)
-
-
-def _floor_cons(u, bad):
-    # rebuild from clipped primitives, keeping mixture mass; cells whose
-    # density or mass partition had to be floored are emptied of
-    # momentum and slip (a vacuum cell has no meaningful velocity and a
-    # stale w4 over a floored w3 explodes the speeds)
-    w1, w2, w3 = np.nan_to_num(u[:, :3], nan=RHO_FLOOR).T
-    vacuous = bad & ((w3 <= RHO_FLOOR) | (w2 <= RHO_FLOOR) | (w2 >= w3 - RHO_FLOOR))
-    w3f = np.maximum(w3, RHO_FLOOR)
-    alpha = np.clip(w1 / w3f, ALPHA_FLOOR, 1.0 - ALPHA_FLOOR)
-    m1 = np.clip(np.minimum(w2, w3f - RHO_FLOOR), RHO_FLOOR, None)
-    m2 = np.clip(w3f - m1, RHO_FLOOR, None)
-    out = np.nan_to_num(u, nan=0.0)
-    out[:, 0] = alpha * (m1 + m2)
-    out[:, 1] = m1
-    out[:, 2] = m1 + m2
-    out[vacuous, 3:] = 0.0
+def _floor_cons(c, bad):
+    # rebuild the masked cells from their floored mixture mass and clipped
+    # volume and mass fractions, so that w1, w2 stay inside (0, w3); near-
+    # vacuum or non-finite cells lose momentum and slip (a vacuum cell has
+    # no velocity, and a stale w4 over a floored w3 explodes the speeds)
+    w1, w2, w3 = c[:3, bad]
+    vacuous = ~np.isfinite(c[:, bad]).all(axis=0) | ~(
+        (w3 > RHO_FLOOR) & (w2 > RHO_FLOOR) & (w2 < w3 - RHO_FLOOR)
+    )
+    w3 = np.where(np.isfinite(w3) & (w3 > RHO_FLOOR), w3, RHO_FLOOR)
+    out = c.copy()
+    for i, w in ((0, w1), (1, w2)):
+        share = np.nan_to_num(w / w3, nan=ALPHA_FLOOR)
+        out[i, bad] = np.clip(share, ALPHA_FLOOR, 1.0 - ALPHA_FLOOR) * w3
+    out[2, bad] = w3
+    out[3:, bad] = np.where(vacuous, 0.0, c[3:, bad])
     return out
 
 
@@ -172,24 +164,25 @@ def bn_from_prim(v):
 
 
 def bn_to_prim(b):
-    b = np.asarray(b, dtype=float)
-    alpha1, m1, m2, q1, q2 = (b[..., i] for i in range(5))
-    return np.stack(
-        [alpha1, m1 / alpha1, m2 / (1.0 - alpha1), q1 / m1, q2 / m2], axis=-1
-    )
+    return np.stack(_bn_prim_rows(np.moveaxis(np.asarray(b, dtype=float), -1, 0)), axis=-1)
+
+
+def _bn_prim_rows(b):
+    alpha1, m1, m2, q1, q2 = b
+    return alpha1, m1 / alpha1, m2 / (1.0 - alpha1), q1 / m1, q2 / m2
 
 
 def _bn_flux(b, v, eos_pair):
     """Conservative part of the Baer-Nunziato flux of blocks b decoded
     to v: (0, m1 u1, m2 u2, m1 u1^2 + alpha1 p1, m2 u2^2 + alpha2 p2)."""
-    alpha1, m1, m2, q1, q2 = (b[..., i] for i in range(5))
-    p1 = eos_pair.phase1.pressure(v[..., 1])
-    p2 = eos_pair.phase2.pressure(v[..., 2])
-    z = np.zeros_like(alpha1)
-    return np.stack(
-        [z, q1, q2, q1**2 / m1 + alpha1 * p1, q2**2 / m2 + (1.0 - alpha1) * p2],
-        axis=-1,
-    )
+    alpha1, m1, m2, q1, q2 = b
+    f = np.empty(np.shape(b))
+    f[0] = 0.0
+    f[1] = q1
+    f[2] = q2
+    np.add(q1**2 / m1, alpha1 * eos_pair.phase1._pressure(v[1]), out=f[3])
+    np.add(q2**2 / m2, (1.0 - alpha1) * eos_pair.phase2._pressure(v[2]), out=f[4])
+    return f
 
 
 def _bn_nonconservative(bl, br, eos_pair):
@@ -197,51 +190,58 @@ def _bn_nonconservative(bl, br, eos_pair):
     -p_I dalpha, +p_I dalpha) with u_I = u and p_I = (m2 p1 + m1 p2)/rho
     at the midpoint.  The single nonconservative column makes the path
     integral exact up to the midpoint rule for u_I, p_I."""
-    alpha1, m1, m2, q1, q2 = ((0.5 * (bl + br))[..., i] for i in range(5))
-    dalpha = br[..., 0] - bl[..., 0]
+    alpha1, m1, m2, q1, q2 = 0.5 * (bl + br)
+    dalpha = br[0] - bl[0]
     rho = m1 + m2
-    u_i = (q1 + q2) / rho
-    p1 = eos_pair.phase1.pressure(m1 / alpha1)
-    p2 = eos_pair.phase2.pressure(m2 / (1.0 - alpha1))
+    p1 = eos_pair.phase1._pressure(m1 / alpha1)
+    p2 = eos_pair.phase2._pressure(m2 / (1.0 - alpha1))
     p_i = (m2 * p1 + m1 * p2) / rho
-    z = np.zeros_like(alpha1)
-    return np.stack([u_i * dalpha, z, z, -p_i * dalpha, p_i * dalpha], axis=-1)
+    out = np.empty(np.shape(bl))
+    out[1:3] = 0.0
+    np.multiply((q1 + q2) / rho, dalpha, out=out[0])
+    np.multiply(-p_i, dalpha, out=out[3])
+    np.multiply(p_i, dalpha, out=out[4])
+    return out
 
 
 def _invalid_bn(b):
-    alpha1, m1, m2 = b[:, 0], b[:, 1], b[:, 2]
-    bad = (alpha1 <= 0.0) | (alpha1 >= 1.0) | (m1 <= 0.0) | (m2 <= 0.0)
-    finite = np.isfinite(b)
-    return bad if finite.all() else bad | ~finite.all(axis=1)
+    alpha1, m1, m2 = b[0], b[1], b[2]
+    return _or_nonfinite((alpha1 <= 0.0) | (alpha1 >= 1.0) | (m1 <= 0.0) | (m2 <= 0.0), b)
 
 
 def _floor_bn(b, bad):
-    out = np.nan_to_num(b, nan=RHO_FLOOR)
-    out[:, 0] = np.clip(out[:, 0], ALPHA_FLOOR, 1.0 - ALPHA_FLOOR)
-    out[:, 1:3] = np.clip(out[:, 1:3], RHO_FLOOR, None)
+    out = b.copy()
+    fixed = np.nan_to_num(b[:, bad], nan=RHO_FLOOR)
+    fixed[0] = np.clip(fixed[0], ALPHA_FLOOR, 1.0 - ALPHA_FLOOR)
+    fixed[1:3] = np.clip(fixed[1:3], RHO_FLOOR, None)
+    out[:, bad] = fixed
     return out
 
 
 @dataclass(frozen=True)
 class _System:
-    """What the MUSCL-Hancock kernel and run_simulation need of a cell layout.
-    Entries look their helpers up by module-level name at call time, so
-    a rebinding of those names (by a profiler, say) reaches every call."""
+    """What the MUSCL-Hancock kernel and run_simulation need of a cell
+    layout, on rows (5, ...) with the component first.  The kernel checks
+    `invalid` once per stage (reconstruction, half step, update), and
+    `decode`, `flux` and `nonconservative` evaluate what it passed with
+    no second scan.  Entries look their helpers up by module-level name
+    at call time, so a rebinding of those names (by a profiler, say)
+    reaches every call."""
 
-    decode: Callable  # cells -> primitive (n, 5)
-    encode: Callable  # primitive -> cells
-    flux: Callable  # (c, v, eos_pair): conservative flux of cells c decoded to v
+    decode: Callable  # rows -> primitive rows, unchecked
+    encode: Callable  # primitive (n, 5) -> cells (n, 5)
+    flux: Callable  # (c, v, eos_pair): conservative flux rows of rows c decoded to v
     nonconservative: Optional[Callable]  # (cl, cr, eos_pair): product on the path cl -> cr
-    invalid: Callable  # cells -> mask of broken state invariants
-    floor: Callable  # (c, bad): floor-mode repair of the masked cells
+    invalid: Callable  # rows -> mask of broken state invariants
+    floor: Callable  # (c, bad): floor-mode repair of the masked rows
     conserved_view: Callable  # the components of a 5-vector the ledger closure balances
     variables: tuple  # names of the five cell components
 
 
 _SHTC = _System(
-    decode=lambda c: cons_to_prim_array(c),
+    decode=lambda c: _prim_rows(c),
     encode=lambda v: prim_to_cons_array(v),
-    flux=lambda c, v, eos_pair: flux_primitive_array(v, eos_pair),
+    flux=lambda c, v, eos_pair: _flux_rows(v, eos_pair),
     nonconservative=None,
     invalid=lambda c: _invalid_cons(c),
     floor=lambda c, bad: _floor_cons(c, bad),
@@ -252,7 +252,7 @@ _SHTC = _System(
 # alpha1 and the phase momenta are not conservative; closure is checked
 # on the masses and the momentum sum
 _BN = _System(
-    decode=lambda b: bn_to_prim(b),
+    decode=lambda b: _bn_prim_rows(b),
     encode=lambda v: bn_from_prim(v),
     flux=lambda b, v, eos_pair: _bn_flux(b, v, eos_pair),
     nonconservative=lambda bl, br, eos_pair: _bn_nonconservative(bl, br, eos_pair),
@@ -267,22 +267,31 @@ _BN = _System(
 # numerical fluxes
 # ---------------------------------------------------------------------------
 
-def _cons_flux(u, eos_pair):
-    return flux_primitive_array(cons_to_prim_array(u), eos_pair)
+def _rusanov(cl, cr, fl, fr, sl, sr):
+    """0.5 (F_L + F_R) - 0.5 s_max (U_R - U_L) on rows, with s_max the
+    larger of the two states' analytic spectral radii sl, sr."""
+    return 0.5 * (fl + fr) - 0.5 * np.maximum(sl, sr) * (cr - cl)
 
 
-def rusanov_flux(ul, ur, eos_pair, system=_SHTC):
-    """0.5 (F_L + F_R) - 0.5 s_max (U_R - U_L) with the analytic spectral
-    radius over both states, each decoded once for its flux and speed;
-    conservative cells unless `system` says otherwise."""
-    ul = np.asarray(ul, dtype=float)
-    ur = np.asarray(ur, dtype=float)
-    vl = system.decode(ul)
-    vr = system.decode(ur)
-    fl = system.flux(ul, vl, eos_pair)
-    fr = system.flux(ur, vr, eos_pair)
-    smax = np.maximum(max_wavespeed_array(vl, eos_pair), max_wavespeed_array(vr, eos_pair))
-    return 0.5 * (fl + fr) - 0.5 * smax[..., None] * (ur - ul)
+def rusanov_flux(ul, ur, eos_pair):
+    """Rusanov flux between conservative cells ul and ur (..., 5)."""
+    cl, cr = _checked_rows(_invalid_cons, ul), _checked_rows(_invalid_cons, ur)
+    vl, vr = _prim_rows(cl), _prim_rows(cr)
+    sl, sr = _max_wavespeed_rows(vl, eos_pair), _max_wavespeed_rows(vr, eos_pair)
+    fl, fr = _flux_rows(vl, eos_pair), _flux_rows(vr, eos_pair)
+    return np.moveaxis(_rusanov(cl, cr, fl, fr, sl, sr), 0, -1)
+
+
+def _force(cl, cr, fl, fr, dx, dt, eos_pair, positivity, t):
+    """FORCE flux rows of face states cl, cr with fluxes fl, fr."""
+    f_lf = 0.5 * (fl + fr) - 0.5 * (dx / dt) * (cr - cl)
+    c_lw = 0.5 * (cl + cr) - 0.5 * (dt / dx) * (fr - fl)
+    bad = _invalid_cons(c_lw)
+    if _fallback(bad, c_lw, positivity, t, "FORCE midpoint", "Lax-Friedrichs flux on", "face"):
+        c_lw[:, bad] = cl[:, bad]  # any valid state: its flux is not used
+    flux = 0.5 * (f_lf + _flux_rows(_prim_rows(c_lw), eos_pair))
+    flux[:, bad] = f_lf[:, bad]
+    return flux
 
 
 def force_flux(ul, ur, dx, dt, eos_pair, positivity="strict", t=0.0):
@@ -290,51 +299,33 @@ def force_flux(ul, ur, dx, dt, eos_pair, positivity="strict", t=0.0):
     flux and the flux at the two-step Lax-Wendroff midpoint.  A face
     whose midpoint breaks the state invariants raises PositivityError in
     strict mode and takes the Lax-Friedrichs flux alone in floor mode."""
-    ul = np.asarray(ul, dtype=float)
-    ur = np.asarray(ur, dtype=float)
-    fl = _cons_flux(ul, eos_pair)
-    fr = _cons_flux(ur, eos_pair)
-    f_lf = 0.5 * (fl + fr) - 0.5 * (dx / dt) * (ur - ul)
-    u_lw = 0.5 * (ul + ur) - 0.5 * (dt / dx) * (fr - fl)
-    bad = _invalid_cons(u_lw)
-    if np.any(bad):
-        if positivity == "strict":
-            face = int(np.argmax(bad))
-            raise PositivityError(
-                f"FORCE Lax-Wendroff midpoint violates the state invariants at face "
-                f"{face}: {u_lw[face]}",
-                cell=face, time=t,
-            )
-        _log.warning(
-            "Lax-Friedrichs flux on %d faces at t=%g (FORCE midpoint)", int(np.sum(bad)), t
-        )
-        u_lw[bad] = ul[bad]  # any valid state: its flux is not used
-    flux = 0.5 * (f_lf + flux_primitive_array(cons_to_prim_array(u_lw, strict=False), eos_pair))
-    flux[bad] = f_lf[bad]
-    return flux
+    cl, cr = _checked_rows(_invalid_cons, ul), _checked_rows(_invalid_cons, ur)
+    fl, fr = _flux_rows(_prim_rows(cl), eos_pair), _flux_rows(_prim_rows(cr), eos_pair)
+    return np.moveaxis(_force(cl, cr, fl, fr, dx, dt, eos_pair, positivity, t), 0, -1)
 
 
 # ---------------------------------------------------------------------------
 # steps
 # ---------------------------------------------------------------------------
 
-def _abort_if_strict(bad, states, mode, t, where):
-    if mode != "strict":
-        return
-    cell = int(np.argmax(bad))
-    raise PositivityError(
-        f"state invariants violated in cell {cell} ({where}): {states[cell]}",
-        cell=cell, time=t,
-    )
-
-
-def _enforce_positivity(system, c, mode, t):
-    bad = system.invalid(c)
+def _fallback(bad, states, mode, t, where, action, unit="cell", extended=False):
+    """Whether a stage masked some states.  Strict mode raises
+    PositivityError naming the first; on an `extended` array (one ghost
+    row per side) row i is cell i - 1.  Floor mode logs how many."""
     if not np.any(bad):
-        return c
-    _abort_if_strict(bad, c, mode, t, "update")
-    _log.warning("flooring %d cells at t=%g (update)", int(np.sum(bad)), t)
-    return system.floor(c, bad)
+        return False
+    if mode == "strict":
+        row = int(np.argmax(bad))
+        cell = min(max(row - 1, 0), bad.size - 3) if extended else row
+        raise PositivityError(
+            f"state invariants violated in {unit} {cell} ({where}): {states[..., row].T}",
+            cell=cell, time=t,
+        )
+    _log.warning("%s %d %ss at t=%g (%s)", action, int(np.sum(bad)), unit, t, where)
+    return True
+
+
+_FACE_SIGNS = np.array([[-1.0], [1.0]])  # faces[:, 0] = mid - slope/2, faces[:, 1] = mid + slope/2
 
 
 def _muscl_hancock(system, c, dt, dx, config, eos_pair, t):
@@ -345,69 +336,83 @@ def _muscl_hancock(system, c, dt, dx, config, eos_pair, t):
 
     with Rusanov fluxes F between the half-evolved face states, the
     products P_{i+-1/2} along the segments joining them and the in-cell
-    product P_i; the P terms vanish for a conservative system.  Returns
-    (c_new, boundary_fluxes), the interface fluxes at the two domain
-    edges, which the ledger needs.
+    product P_i; the P terms vanish for a conservative system.  Cells c
+    are rows (5, n); both face states of every cell, ghosts included, are
+    held as faces[:, 0] (left) and faces[:, 1] (right) and checked once per
+    stage.  Returns the bracket, which _step applies, and the fluxes.
     """
     cp = _pad_transmissive(c, 2)
-    dl = cp[1:-1] - cp[:-2]
-    dr = cp[2:] - cp[1:-1]
-    slope = limited_slope(dl, dr, config.limiter)
+    mid = cp[:, 1:-1]
+    slope = limited_slope(mid - cp[:, :-2], cp[:, 2:] - mid, config.limiter)
+    faces = mid[:, None] + _FACE_SIGNS * (0.5 * slope)[:, None]
     # component-wise TVD slopes can still break the cross-component
     # state invariants near extreme jumps; strict mode aborts, floor
     # mode drops the offending cells to first order
-    c_minus = cp[1:-1] - 0.5 * slope
-    c_plus = cp[1:-1] + 0.5 * slope
-    bad = system.invalid(c_minus) | system.invalid(c_plus)
-    if np.any(bad):
-        _abort_if_strict(bad, c_minus, config.positivity, t, "reconstruction")
-        slope[bad] = 0.0
-        c_minus = cp[1:-1] - 0.5 * slope
-        c_plus = cp[1:-1] + 0.5 * slope
-    f_minus = system.flux(c_minus, system.decode(c_minus), eos_pair)
-    f_plus = system.flux(c_plus, system.decode(c_plus), eos_pair)
-    drift = f_plus - f_minus
+    bad = system.invalid(faces).any(axis=0)
+    if _fallback(bad, faces, config.positivity, t, "reconstruction", "first order in",
+                 extended=True):
+        faces[:, :, bad] = mid[:, None, bad]
+    v = system.decode(faces)
+    f = system.flux(faces, v, eos_pair)
+    drift = f[:, 1] - f[:, 0]
     if system.nonconservative is not None:
-        drift = drift + system.nonconservative(c_minus, c_plus, eos_pair)
-    evo = 0.5 * (dt / dx) * drift
-    c_minus_h = c_minus - evo
-    c_plus_h = c_plus - evo
-    bad = system.invalid(c_minus_h) | system.invalid(c_plus_h)
-    if np.any(bad):
-        _abort_if_strict(bad, c_minus_h, config.positivity, t, "half step")
-        c_minus_h[bad] = c_minus[bad]
-        c_plus_h[bad] = c_plus[bad]
+        drift = drift + system.nonconservative(faces[:, 0], faces[:, 1], eos_pair)
+    faces_h = faces - (0.5 * (dt / dx) * drift)[:, None]
+    bad = system.invalid(faces_h).any(axis=0)
+    if _fallback(bad, faces_h, config.positivity, t, "half step", "half step dropped in",
+                 extended=True):
+        faces_h[:, :, bad] = faces[:, :, bad]
     # interface i+1/2 joins the right face of cell i to the left face of i+1
-    cl, cr = c_plus_h[:-1], c_minus_h[1:]
-    flux = rusanov_flux(cl, cr, eos_pair, system)
-    div = flux[1:] - flux[:-1]
+    v = system.decode(faces_h)
+    f = system.flux(faces_h, v, eos_pair)
+    s = _max_wavespeed_rows(v, eos_pair)
+    cl, cr = faces_h[:, 1, :-1], faces_h[:, 0, 1:]
+    flux = _rusanov(cl, cr, f[:, 1, :-1], f[:, 0, 1:], s[1, :-1], s[0, 1:])
+    div = flux[:, 1:] - flux[:, :-1]
     if system.nonconservative is not None:
         p_face = system.nonconservative(cl, cr, eos_pair)
-        p_cell = system.nonconservative(c_minus_h[1:-1], c_plus_h[1:-1], eos_pair)
-        div = div + 0.5 * (p_face[:-1] + p_face[1:]) + p_cell
-    c_new = _enforce_positivity(system, c - (dt / dx) * div, config.positivity, t)
-    return c_new, (flux[0], flux[-1])
+        p_cell = system.nonconservative(faces_h[:, 0, 1:-1], faces_h[:, 1, 1:-1], eos_pair)
+        div = div + 0.5 * (p_face[:, :-1] + p_face[:, 1:]) + p_cell
+    return div, flux
+
+
+def _step(kernel, system, u, dt, dx, config, eos_pair, t):
+    """Update cells u (n, 5) by dt with the flux divergence of a row
+    kernel, after one check of the input and before one of the output;
+    returns the new cells (n, 5) and the two boundary fluxes."""
+    c = _checked_rows(system.invalid, u)
+    div, flux = kernel(system, c, dt, dx, config, eos_pair, t)
+    out = np.empty(np.shape(u))  # written as rows; stays C-ordered (n, 5) for the ledger
+    c_new = np.subtract(c, (dt / dx) * div, out=out.T)
+    bad = system.invalid(c_new)
+    if _fallback(bad, c_new, config.positivity, t, "update", "flooring"):
+        c_new = system.floor(c_new, bad)
+    return np.ascontiguousarray(c_new.T), (flux[:, 0], flux[:, -1])
 
 
 def muscl_hancock_step(u, dt, dx, config, eos_pair, t=0.0):
     """MUSCL-Hancock update of conservative cells (see _muscl_hancock)."""
-    return _muscl_hancock(_SHTC, u, dt, dx, config, eos_pair, t)
+    return _step(_muscl_hancock, _SHTC, u, dt, dx, config, eos_pair, t)
 
 
 def path_conservative_step(b, dt, dx, config, eos_pair, t=0.0):
     """Path-conservative MUSCL-Hancock update of Baer-Nunziato blocks
     (see _muscl_hancock); the Rusanov dissipation uses the analytic
     spectral radius, which the blocks share with the conservative form."""
-    return _muscl_hancock(_BN, b, dt, dx, config, eos_pair, t)
+    return _step(_muscl_hancock, _BN, b, dt, dx, config, eos_pair, t)
+
+
+def _force_godunov(system, c, dt, dx, config, eos_pair, t):
+    cp = _pad_transmissive(c, 1)
+    f = _flux_rows(_prim_rows(cp), eos_pair)
+    flux = _force(cp[:, :-1], cp[:, 1:], f[:, :-1], f[:, 1:], dx, dt, eos_pair,
+                  config.positivity, t)
+    return flux[:, 1:] - flux[:, :-1], flux
 
 
 def force_godunov_step(u, dt, dx, config, eos_pair, t=0.0):
     """First-order Godunov-type update with the FORCE flux."""
-    up = _pad_transmissive(u, 1)
-    flux = force_flux(up[:-1], up[1:], dx, dt, eos_pair, config.positivity, t)
-    u_new = u - (dt / dx) * (flux[1:] - flux[:-1])
-    u_new = _enforce_positivity(_SHTC, u_new, config.positivity, t)
-    return u_new, (flux[0], flux[-1])
+    return _step(_force_godunov, _SHTC, u, dt, dx, config, eos_pair, t)
 
 
 # ---------------------------------------------------------------------------
@@ -539,16 +544,19 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
     relax_delta = np.zeros(5)
 
     def relax(c, dt):
-        vp = relax_primitive(system.decode(c), dt, config.theta1, config.theta2, eos_pair)
+        vp = relax_primitive(np.stack(system.decode(c.T), axis=-1), dt, config.theta1,
+                             config.theta2, eos_pair)
         out = system.encode(vp)
         relax_delta[:] += out.sum(axis=0) * dx - c.sum(axis=0) * dx
         return out
     worst_closure = 0.0
     smax_prev = None
+    dts = []
     t_wall = _time.perf_counter()
     while t < config.t_end - 1e-15 * max(1.0, config.t_end):
-        prim = system.decode(cells)
-        smax = float(np.max(max_wavespeed_array(prim, eos_pair)))
+        # cells stay (n, 5), which keeps the ledger's summation order; the
+        # step functions check them, so this decode runs unchecked on rows
+        smax = float(np.max(_max_wavespeed_rows(system.decode(cells.T), eos_pair)))
         if smax_prev is not None and smax > WAVESPEED_GROWTH_GUARD * smax_prev:
             raise PositivityError(
                 f"max wave speed grew from {smax_prev:.6g} to {smax:.6g} in one step "
@@ -557,11 +565,13 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
             )
         smax_prev = smax
         dt = min(config.cfl * dx / smax, config.t_end - t)
+        dts.append(dt)
 
         if config.relaxing:
             cells = relax(cells, 0.5 * dt)
 
-        before = cells.sum(axis=0) * dx
+        # without relaxation the totals before a step are those after the last
+        before = cells.sum(axis=0) * dx if config.relaxing or not steps else after
         cells, (f_left, f_right) = stepper(cells, dt, dx, config, eos_pair, t)
         after = cells.sum(axis=0) * dx
         boundary_integral += dt * (np.asarray(f_right) - np.asarray(f_left))
@@ -590,7 +600,10 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
         "variables": list(system.variables),
         "wall_seconds": _time.perf_counter() - t_wall,
         "steps": steps,
+        # the last step is cut to reach t_end; None when no step was taken
+        "dt_min": min(dts, default=None),
+        "dt_max": max(dts, default=None),
     }
-    prim = system.decode(cells)
+    prim = np.stack(system.decode(cells.T), axis=-1)
     cons = prim_to_cons_array(prim)
     return SimulationResult(grid, config, t, steps, prim, cons, ledger)

@@ -38,6 +38,7 @@ ACOUSTIC_KEYS = ("1-", "1+", "2-", "2+")
 # set falls below tol * largest
 COINCIDENCE_TOL = 1e-9
 COLLAPSE_TOL = 1e-9
+_TINY = np.finfo(float).tiny  # least normal float (see _invalid_cons)
 
 
 @dataclass(frozen=True)
@@ -135,29 +136,46 @@ def prim_to_cons_array(v):
 
 
 def cons_to_prim_array(u, strict=True):
-    """Invert the conserved map.
+    """Invert the conserved map (see _prim_rows); strict mode first checks
+    the state invariants (see _invalid_cons)."""
+    w = _checked_rows(_invalid_cons, u) if strict else np.moveaxis(np.asarray(u, float), -1, 0)
+    return np.stack(_prim_rows(w), axis=-1)
 
-    alpha1 = w1/w3, rho1 = w2/alpha1, rho2 = (w3-w2)/(1-alpha1),
-    u1 = u + c2*w, u2 = u - c1*w with c1 = w2/w3.
-    """
-    u = np.asarray(u, dtype=float)
-    w1, w2, w3, w4, w5 = (u[..., i] for i in range(5))
-    if strict:
-        bad = (w3 <= 0.0) | (w1 <= 0.0) | (w1 >= w3) | (w2 <= 0.0) | (w2 >= w3)
-        if np.any(bad):
-            idx = np.argwhere(bad)
-            raise StateDecodeError(
-                f"conserved state violates invariants at index {idx[0] if idx.size else '()'}: "
-                f"w={u[tuple(idx[0])] if idx.size else u}"
-            )
+
+def _checked_rows(invalid, u):
+    """Rows (5, ...) of cells u (..., 5) after one scan with the mask
+    `invalid`; a broken cell raises StateDecodeError naming it."""
+    c = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
+    if np.any(bad := invalid(c)):
+        cell = int(np.argmax(bad))
+        raise StateDecodeError(
+            f"input cell {cell} violates the state invariants: {np.reshape(c, (5, -1))[:, cell]}"
+        )
+    return c
+
+
+def _invalid_cons(w):
+    """Mask of conserved rows w (5, ...) that break 0 < w2 < w3 or
+    0 < w1 < w3, with w1/w3 no smaller than the least normal float so that
+    alpha1 does not round to zero, or that are not finite."""
+    w1, w2, w3 = w[0], w[1], w[2]
+    return _or_nonfinite((w1 <= w3 * _TINY) | (w1 >= w3) | (w2 <= 0.0) | (w2 >= w3), w)
+
+
+def _or_nonfinite(bad, c):
+    finite = np.isfinite(c)
+    # the reduction over components costs more than the rest; skip it when all is finite
+    return bad if finite.all() else bad | ~finite.all(axis=0)
+
+
+def _prim_rows(w):
+    """Primitive rows of conserved rows w, unchecked: alpha1 = w1/w3,
+    rho1 = w2/alpha1, rho2 = (w3-w2)/(1-alpha1), u1 = u + c2*w, u2 = u - c1*w."""
+    w1, w2, w3, w4, w5 = w
     alpha1 = w1 / w3
     c1 = w2 / w3
     um = w4 / w3
-    u1 = um + (1.0 - c1) * w5
-    u2 = um - c1 * w5
-    rho1 = w2 / alpha1
-    rho2 = (w3 - w2) / (1.0 - alpha1)
-    return np.stack([alpha1, rho1, rho2, u1, u2], axis=-1)
+    return alpha1, w2 / alpha1, (w3 - w2) / (1.0 - alpha1), um + (1.0 - c1) * w5, um - c1 * w5
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +212,21 @@ def flux_conserved_array(u, eos_pair):
     return np.stack([f1, f2, f3, f4, f5], axis=-1)
 
 
+def _checked_prim_rows(v, eos_pair):
+    v = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+    eos_pair.phase1._check_density(v[1])
+    eos_pair.phase2._check_density(v[2])
+    return v
+
+
 def flux_primitive_array(v, eos_pair):
-    """Same flux assembled from primitive variables (independent algebra):
+    """Same flux assembled from primitive variables (see _flux_rows)."""
+    return np.moveaxis(_flux_rows(_checked_prim_rows(v, eos_pair), eos_pair), 0, -1)
+
+
+def _flux_rows(v, eos_pair):
+    """Flux rows of primitive rows v by an algebra independent of
+    flux_conserved_array, densities unchecked:
 
         ( alpha1*rho*u,
           alpha1*rho1*u1,
@@ -203,21 +234,21 @@ def flux_primitive_array(v, eos_pair):
           alpha1*rho1*u1^2 + alpha2*rho2*u2^2 + alpha1*p1 + alpha2*p2,
           0.5*u1^2 - 0.5*u2^2 + Psi1 - Psi2 )
     """
-    v = np.asarray(v, dtype=float)
-    alpha1, rho1, rho2, u1, u2 = (v[..., i] for i in range(5))
+    alpha1, rho1, rho2, u1, u2 = v
+    e1, e2 = eos_pair.phase1, eos_pair.phase2
     alpha2 = 1.0 - alpha1
-    rho = alpha1 * rho1 + alpha2 * rho2
-    rho_u = alpha1 * rho1 * u1 + alpha2 * rho2 * u2
-    p1 = eos_pair.phase1.pressure(rho1)
-    p2 = eos_pair.phase2.pressure(rho2)
-    psi1 = eos_pair.phase1.psi(rho1)
-    psi2 = eos_pair.phase2.psi(rho2)
-    f1 = alpha1 * rho * (rho_u / rho)
-    f2 = alpha1 * rho1 * u1
-    f3 = rho_u
-    f4 = alpha1 * rho1 * u1**2 + alpha2 * rho2 * u2**2 + alpha1 * p1 + alpha2 * p2
-    f5 = 0.5 * u1**2 - 0.5 * u2**2 + psi1 - psi2
-    return np.stack([f1, f2, f3, f4, f5], axis=-1)
+    m1 = alpha1 * rho1
+    m2 = alpha2 * rho2
+    rho = m1 + m2
+    f = np.empty((5,) + np.shape(alpha1))  # rows written in place: f[i, ...]
+    q1 = np.multiply(m1, u1, out=f[1, ...])
+    rho_u = np.add(q1, m2 * u2, out=f[2, ...])
+    np.multiply(alpha1 * rho, rho_u / rho, out=f[0, ...])
+    u1sq, u2sq = u1**2, u2**2
+    p1, p2 = e1._pressure(rho1), e2._pressure(rho2)
+    np.add(m1 * u1sq + m2 * u2sq + alpha1 * p1, alpha2 * p2, out=f[3, ...])
+    np.subtract(0.5 * u1sq - 0.5 * u2sq + e1._psi(rho1), e2._psi(rho2), out=f[4, ...])
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +289,13 @@ def eigenvalues(state, eos_pair):
 def max_wavespeed_array(v, eos_pair):
     """max |lambda| over all five fields; the contact speed is a convex
     combination of u1, u2 and never dominates."""
-    v = np.asarray(v, dtype=float)
-    a1 = eos_pair.phase1.sound_speed(v[..., 1])
-    a2 = eos_pair.phase2.sound_speed(v[..., 2])
-    return np.maximum(np.abs(v[..., 3]) + a1, np.abs(v[..., 4]) + a2)
+    return _max_wavespeed_rows(_checked_prim_rows(v, eos_pair), eos_pair)
+
+
+def _max_wavespeed_rows(v, eos_pair):
+    a1 = np.sqrt(eos_pair.phase1._sound_speed_sq(v[1]))
+    a2 = np.sqrt(eos_pair.phase2._sound_speed_sq(v[2]))
+    return np.maximum(np.abs(v[3]) + a1, np.abs(v[4]) + a2)
 
 
 def _contact_eigenvector_raw(state, eos_pair):

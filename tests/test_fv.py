@@ -1,13 +1,19 @@
 """Finite-volume kernels: fluxes, steps, relaxation, driver."""
 
+import importlib.util
+import logging
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import random_state_array
 from twophase import fv
 from twophase.eos import BarotropicEos, EosPair
-from twophase.errors import ConfigError, PositivityError
+from twophase.errors import ConfigError, PositivityError, StateDecodeError
 from twophase.fv import (
     LIMITERS,
     Grid,
@@ -26,6 +32,8 @@ from twophase.fv import (
 from twophase.problems import get_problem
 from twophase.state import (
     PrimitiveState,
+    _invalid_cons,
+    _prim_rows,
     cons_to_prim_array,
     flux_conserved_array,
     flux_primitive_array,
@@ -208,6 +216,165 @@ def test_muscl_positivity_error_names_cell(ideal_pair, system):
     assert np.all((1 - vout[:, 0]) * vout[:, 2] > 0)
     if system == "shtc":
         assert np.all(out[:, 2] > 0)
+
+
+def _half_step_fault(n, k):
+    # only cell k has a velocity slope; at dt/dx = 0.2 its expansion
+    # empties both face masses in the half step
+    v = np.tile([0.5, 1.0, 1.0, 0.0, 0.0], (n, 1))
+    v[k, 3:] = 20.0
+    v[k + 1:, 3:] = 40.0
+    return v
+
+
+def _reconstruction_fault(n, k):
+    # valid conservative cells whose superbee slopes at cell k alone give
+    # a right face with w2 > w3 (w3 has a local minimum there)
+    u = prim_to_cons_array(np.tile([0.5, 1.0, 1.0, 0.0, 0.0], (n, 1)))
+    u[:k, :3] = [0.5, 0.1, 1.0]
+    u[k, :3] = [0.4, 0.6, 0.8]
+    u[k + 1:, :3] = [0.5, 0.99, 1.0]
+    return u
+
+
+@pytest.mark.parametrize("system", ["shtc", "bn"])
+def test_stage_errors_name_the_cell(ideal_pair, system):
+    # the reconstruction and half-step masks run over the cells plus one
+    # ghost per side; the error names the cell, not the row
+    step, encode, _ = SYSTEMS[system]
+    n, k = 16, 6
+    with pytest.raises(PositivityError, match=r"cell 6 \(half step\)") as err:
+        step(encode(_half_step_fault(n, k)), 2e-3, 0.01, SolverConfig(t_end=1.0), ideal_pair)
+    assert err.value.cell == k
+    if system == "shtc":
+        cfg = SolverConfig(t_end=1.0, limiter="superbee")
+        with pytest.raises(PositivityError, match=r"cell 6 \(reconstruction\)") as err:
+            step(_reconstruction_fault(n, k), 1e-4, 0.01, cfg, ideal_pair)
+        assert err.value.cell == k
+    # a broken cell reaches the kernel's first mask only past the input
+    # check of the public steps; that mask names it too, with the ghost
+    # row beside cell 0 (also broken) clipped to the cell
+    kernel_system = {"shtc": fv._SHTC, "bn": fv._BN}[system]
+    broken = [0.6, 0.8, 0.5, 0.0, 0.0] if system == "shtc" else [1.2, 0.5, -0.2, 0.0, 0.0]
+    for cell in (k, 0, n - 1):
+        c = encode(np.tile([0.5, 1.0, 1.0, 0.0, 0.0], (n, 1))).T.copy()
+        c[:, cell] = broken
+        with pytest.raises(PositivityError, match=r"\(reconstruction\)") as err:
+            fv._muscl_hancock(kernel_system, c, 1e-4, 0.01, SolverConfig(t_end=1.0),
+                              ideal_pair, 0.0)
+        assert err.value.cell == cell
+
+
+# 16 valid cells of each system but for cell 9, which takes the row below
+BROKEN_INPUTS = {
+    "shtc w2 > w3": ("shtc", [0.4, 0.9, 0.8, 0.0, 0.0]),
+    "shtc non-finite": ("shtc", [0.4, 0.3, 0.8, np.nan, 0.0]),
+    "bn alpha1 > 1, m2 < 0": ("bn", [1.2, 1.2, -0.2, 0.0, 0.0]),
+    "bn m1 < 0": ("bn", [0.5, -0.5, 0.5, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("positivity", ["strict", "floor"])
+@pytest.mark.parametrize("case", sorted(BROKEN_INPUTS))
+def test_broken_input_cell_raises_state_decode_error(ideal_pair, case, positivity):
+    # one outcome in both modes: the public steps scan their input once
+    system, row = BROKEN_INPUTS[case]
+    step, encode, _ = SYSTEMS[system]
+    cells = encode(np.tile([0.5, 1.0, 1.0, 0.2, -0.1], (16, 1)))
+    cells[9] = row
+    steps = [step] + ([force_godunov_step] if system == "shtc" else [])
+    for step in steps:
+        cfg = SolverConfig(t_end=1.0, positivity=positivity)
+        with pytest.raises(StateDecodeError, match="input cell 9 "):
+            step(cells, 1e-4, 0.01, cfg, ideal_pair)
+
+
+def _rows_near_invariants(lead):
+    # rows anywhere in float64 (NaN and inf included), mixed with rows whose
+    # other entries are fractions of the lead entry, so that many lie in the
+    # invariant set or on its edges
+    anything = st.floats(allow_nan=True, allow_infinity=True)
+
+    @st.composite
+    def rows(draw):
+        w = [draw(anything) for _ in range(5)]
+        scale = w[lead] if np.isfinite(w[lead]) else 1.0
+        for i in (0, 1, 2):
+            if i != lead and draw(st.booleans()):
+                w[i] = draw(st.floats(0.0, 1.0)) * scale
+        return np.array(w)
+
+    return rows()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(w=_rows_near_invariants(2))
+# the kind of row this property found: 0 < w1 < w3, yet w1/w3 rounds to 0
+@example(w=np.array([1e-300, 1.0, 1e30, 0.0, 0.0]))
+def test_cons_mask_implies_decodable(w):
+    # a conserved row the mask passes decodes, without the strict scan and
+    # the EOS density checks the kernel no longer runs, to 0 < alpha1 < 1
+    # and positive densities; decoding by rows equals cons_to_prim_array.
+    # Rows near the float range may overflow to inf in the decode, which
+    # the density check accepts, so overflow lies outside this property.
+    if _invalid_cons(w):
+        with pytest.raises(StateDecodeError):
+            cons_to_prim_array(w)
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha1, rho1, rho2, u1, u2 = _prim_rows(w)
+        assert 0.0 < alpha1 < 1.0 and rho1 > 0.0 and rho2 > 0.0
+        assert np.array_equal(cons_to_prim_array(w), [alpha1, rho1, rho2, u1, u2], equal_nan=True)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(b=_rows_near_invariants(0))
+def test_bn_mask_implies_decodable(b):
+    if fv._invalid_bn(b):
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha1, rho1, rho2, u1, u2 = fv._bn_prim_rows(b)
+        assert 0.0 < alpha1 < 1.0 and rho1 > 0.0 and rho2 > 0.0
+        assert np.array_equal(bn_to_prim(b), [alpha1, rho1, rho2, u1, u2], equal_nan=True)
+
+
+@pytest.mark.parametrize("limiter", LIMITERS)
+@pytest.mark.parametrize("system", ["shtc", "bn"])
+def test_muscl_survives_violent_steps(ideal_pair, system, limiter):
+    # the FORCE test's 40 violent cell sets, stepped at dt/dx = 2: strict
+    # mode stops with PositivityError alone, floor mode returns finite
+    # cells inside the invariant set; any RuntimeWarning fails the test
+    step, encode, decode = SYSTEMS[system]
+    dx = 0.01
+    dt = 2.0 * dx
+    floor = SolverConfig(t_end=1.0, limiter=limiter, positivity="floor")
+    strict = SolverConfig(t_end=1.0, limiter=limiter)
+    for u in _violent_force_cells():
+        cells = encode(cons_to_prim_array(u))
+        out, _ = step(cells, dt, dx, floor, ideal_pair)
+        assert np.all(np.isfinite(out))
+        v = decode(out)
+        assert np.all((v[:, 0] > 0) & (v[:, 0] < 1))
+        assert np.all(v[:, 0] * v[:, 1] > 0)
+        assert np.all((1 - v[:, 0]) * v[:, 2] > 0)
+        with pytest.raises(PositivityError):
+            step(cells, dt, dx, strict, ideal_pair)
+
+
+@pytest.mark.parametrize(
+    "stage, cells, limiter, dt",
+    [
+        ("reconstruction", lambda: _reconstruction_fault(16, 6), "superbee", 1e-4),
+        ("half step", lambda: prim_to_cons_array(_half_step_fault(16, 6)), "minmod", 2e-3),
+    ],
+)
+def test_floor_fallbacks_are_logged(ideal_pair, caplog, stage, cells, limiter, dt):
+    cfg = SolverConfig(t_end=1.0, limiter=limiter, positivity="floor")
+    with caplog.at_level(logging.WARNING, logger="twophase.fv"):
+        muscl_hancock_step(cells(), dt, 0.01, cfg, ideal_pair, t=0.5)
+    assert any(
+        r.getMessage().endswith(f" 1 cells at t=0.5 ({stage})") for r in caplog.records
+    ), [r.getMessage() for r in caplog.records]
 
 
 # ---------------------------------------------------------------------------
@@ -597,3 +764,42 @@ def test_floor_mode_survives_reconstruction_violations(ideal_pair):
     # the same data aborts in strict mode
     with pytest.raises(PositivityError):
         muscl_hancock_step(u, 1e-3, 0.01, SolverConfig(t_end=1.0, limiter="superbee"), ideal_pair)
+
+
+def test_ledger_dt_range(ideal_pair):
+    p = get_problem("RP1")
+    left, right = p.riemann_data()
+    g = Grid(-1.0, 1.0, 200)
+    cfg = SolverConfig(t_end=0.05)
+    res = run_simulation(left, right, g, cfg, ideal_pair, x0=0.0)
+    lo, hi = res.ledger["dt_min"], res.ledger["dt_max"]
+    assert 0.0 < lo <= hi
+    assert res.steps * lo <= res.t <= res.steps * hi
+    v0 = np.array([left.as_array(), right.as_array()])
+    assert hi >= cfg.cfl * g.dx / np.max(max_wavespeed_array(v0, ideal_pair))
+    idle = run_simulation(left, right, g, SolverConfig(t_end=0.0), ideal_pair)
+    assert idle.ledger["dt_min"] is None and idle.ledger["dt_max"] is None
+
+
+def _snapshot_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "fv_snapshot.py"
+    spec = importlib.util.spec_from_file_location("fv_snapshot", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_run_simulation_matches_snapshot():
+    # answers frozen by tools/fv_snapshot.py before the kernel moved to
+    # component-major rows: equal step counts, primitives within 1e-12 of
+    # each field's scale
+    tool = _snapshot_tool()
+    ref = np.load(Path(__file__).resolve().parent / "data" / "fv_snapshot.npz")
+    keys = [key for key, _, _ in tool.cases()]
+    assert sorted(k + "|prim" for k in keys) == sorted(k for k in ref.files if k.endswith("|prim"))
+    for key, name, options in tool.cases():
+        res = tool.run_case(name, options)
+        assert res.steps == int(ref[key + "|steps"]), key
+        want = ref[key + "|prim"]
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(res.prim - want) <= 1e-12 * scale), key
