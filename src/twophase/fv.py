@@ -273,15 +273,6 @@ def _rusanov(cl, cr, fl, fr, sl, sr):
     return 0.5 * (fl + fr) - 0.5 * np.maximum(sl, sr) * (cr - cl)
 
 
-def rusanov_flux(ul, ur, eos_pair):
-    """Rusanov flux between conservative cells ul and ur (..., 5)."""
-    cl, cr = _checked_rows(_invalid_cons, ul), _checked_rows(_invalid_cons, ur)
-    vl, vr = _prim_rows(cl), _prim_rows(cr)
-    sl, sr = _max_wavespeed_rows(vl, eos_pair), _max_wavespeed_rows(vr, eos_pair)
-    fl, fr = _flux_rows(vl, eos_pair), _flux_rows(vr, eos_pair)
-    return np.moveaxis(_rusanov(cl, cr, fl, fr, sl, sr), 0, -1)
-
-
 def _force(cl, cr, fl, fr, dx, dt, eos_pair, positivity, t):
     """FORCE flux rows of face states cl, cr with fluxes fl, fr."""
     f_lf = 0.5 * (fl + fr) - 0.5 * (dx / dt) * (cr - cl)
@@ -551,7 +542,7 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
         return out
     worst_closure = 0.0
     smax_prev = None
-    dts = []
+    dt_min, dt_max = np.inf, 0.0
     t_wall = _time.perf_counter()
     while t < config.t_end - 1e-15 * max(1.0, config.t_end):
         # cells stay (n, 5), which keeps the ledger's summation order; the
@@ -565,13 +556,12 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
             )
         smax_prev = smax
         dt = min(config.cfl * dx / smax, config.t_end - t)
-        dts.append(dt)
+        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
 
         if config.relaxing:
             cells = relax(cells, 0.5 * dt)
 
-        # without relaxation the totals before a step are those after the last
-        before = cells.sum(axis=0) * dx if config.relaxing or not steps else after
+        before = cells.sum(axis=0) * dx
         cells, (f_left, f_right) = stepper(cells, dt, dx, config, eos_pair, t)
         after = cells.sum(axis=0) * dx
         boundary_integral += dt * (np.asarray(f_right) - np.asarray(f_left))
@@ -601,8 +591,8 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
         "wall_seconds": _time.perf_counter() - t_wall,
         "steps": steps,
         # the last step is cut to reach t_end; None when no step was taken
-        "dt_min": min(dts, default=None),
-        "dt_max": max(dts, default=None),
+        "dt_min": dt_min if steps else None,
+        "dt_max": dt_max if steps else None,
     }
     prim = np.stack(system.decode(cells.T), axis=-1)
     cons = prim_to_cons_array(prim)

@@ -135,11 +135,10 @@ def prim_to_cons_array(v):
     return np.stack([alpha1 * rho, alpha1 * rho1, rho, rho_u, u1 - u2], axis=-1)
 
 
-def cons_to_prim_array(u, strict=True):
-    """Invert the conserved map (see _prim_rows); strict mode first checks
-    the state invariants (see _invalid_cons)."""
-    w = _checked_rows(_invalid_cons, u) if strict else np.moveaxis(np.asarray(u, float), -1, 0)
-    return np.stack(_prim_rows(w), axis=-1)
+def cons_to_prim_array(u):
+    """Invert the conserved map (see _prim_rows) after checking the state
+    invariants (see _invalid_cons)."""
+    return np.stack(_prim_rows(_checked_rows(_invalid_cons, u)), axis=-1)
 
 
 def _checked_rows(invalid, u):
@@ -212,16 +211,12 @@ def flux_conserved_array(u, eos_pair):
     return np.stack([f1, f2, f3, f4, f5], axis=-1)
 
 
-def _checked_prim_rows(v, eos_pair):
+def flux_primitive_array(v, eos_pair):
+    """Conservative flux of primitive cells v (..., 5) (see _flux_rows)."""
     v = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
     eos_pair.phase1._check_density(v[1])
     eos_pair.phase2._check_density(v[2])
-    return v
-
-
-def flux_primitive_array(v, eos_pair):
-    """Same flux assembled from primitive variables (see _flux_rows)."""
-    return np.moveaxis(_flux_rows(_checked_prim_rows(v, eos_pair), eos_pair), 0, -1)
+    return np.moveaxis(_flux_rows(v, eos_pair), 0, -1)
 
 
 def _flux_rows(v, eos_pair):
@@ -286,13 +281,10 @@ def eigenvalues(state, eos_pair):
     }
 
 
-def max_wavespeed_array(v, eos_pair):
-    """max |lambda| over all five fields; the contact speed is a convex
-    combination of u1, u2 and never dominates."""
-    return _max_wavespeed_rows(_checked_prim_rows(v, eos_pair), eos_pair)
-
-
 def _max_wavespeed_rows(v, eos_pair):
+    """max |lambda| over all five fields of primitive rows v, densities
+    unchecked; the contact speed is a convex combination of u1, u2 and
+    never dominates."""
     a1 = np.sqrt(eos_pair.phase1._sound_speed_sq(v[1]))
     a2 = np.sqrt(eos_pair.phase2._sound_speed_sq(v[2]))
     return np.maximum(np.abs(v[3]) + a1, np.abs(v[4]) + a2)

@@ -27,20 +27,36 @@ from twophase.fv import (
     path_conservative_step,
     relax_primitive,
     run_simulation,
-    rusanov_flux,
 )
 from twophase.problems import get_problem
 from twophase.state import (
     PrimitiveState,
+    _flux_rows,
     _invalid_cons,
+    _max_wavespeed_rows,
     _prim_rows,
     cons_to_prim_array,
     flux_conserved_array,
     flux_primitive_array,
     jacobian_primitive,
-    max_wavespeed_array,
     prim_to_cons_array,
 )
+
+
+def rusanov_flux(ul, ur, eos_pair):
+    """Rusanov flux between conservative cells ul and ur (n, 5), built from
+    the row helpers the MUSCL-Hancock kernel uses."""
+    cl, cr = np.asarray(ul, dtype=float).T, np.asarray(ur, dtype=float).T
+    vl, vr = _prim_rows(cl), _prim_rows(cr)
+    sl, sr = _max_wavespeed_rows(vl, eos_pair), _max_wavespeed_rows(vr, eos_pair)
+    return fv._rusanov(cl, cr, _flux_rows(vl, eos_pair), _flux_rows(vr, eos_pair), sl, sr).T
+
+
+def max_wavespeed(v, eos_pair):
+    """max |lambda| of primitive cells v (n, 5), through the checked EOS."""
+    _, rho1, rho2, u1, u2 = np.asarray(v, dtype=float).T
+    a1, a2 = eos_pair.phase1.sound_speed(rho1), eos_pair.phase2.sound_speed(rho2)
+    return np.maximum(np.abs(u1) + a1, np.abs(u2) + a2)
 
 
 def test_grid_and_config_validation():
@@ -114,7 +130,7 @@ def test_force_consistency_and_lf_limit(ideal_pair):
     # dt -> 0: the Lax-Friedrichs half dominates
     ul, ur = u[:3], u[3:]
     dx = 0.1
-    smax = float(np.max(max_wavespeed_array(cons_to_prim_array(u), ideal_pair)))
+    smax = float(np.max(max_wavespeed(cons_to_prim_array(u), ideal_pair)))
     dt = 1e-12 * dx / smax
     f = force_flux(ul, ur, dx, dt, ideal_pair)
     fl = flux_primitive_array(cons_to_prim_array(ul), ideal_pair)
@@ -495,8 +511,8 @@ def _pares_bn_step(b, dt, dx, limiter, eos_pair):
     vl, vr = b_plus_h[:-1], b_minus_h[1:]
     total = flux(vr) - flux(vl) + product(vl, vr)
     smax = np.maximum(
-        max_wavespeed_array(bn_to_prim(vl), eos_pair),
-        max_wavespeed_array(bn_to_prim(vr), eos_pair),
+        max_wavespeed(bn_to_prim(vl), eos_pair),
+        max_wavespeed(bn_to_prim(vr), eos_pair),
     )[:, None]
     d_minus = 0.5 * total - 0.5 * smax * (vr - vl)
     d_plus = 0.5 * total + 0.5 * smax * (vr - vl)
@@ -514,7 +530,7 @@ def test_bn_step_matches_fluctuation_form(ideal_pair, limiter):
     rng = np.random.default_rng(9)
     b = bn_from_prim(random_state_array(rng, 40, u=(-1.0, 1.0)))
     dx = 0.01
-    dt = 0.2 * dx / np.max(max_wavespeed_array(bn_to_prim(b), ideal_pair))
+    dt = 0.2 * dx / np.max(max_wavespeed(bn_to_prim(b), ideal_pair))
     cfg = SolverConfig(t_end=1.0, scheme="muscl-pathcons-bn", limiter=limiter)
     out, (fl, fr) = path_conservative_step(b, dt, dx, cfg, ideal_pair)
     ref, (rl, rr) = _pares_bn_step(b, dt, dx, limiter, ideal_pair)
@@ -776,7 +792,7 @@ def test_ledger_dt_range(ideal_pair):
     assert 0.0 < lo <= hi
     assert res.steps * lo <= res.t <= res.steps * hi
     v0 = np.array([left.as_array(), right.as_array()])
-    assert hi >= cfg.cfl * g.dx / np.max(max_wavespeed_array(v0, ideal_pair))
+    assert hi >= cfg.cfl * g.dx / np.max(max_wavespeed(v0, ideal_pair))
     idle = run_simulation(left, right, g, SolverConfig(t_end=0.0), ideal_pair)
     assert idle.ledger["dt_min"] is None and idle.ledger["dt_max"] is None
 
