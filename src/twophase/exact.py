@@ -11,12 +11,12 @@ of one phase may sit inside the other phase's fan, where the host fan
 characteristic coincides with the shock speed on the inner side, the
 jump produces a plateau, and the fan resumes from the post state.
 
-Sampling is per phase: every phase sees its own ordered, non
-overlapping sequence of fans and jumps; alpha1 switches once, at the
-contact.
+A built solution is its x-ordered element list.  Each phase is sampled
+from it: every discontinuity moves both phases, a fan only its own
+phase; alpha1 switches once, at the contact.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,62 +112,8 @@ class WaveElement:
         return f"{self.kind}({self.family}, [{self.xi_head:.6g}, {self.xi_tail:.6g}])"
 
 
-@dataclass(frozen=True)
-class _Fan:
-    lo: float
-    hi: float
-    family: WaveFamily
-    edge: tuple  # (rho, u) of this phase at either edge; carries the invariant
-
-
-@dataclass(frozen=True)
-class _Jump:
-    xi: float
-    right_value: tuple  # (rho, u) of this phase just right of the jump
-
-
-class _PhaseTrack:
-    """Ordered fans and jumps seen by one phase."""
-
-    def __init__(self, phase):
-        self.phase = phase
-        self.events = []
-
-    def _values(self, state):
-        if self.phase == 1:
-            return (state.rho1, state.u1)
-        return (state.rho2, state.u2)
-
-    def add_fan(self, lo, hi, family, anchor):
-        self.events.append(_Fan(float(lo), float(hi), family, self._values(anchor)))
-
-    def add_jump(self, xi, right_state):
-        self.events.append(_Jump(float(xi), self._values(right_state)))
-
-    def finalize(self, outer_left_state):
-        self.events.sort(key=lambda e: (e.lo, e.hi) if isinstance(e, _Fan) else (e.xi, e.xi))
-        self._left_value = self._values(outer_left_state)
-
-    def sample(self, xi, eos_pair):
-        """(rho, u) of this phase at every point of the array xi.
-
-        Each event overwrites the points at or right of its start, so
-        the last event started wins and every jump is right-continuous.
-        A fan is evaluated at min(xi, hi): points past it take its far
-        edge value.
-        """
-        rho = np.full(xi.shape, self._left_value[0])
-        u = np.full(xi.shape, self._left_value[1])
-        for ev in self.events:
-            if isinstance(ev, _Fan):
-                at = xi >= ev.lo
-                rho[at], u[at] = _fan_state(
-                    ev.family, ev.family.eos_of(eos_pair), *ev.edge, np.minimum(xi[at], ev.hi)
-                )
-            else:
-                at = xi >= ev.xi
-                rho[at], u[at] = ev.right_value
-        return rho, u
+def _phase_values(state, phase):
+    return (state.rho1, state.u1) if phase == 1 else (state.rho2, state.u2)
 
 
 @dataclass
@@ -175,13 +121,15 @@ class ExactSolution:
     """Self-similar solution assembled by the inverse construction.
 
     Immutable after construction; sampling is pure.  `elements` are
-    x-ordered and include the contact.  The constant states between
-    waves are reachable through element bounds; `left_state` and
-    `right_state` are the Riemann data the construction implies.
+    x-ordered and include the contact; they are all a solution holds.
+    The constant states between waves are reachable through element
+    bounds; `left_state` and `right_state` are the Riemann data the
+    construction implies.
 
-    Sampling is right-continuous: at the speed of a discontinuity
-    (shock, interior shock or contact) both phases and alpha1 take the
-    state right of it, `el.right`.
+    Sampling walks the elements from `left_state`.  It is
+    right-continuous: at the speed of a discontinuity (shock, interior
+    shock or contact) both phases and alpha1 take the state right of
+    it, `el.right`.
     """
 
     eos_pair: object
@@ -191,7 +139,6 @@ class ExactSolution:
     elements: list
     left_state: PrimitiveState
     right_state: PrimitiveState
-    _tracks: dict = field(repr=False, default=None)
 
     def sample(self, xi):
         return PrimitiveState.from_array(self.sample_many([xi])[0])
@@ -199,12 +146,35 @@ class ExactSolution:
     def sample_many(self, xis):
         """Rows (alpha1, rho1, rho2, u1, u2), one per point of xis."""
         xi = np.asarray(xis, dtype=float)
-        rho1, u1 = self._tracks[1].sample(xi, self.eos_pair)
-        rho2, u2 = self._tracks[2].sample(xi, self.eos_pair)
+        rho1, u1 = self._sample_phase(1, xi)
+        rho2, u2 = self._sample_phase(2, xi)
         alpha1 = np.where(
             xi < self.contact_speed, self.contact_left.alpha1, self.contact_right.alpha1
         )
         return np.column_stack([alpha1, rho1, rho2, u1, u2])
+
+    def _sample_phase(self, phase, xi):
+        """(rho, u) of one phase at every point of the array xi.
+
+        Each discontinuity, and each fan of this phase, overwrites the
+        points at or right of its head, so the last element started
+        wins and every jump is right-continuous.  A fan is evaluated at
+        min(xi, tail) from its contact-side edge: points right of it
+        take its tail value.
+        """
+        rho, u = (np.full(xi.shape, v) for v in _phase_values(self.left_state, phase))
+        for el in self.elements:
+            if el.is_discontinuity:
+                at = xi >= el.xi_head
+                rho[at], u[at] = _phase_values(el.right, phase)
+            elif el.family.phase == phase:
+                at = xi >= el.xi_head
+                edge = el.right if el.family.sign < 0 else el.left
+                rho[at], u[at] = _fan_state(
+                    el.family, el.family.eos_of(self.eos_pair), *_phase_values(edge, phase),
+                    np.minimum(xi[at], el.xi_tail),
+                )
+        return rho, u
 
     def wave_speeds(self):
         """All breakpoints (heads, tails, discontinuity speeds), sorted."""
@@ -255,7 +225,7 @@ def _expansion_ok(family, head, target):
     return target >= head - ZERO_TOL * max(1.0, abs(head))
 
 
-def _walk_side(contact_state, specs, side, eos_pair, tracks, label_prefix):
+def _walk_side(contact_state, specs, side, eos_pair):
     """Connect outward from the contact; returns (elements, outer_state).
 
     Elements come back ordered inner to outer; the caller re-sorts into
@@ -266,9 +236,8 @@ def _walk_side(contact_state, specs, side, eos_pair, tracks, label_prefix):
     u_c = contact_state.u
     current = contact_state
     elements = []
-    n_before = 0
     for idx, spec in enumerate(specs):
-        label = f"{label_prefix}{idx + 1}:{spec.label()}"
+        label = f"{side}{idx + 1}:{spec.label()}"
         fam = spec.family
         if not fam.acoustic:
             raise ConstructionError(label, "only acoustic waves may be prescribed")
@@ -290,23 +259,16 @@ def _walk_side(contact_state, specs, side, eos_pair, tracks, label_prefix):
                     elements.append(WaveElement(fam, RAREFACTION, lo, hi, outer, current))
                 else:
                     elements.append(WaveElement(fam, RAREFACTION, lo, hi, current, outer))
-                tracks[fam.phase].add_fan(lo, hi, fam, current)
                 current = outer
             elif spec.kind == SHOCK:
-                post, data = shock_connect(current, fam, spec.speed, eos_pair)
+                post, _ = shock_connect(current, fam, spec.speed, eos_pair)
                 if side == "left":
                     elements.append(WaveElement(fam, SHOCK, spec.speed, spec.speed, post, current))
-                    tracks[1].add_jump(spec.speed, current)
-                    tracks[2].add_jump(spec.speed, current)
                 else:
                     elements.append(WaveElement(fam, SHOCK, spec.speed, spec.speed, current, post))
-                    tracks[1].add_jump(spec.speed, post)
-                    tracks[2].add_jump(spec.speed, post)
                 current = post
             elif spec.kind == SHOCK_IN_RAREFACTION:
-                current = _interior_shock(
-                    current, fam, spec, side, eos_pair, tracks, elements, label
-                )
+                current = _interior_shock(current, fam, spec, side, eos_pair, elements)
             else:
                 raise ConstructionError(label, f"unknown wave kind {spec.kind!r}")
         except ConstructionError:
@@ -323,7 +285,7 @@ def _walk_side(contact_state, specs, side, eos_pair, tracks, label_prefix):
     return elements, current
 
 
-def _interior_shock(current, host, spec, side, eos_pair, tracks, elements, label):
+def _interior_shock(current, host, spec, side, eos_pair, elements):
     """Host fan with an interior shock of the other phase at xi = S.
 
     The fan runs from its head to S, where the in-fan state is the
@@ -348,7 +310,7 @@ def _interior_shock(current, host, spec, side, eos_pair, tracks, elements, label
         )
     pre = rarefaction_sample(current, host, S, eos_pair)
     interior_family = WaveFamily(host.other_phase, host.sign)
-    post, data = shock_connect(pre, interior_family, S, eos_pair)
+    post, _ = shock_connect(pre, interior_family, S, eos_pair)
     resume = host.speed_of(post, eos_pair)
     # the fan can only resume outward of the shock
     if host.sign > 0 and not (S - ZERO_TOL <= resume <= tail + ZERO_TOL):
@@ -360,23 +322,14 @@ def _interior_shock(current, host, spec, side, eos_pair, tracks, elements, label
             f"host fan cannot resume (resume speed {resume:.6g} not in [{tail:.6g}, {S:.6g}])"
         )
     outer = rarefaction_connect(post, host, tail, eos_pair)
-    ph = host.phase
     if side == "right":
         elements.append(WaveElement(host, RAREFACTION, head, S, current, pre))
         elements.append(WaveElement(interior_family, INTERIOR_SHOCK, S, S, pre, post))
         elements.append(WaveElement(host, RAREFACTION, resume, tail, post, outer))
-        tracks[ph].add_fan(head, S, host, current)
-        tracks[1].add_jump(S, post)
-        tracks[2].add_jump(S, post)
-        tracks[ph].add_fan(resume, tail, host, post)
     else:
         elements.append(WaveElement(host, RAREFACTION, S, head, pre, current))
         elements.append(WaveElement(interior_family, INTERIOR_SHOCK, S, S, post, pre))
         elements.append(WaveElement(host, RAREFACTION, tail, resume, outer, post))
-        tracks[ph].add_fan(S, head, host, current)
-        tracks[1].add_jump(S, pre)
-        tracks[2].add_jump(S, pre)
-        tracks[ph].add_fan(tail, resume, host, post)
     return outer
 
 
@@ -392,39 +345,23 @@ def build_solution(contact_left, alpha1_right, left_waves, right_waves, eos_pair
     sanctioned overlaps) and the single alpha jump.  Failures raise
     ConstructionError naming the wave unless `validate` is False.
     """
-    tracks = {1: _PhaseTrack(1), 2: _PhaseTrack(2)}
     u_c = contact_left.u
     try:
         contact_right = contact_connect(contact_left, alpha1_right, eos_pair)
     except TwoPhaseError as exc:
         raise ConstructionError("contact", str(exc)) from exc
-    tracks[1].add_jump(u_c, contact_right)
-    tracks[2].add_jump(u_c, contact_right)
     contact_el = WaveElement(
         family_from_key("C"), CONTACT_KIND, u_c, u_c, contact_left, contact_right
     )
 
-    left_els, left_state = _walk_side(
-        contact_left, left_waves, "left", eos_pair, tracks, "left"
-    )
-    right_els, right_state = _walk_side(
-        contact_right, right_waves, "right", eos_pair, tracks, "right"
-    )
+    left_els, left_state = _walk_side(contact_left, left_waves, "left", eos_pair)
+    right_els, right_state = _walk_side(contact_right, right_waves, "right", eos_pair)
 
     elements = sorted(
         left_els + [contact_el] + right_els, key=lambda e: (e.xi_head, e.xi_tail)
     )
-    tracks[1].finalize(left_state)
-    tracks[2].finalize(left_state)
     sol = ExactSolution(
-        eos_pair,
-        u_c,
-        contact_left,
-        contact_right,
-        elements,
-        left_state,
-        right_state,
-        _tracks=tracks,
+        eos_pair, u_c, contact_left, contact_right, elements, left_state, right_state
     )
     if validate:
         report = validate_solution(sol)
@@ -539,7 +476,7 @@ def _check_interior_coincidence(el, sol, flags):
             flags.append("mixture mass flux has the wrong sign for a minus-family host")
 
 
-def validate_solution(solution, residual_tol=RESIDUAL_TOL):
+def validate_solution(solution):
     """Re-derive every admissibility statement from the assembled pieces."""
     eos_pair = solution.eos_pair
     reports = []
@@ -553,8 +490,8 @@ def validate_solution(solution, residual_tol=RESIDUAL_TOL):
         entropy = 0.0
         if el.kind == CONTACT_KIND:
             resid = float(np.max(contact_residuals(el.left, el.right, eos_pair)))
-            if resid > residual_tol:
-                flags.append(f"contact residual {resid:.3e} above {residual_tol:g}")
+            if resid > RESIDUAL_TOL:
+                flags.append(f"contact residual {resid:.3e} above {RESIDUAL_TOL:g}")
             entropy = entropy_production(el.left, el.right, el.speed, eos_pair, check=False)
             if not _is_zero_strength(el):
                 census = classify_discontinuity(el.left, el.right, el.speed, eos_pair)
@@ -562,8 +499,8 @@ def validate_solution(solution, residual_tol=RESIDUAL_TOL):
                     flags.append("contact census is not evolutionary")
         elif el.is_discontinuity:
             resid = float(np.max(rhc_residuals(el.left, el.right, el.speed, eos_pair)))
-            if resid > residual_tol:
-                flags.append(f"jump residual {resid:.3e} above {residual_tol:g}")
+            if resid > RESIDUAL_TOL:
+                flags.append(f"jump residual {resid:.3e} above {RESIDUAL_TOL:g}")
             entropy = entropy_production(el.left, el.right, el.speed, eos_pair, check=False)
             mp = mixture_props(el.left, eos_pair)
             ent_tol = 1e-9 * max(1.0, abs(mp.p_bar))

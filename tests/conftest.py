@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,15 @@ def random_state_array(rng, n, alpha=(0.05, 0.95), rho=(0.1, 5.0), u=(-3.0, 3.0)
             rng.uniform(*u, n),
         ]
     )
+
+
+def snapshot_tool():
+    """tools/fv_snapshot.py loaded as a module (the tools are no package)."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "fv_snapshot.py"
+    spec = importlib.util.spec_from_file_location("fv_snapshot", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def coincident_state(pair, alpha1=0.45, rho1=1.1, rho2=0.8, u=0.2):

@@ -147,7 +147,7 @@ def test_c1_runtime_and_jump_residuals(built_solutions):
     sols, elapsed = built_solutions
     worst = 0.0
     for name, sol in sols.items():
-        rep = validate_solution(sol, residual_tol=RESIDUAL_TOL)
+        rep = validate_solution(sol)
         assert rep.passed, (name, rep.failures)
         worst = max(worst, max(er.max_jump_residual for er in rep.elements))
     ok = elapsed < 1.0 and worst < RESIDUAL_TOL

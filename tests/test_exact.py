@@ -4,8 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import coincident_state
+from conftest import coincident_state, snapshot_tool
 from twophase.errors import ConstructionError
 from twophase.exact import (
     build_solution,
@@ -17,6 +19,7 @@ from twophase.exact import (
 )
 from twophase.problems import IDEAL_PAIR, PRESETS, get_problem, table_states
 from twophase.state import PrimitiveState, eigenvalues
+from twophase.waves import family_from_key
 
 # frozen reconstruction of the shock-in-rarefaction benchmark: the
 # printed table's post-shock column is inconsistent with the jump
@@ -364,3 +367,73 @@ def test_rp2_zero_strength_contact():
     a = sol.sample(sol.contact_speed - eps).as_array()
     b = sol.sample(sol.contact_speed + eps).as_array()
     assert np.allclose(a, b, rtol=1e-9, atol=1e-12)
+
+
+def test_sample_many_matches_snapshot():
+    # samples frozen by tools/fv_snapshot.py before sampling moved from
+    # per-phase event lists to the element list: the same points (grid,
+    # breakpoints and their float neighbours) and the same samples within
+    # 1e-12 of each field's scale
+    tool = snapshot_tool()
+    ref = np.load(tool.DEFAULT_OUT)
+    for name in sorted(PRESETS):
+        sol = get_problem(name).build_exact()
+        xi = tool.exact_points(sol)
+        want_xi = ref[f"exact|{name}|xi"]
+        assert xi.shape == want_xi.shape, name
+        assert np.all(np.abs(xi - want_xi) <= 1e-12 * np.max(np.abs(want_xi))), name
+        want = ref[f"exact|{name}|sample"]
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(sol.sample_many(xi) - want) <= 1e-12 * scale), name
+
+
+def _speeds(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _constructions(draw):
+    """(contact_left, alpha1_right, left_waves, right_waves): up to two
+    waves a side, their speeds placed from the seed's own characteristic
+    speeds so that a fair share of the draws can be built."""
+    seed = PrimitiveState(
+        draw(_speeds(0.1, 0.9)), draw(_speeds(0.3, 3.0)), draw(_speeds(0.3, 3.0)),
+        draw(_speeds(-1.0, 1.0)), draw(_speeds(-1.0, 1.0)),
+    )
+    sides = []
+    for sign, outward in (("-", -1.0), ("+", 1.0)):
+        specs = []
+        for _ in range(draw(st.integers(0, 2))):
+            key = draw(st.sampled_from("12")) + sign
+            lam = family_from_key(key).speed_of(seed, IDEAL_PAIR)
+            kind = draw(st.sampled_from([raref, shock, shock_in_raref]))
+            if kind is raref:
+                specs.append(raref(key, lam + outward * draw(_speeds(0.02, 3.0))))
+            elif kind is shock:
+                specs.append(shock(key, lam - outward * draw(_speeds(0.02, 1.0))))
+            else:
+                tail = lam + outward * draw(_speeds(0.5, 3.0))
+                specs.append(shock_in_raref(key, tail, lam + outward * draw(_speeds(0.02, 2.5))))
+        sides.append(specs)
+    return seed, draw(_speeds(0.1, 0.9)), sides[0], sides[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_constructions())
+def test_build_solution_raises_or_samples(case):
+    # every declaration either fails with ConstructionError or builds a
+    # solution whose samples are finite over its breakpoints and equal
+    # el.right at the speed of every discontinuity
+    try:
+        sol = build_solution(*case, IDEAL_PAIR)
+    except ConstructionError:
+        return
+    speeds = np.array(sol.wave_speeds())
+    pad = 0.25 * max(speeds[-1] - speeds[0], 1.0)
+    xi = np.concatenate([np.linspace(speeds[0] - pad, speeds[-1] + pad, 201), speeds])
+    assert np.all(np.isfinite(sol.sample_many(xi)))
+    for el in sol.elements:
+        if el.is_discontinuity:
+            want = el.right.as_array()
+            got = sol.sample_many([el.speed])[0]
+            assert np.allclose(got, want, rtol=1e-9, atol=0.0), el.label()

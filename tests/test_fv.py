@@ -1,6 +1,5 @@
 """Finite-volume kernels: fluxes, steps, relaxation, driver."""
 
-import importlib.util
 import logging
 from pathlib import Path
 
@@ -10,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import random_state_array
+from conftest import random_state_array, snapshot_tool
 from twophase import fv
 from twophase.eos import BarotropicEos, EosPair
 from twophase.errors import ConfigError, PositivityError, StateDecodeError
@@ -797,19 +796,11 @@ def test_ledger_dt_range(ideal_pair):
     assert idle.ledger["dt_min"] is None and idle.ledger["dt_max"] is None
 
 
-def _snapshot_tool():
-    path = Path(__file__).resolve().parent.parent / "tools" / "fv_snapshot.py"
-    spec = importlib.util.spec_from_file_location("fv_snapshot", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
-
-
 def test_run_simulation_matches_snapshot():
     # answers frozen by tools/fv_snapshot.py before the kernel moved to
     # component-major rows: equal step counts, primitives within 1e-12 of
     # each field's scale
-    tool = _snapshot_tool()
+    tool = snapshot_tool()
     ref = np.load(Path(__file__).resolve().parent / "data" / "fv_snapshot.npz")
     keys = [key for key, _, _ in tool.cases()]
     assert sorted(k + "|prim" for k in keys) == sorted(k for k in ref.files if k.endswith("|prim"))

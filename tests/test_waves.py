@@ -139,8 +139,6 @@ def test_rarefaction_sample_bisection_oracle(pair, state, family, xi, bracket):
 
 def test_rarefaction_sample_out_of_fan():
     st = RP1["U**_R"]
-    with pytest.raises(OutOfFanError):
-        rarefaction_sample(st, F1P, 0.9, IDEAL_PAIR, bounds=(0.95, 1.5))
     # beyond the vacuum front of the fan (low-density side of a plus fan)
     with pytest.raises(OutOfFanError):
         rarefaction_sample(st, F1P, -100.0, IDEAL_PAIR)
