@@ -7,9 +7,10 @@ Commands
   simulate PROBLEM   run a finite-volume scheme, dump snapshot CSV +
                      conservation ledger (+ Kapila diagnostics when
                      relaxation is on)
-  compare PROBLEM    run several backends and report aligned L1/Linf
-                     differences against each other and the exact
-                     solution
+  compare PROBLEM    run the backends named by --models (shtc, bn), each
+                     in its own forked worker process, and report aligned
+                     L1/Linf differences against each other and the
+                     exact solution
   eigen PROBLEM      five eigenvalue curves along xi (wave-structure
                      figures)
   validate PROBLEM   build the exact solution and print the
@@ -38,11 +39,12 @@ from .errors import (
     TwoPhaseError,
 )
 from .exact import SOLUTION_COLUMNS, solution_table, validate_solution
-from .fv import Grid, SolverConfig, run_simulation
+from .fv import Grid, SolverConfig, run_simulation, run_simulations
 from .models import kapila_limit_diagnostics
 from .problems import get_problem
 from .state import mixture_table
 
+MODELS = ("shtc", "bn")  # the SHTC and Baer-Nunziato backends
 SNAPSHOT_COLUMNS = ["x", "alpha1", "rho1", "rho2", "u1", "u2", "rho", "u", "w", "p"]
 
 EXIT_OK = 0
@@ -152,7 +154,7 @@ def _scheme_for(problem, args, model):
 
 
 def _cells_for(problem, args):
-    if args.cells:
+    if args.cells is not None:
         return args.cells
     return problem.paper_cells if args.paper_scale else problem.desk_cells
 
@@ -201,17 +203,21 @@ def cmd_compare(args):
     problem = get_problem(args.problem)
     _print_header(problem)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
+    unknown = [m for m in models if m not in MODELS]
+    if unknown:
+        raise ConfigError(f"unknown model {unknown[0]!r}; choose from {', '.join(MODELS)}")
+    if len(set(models)) < len(models):
+        raise ConfigError(f"--models names a backend twice: {args.models}")
     if len(models) < 2:
         raise ConfigError("compare needs at least two backends, e.g. --models shtc,bn")
     cells = _cells_for(problem, args)
     grid = Grid(problem.x_min, problem.x_max, cells)
     left, right = problem.riemann_data()
-    runs = {}
-    for model in models:
-        scheme = _scheme_for(problem, args, model)
-        config = _solver_config(problem, args, scheme)
-        runs[model] = run_simulation(left, right, grid, config, problem.eos_pair, x0=problem.x0)
-        print(f"  ran {model} ({scheme}): {runs[model].steps} steps")
+    configs = [_solver_config(problem, args, _scheme_for(problem, args, m)) for m in models]
+    results = run_simulations(left, right, grid, configs, problem.eos_pair, x0=problem.x0)
+    runs = dict(zip(models, results))
+    for model, config, result in zip(models, configs, results):
+        print(f"  ran {model} ({config.scheme}): {result.steps} steps")
 
     columns = SNAPSHOT_COLUMNS[1:]
     tables = {m: mixture_table(r.x, r.prim, problem.eos_pair)[:, 1:] for m, r in runs.items()}
@@ -329,7 +335,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="run a finite-volume solver")
     p.add_argument("problem")
-    p.add_argument("--model", default="shtc", choices=["shtc", "bn"])
+    p.add_argument("--model", default="shtc", choices=MODELS)
     _common_run_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)

@@ -1,4 +1,7 @@
-"""Exception types shared across the solver suite."""
+"""Exception types shared across the solver suite.
+
+Every type survives pickling with its message and attributes, so an error
+raised in a worker process reaches its parent intact."""
 
 
 class TwoPhaseError(Exception):
@@ -40,6 +43,10 @@ class ConstructionError(TwoPhaseError):
         super().__init__(f"wave {wave}: {reason}")
         self.wave = wave
         self.reason = reason
+
+    def __reduce__(self):
+        # args hold the formatted message, not the constructor's arguments
+        return type(self), (self.wave, self.reason), self.__dict__
 
 
 class PositivityError(TwoPhaseError):

@@ -24,16 +24,21 @@ implicit solve in alpha1 with the partial masses frozen.  Both project
 instantaneously for theta below 1e-6*dt.  The sub-steps conserve the
 partial masses, the mixture density and the mixture momentum to
 round-off.
+
+`run_simulation` marches one configuration in this process;
+`run_simulations` marches several, each in a forked worker process, and
+returns exactly what a loop over `run_simulation` would.
 """
 
 import logging
+import os
 import time as _time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, PositivityError, RelaxationError
+from .errors import ConfigError, NumericsError, PositivityError, RelaxationError
 from .state import (
     _checked_rows, _flux_rows, _invalid_cons, _max_wavespeed_rows, _or_nonfinite, _prim_rows,
     prim_to_cons_array,
@@ -597,3 +602,73 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
     prim = np.stack(system.decode(cells.T), axis=-1)
     cons = prim_to_cons_array(prim)
     return SimulationResult(grid, config, t, steps, prim, cons, ledger)
+
+
+def _simulate_into(send, *args):
+    """Worker body: run one simulation, send back its result or its error."""
+    try:
+        outcome = run_simulation(*args)
+    except Exception as exc:
+        outcome = exc
+    send.send(outcome)
+    send.close()
+
+
+def run_simulations(left, right, grid, configs, eos_pair, x0=None):
+    """run_simulation for every config, in config order, each in a forked
+    worker process, at most as many at once as this process may use CPUs.
+
+    A worker inherits its job through the fork (no callable is pickled,
+    so a profiler's rebound functions run there too) and sends back only
+    its result or its error; the error is raised here with its type,
+    message and attributes.  A worker that ends without an answer raises
+    NumericsError naming its scheme.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    fork = multiprocessing.get_context("fork")
+    width = min(len(configs), len(os.sched_getaffinity(0)))
+    results = [None] * len(configs)
+    running = {}  # read end of a worker's pipe -> (config index, process)
+
+    def start(i, config):
+        recv, send = fork.Pipe(duplex=False)
+        proc = fork.Process(target=_simulate_into,
+                            args=(send, left, right, grid, config, eos_pair, x0))
+        proc.start()
+        send.close()  # the worker holds the only write end, so its death reads as EOF
+        running[recv] = i, proc
+
+    def finish():
+        for recv in wait(list(running)):
+            i, proc = running.pop(recv)
+            try:
+                outcome = recv.recv()
+            except EOFError:
+                outcome = None
+            finally:
+                recv.close()
+                proc.join()
+            if outcome is None:
+                raise NumericsError(
+                    f"{configs[i].scheme} worker ended (exit code {proc.exitcode}) "
+                    "without a result"
+                )
+            if isinstance(outcome, Exception):
+                raise outcome
+            results[i] = outcome
+
+    try:
+        for i, config in enumerate(configs):
+            if len(running) == width:
+                finish()
+            start(i, config)
+        while running:
+            finish()
+    finally:
+        for recv, (_, proc) in running.items():
+            proc.terminate()
+            proc.join()
+            recv.close()
+    return results

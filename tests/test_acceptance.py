@@ -25,7 +25,7 @@ from scipy.optimize import root
 
 from twophase.eos import BarotropicEos, EosPair
 from twophase.exact import build_solution, validate_solution
-from twophase.fv import Grid, SolverConfig, run_simulation
+from twophase.fv import Grid, SolverConfig, run_simulation, run_simulations
 from twophase.models import (
     conversion_matrix_bn_to_shtc,
     conversion_matrix_shtc_to_bn,
@@ -648,18 +648,18 @@ def comparison_runs():
         left, right = p.riemann_data()
         sol = p.build_exact()
         g = Grid(p.x_min, p.x_max, DESK_CELLS)
-        runs = {}
-        for tag, scheme, th in (
+        cases = (
             ("shtc", "muscl-rusanov", (None, None)),
             ("bn", "muscl-pathcons-bn", (None, None)),
             ("shtc_stiff", "muscl-rusanov", STIFF_THETAS),
             ("bn_stiff", "muscl-pathcons-bn", STIFF_THETAS),
-        ):
-            runs[tag] = run_simulation(
-                left, right, g,
-                SolverConfig(t_end=p.t_end, cfl=p.cfl, scheme=scheme, theta1=th[0], theta2=th[1]),
-                p.eos_pair, x0=p.x0,
-            )
+        )
+        configs = [
+            SolverConfig(t_end=p.t_end, cfl=p.cfl, scheme=scheme, theta1=th[0], theta2=th[1])
+            for _, scheme, th in cases
+        ]
+        results = run_simulations(left, right, g, configs, p.eos_pair, x0=p.x0)
+        runs = {tag: res for (tag, _, _), res in zip(cases, results)}
         xi = (g.centers() - p.x0) / runs["shtc"].t
         ex = sol.sample_many(xi)
         rho_e = _mixture_rho(ex)

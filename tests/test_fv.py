@@ -1,6 +1,7 @@
 """Finite-volume kernels: fluxes, steps, relaxation, driver."""
 
 import logging
+import os
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy.optimize import brentq
 from conftest import random_state_array, snapshot_tool
 from twophase import fv
 from twophase.eos import BarotropicEos, EosPair
-from twophase.errors import ConfigError, PositivityError, StateDecodeError
+from twophase.errors import ConfigError, NumericsError, PositivityError, StateDecodeError
 from twophase.fv import (
     LIMITERS,
     Grid,
@@ -26,6 +27,7 @@ from twophase.fv import (
     path_conservative_step,
     relax_primitive,
     run_simulation,
+    run_simulations,
 )
 from twophase.problems import get_problem
 from twophase.state import (
@@ -810,3 +812,61 @@ def test_run_simulation_matches_snapshot():
         want = ref[key + "|prim"]
         scale = np.max(np.abs(want), axis=0)
         assert np.all(np.abs(res.prim - want) <= 1e-12 * scale), key
+
+
+def _same_run(a, b):
+    ledger_a = {k: v for k, v in a.ledger.items() if k != "wall_seconds"}
+    ledger_b = {k: v for k, v in b.ledger.items() if k != "wall_seconds"}
+    return (
+        a.grid == b.grid and a.config == b.config and a.t == b.t and a.steps == b.steps
+        and a.prim.tobytes() == b.prim.tobytes() and a.cons.tobytes() == b.cons.tobytes()
+        and ledger_a == ledger_b
+    )
+
+
+def test_run_simulations_matches_serial_loop():
+    # more configs than CPUs, so workers queue and must come back in order
+    p = get_problem("RP5")
+    left, right = p.riemann_data()
+    g = Grid(p.x_min, p.x_max, 64)
+    configs = [
+        SolverConfig(t_end=p.t_end, cfl=p.cfl, scheme=scheme, theta1=th1, theta2=th2)
+        for scheme, th1, th2 in (
+            ("muscl-rusanov", None, None),
+            ("muscl-pathcons-bn", None, None),
+            ("force-godunov", None, None),
+            ("muscl-rusanov", 1e-3, 1e-8),
+        )
+    ]
+    serial = [run_simulation(left, right, g, c, p.eos_pair, x0=p.x0) for c in configs]
+    forked = run_simulations(left, right, g, configs, p.eos_pair, x0=p.x0)
+    assert len(forked) == len(serial)
+    for config, a, b in zip(configs, serial, forked):
+        assert _same_run(a, b), config
+
+
+def test_run_simulations_raises_the_worker_error(ideal_pair):
+    # counter-streaming data breaks a cell in strict mode; the error comes
+    # back from the worker as the serial run raises it
+    left = PrimitiveState(0.5, 1.0, 1.0, -60.0, -60.0)
+    right = PrimitiveState(0.5, 1.0, 1.0, 60.0, 60.0)
+    g = Grid(-1.0, 1.0, 64)
+    violent = SolverConfig(t_end=0.25, limiter="superbee")
+    with pytest.raises(PositivityError) as serial:
+        run_simulation(left, right, g, violent, ideal_pair)
+    with pytest.raises(PositivityError) as forked:
+        run_simulations(left, right, g, [SolverConfig(t_end=0.25), violent], ideal_pair)
+    assert str(forked.value) == str(serial.value)
+    assert forked.value.cell == serial.value.cell is not None
+    assert forked.value.time == serial.value.time is not None
+
+
+def test_run_simulations_names_a_worker_that_dies(ideal_pair, monkeypatch):
+    # the fork carries the patched module into the worker, which exits
+    # without sending anything
+    monkeypatch.setattr(fv, "run_simulation", lambda *args: os._exit(7))
+    p = get_problem("RP5")
+    left, right = p.riemann_data()
+    configs = [SolverConfig(t_end=0.01, scheme="muscl-pathcons-bn")]
+    with pytest.raises(NumericsError, match="muscl-pathcons-bn worker ended.*exit code 7"):
+        run_simulations(left, right, Grid(-1.0, 1.0, 16), configs, ideal_pair)

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twophase import cli
+import twophase
+from twophase import cli, fv
 from twophase.errors import ConfigError
 from twophase.problems import (
     GOLDEN_TABLES,
@@ -228,6 +233,56 @@ def test_cli_compare(tmp_path):
     assert rep["reference_l1_rho"] > 0
     assert any("agree" in v for v in rep["verdicts"])
 
+
+
+@pytest.mark.parametrize("models", ["shtc,kapila", "shtc,shtc", "bn, shtc,bn"])
+def test_cli_compare_rejects_bad_model_names(tmp_path, capsys, monkeypatch, models):
+    # unknown and repeated names are configuration errors before any run
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a backend ran")
+
+    monkeypatch.setattr(cli, "run_simulations", no_runs)
+    out = tmp_path / "cmp"
+    rc = cli.main(["compare", "RP5", "--cells", "40", "--models", models, "--out", str(out)])
+    assert rc == cli.EXIT_VALIDATION
+    assert "configuration error" in capsys.readouterr().err
+    assert not (out / "compare.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_cli_zero_cells_is_a_config_error(tmp_path, capsys, command):
+    # --cells 0 is a bad grid, not a request for the desk-scale default
+    rc = cli.main([command, "RP5", "--cells", "0", "--out", str(tmp_path / "z")])
+    assert rc == cli.EXIT_VALIDATION
+    assert "at least 4 cells" in capsys.readouterr().err
+
+
+def test_cli_compare_worker_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a guard below 1 trips in each worker, which inherits it through the fork
+    monkeypatch.setattr(fv, "WAVESPEED_GROWTH_GUARD", 0.5)
+    rc = cli.main(["compare", "RP5", "--cells", "40", "--out", str(tmp_path / "cmp")])
+    assert rc == cli.EXIT_NUMERICS
+    err = capsys.readouterr().err
+    assert "numerics failure" in err and "max wave speed grew" in err
+
+
+def test_cli_compare_prints_each_line_once(tmp_path):
+    # block-buffered stdout: no worker may write its copy of the buffer again
+    src = str(Path(twophase.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    log = tmp_path / "stdout.txt"
+    with open(log, "w") as fh:
+        subprocess.run(
+            [sys.executable, "-m", "twophase.cli", "compare", "RP5", "--cells", "40",
+             "--out", str(tmp_path / "cmp")],
+            env=env, stdout=fh, check=True, timeout=120,
+        )
+    lines = log.read_text().splitlines()
+    assert lines[0].startswith("problem RP5:")
+    assert len(lines) == len(set(lines))
+    assert [line.split(" (")[0] for line in lines if "  ran " in line] == [
+        "  ran shtc", "  ran bn",
+    ]
 
 def test_cli_validate(tmp_path):
     assert cli.main(["validate", "RP3", "--out", str(tmp_path / "v")]) == 0

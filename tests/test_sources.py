@@ -29,9 +29,13 @@ def test_sources_compile_with_warnings_as_errors():
 
 def test_cli_import_leaves_scipy_out():
     # scipy is a test and tooling dependency only; importing it would
-    # cost the command line most of its start-up time
+    # cost the command line most of its start-up time.  multiprocessing
+    # is imported by `fv.run_simulations` when it runs, for the same reason
     # a fresh interpreter, pointed at the same package as this one
-    code = "import sys, twophase.cli; print('scipy' in sys.modules)"
+    code = (
+        "import sys, twophase.cli; "
+        "print('scipy' in sys.modules or 'multiprocessing' in sys.modules)"
+    )
     src = str(Path(twophase.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
