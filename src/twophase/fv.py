@@ -12,9 +12,11 @@ Three schemes share the grid and time loop:
                     (mean of Lax-Friedrichs and two-step Lax-Wendroff).
 
 The two models share their eigenvalues; a small system description
-(`_System`) carries all that separates their second-order schemes.  The
-kernels hold cells component-major, as (5, n) rows, and check the state
-invariants once per stage; the public (n, 5) steps check their input once.
+(`_System`) carries all that separates their second-order schemes.  One
+row stepper (`_advance`) serves the driver and the public (n, 5) steps;
+the driver holds cells as contiguous (5, n) rows from encode to the final
+decode, each stage checks the state invariants of what it makes once, and
+only the public steps check their input.
 
 Pressure and velocity relaxation enter as Strang-split half steps
 around each transport step.  The velocity sub-step integrates
@@ -40,8 +42,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericsError, PositivityError, RelaxationError
 from .state import (
-    _checked_rows, _flux_rows, _invalid_cons, _max_wavespeed_rows, _or_nonfinite, _prim_rows,
-    prim_to_cons_array,
+    _checked_rows, _cons_rows, _flux_rows, _invalid_cons, _max_wavespeed_rows, _or_nonfinite,
+    _prim_rows, prim_to_cons_array,
 )
 
 RELAX_PROJECTION_FACTOR = 1e-6  # theta < factor*dt switches to projection
@@ -161,11 +163,14 @@ def _floor_cons(c, bad):
 
 
 def bn_from_prim(v):
-    v = np.asarray(v, dtype=float)
-    alpha1, rho1, rho2, u1, u2 = (v[..., i] for i in range(5))
+    return np.stack(_bn_rows(np.moveaxis(np.asarray(v, dtype=float), -1, 0)), axis=-1)
+
+
+def _bn_rows(v):
+    alpha1, rho1, rho2, u1, u2 = v
     m1 = alpha1 * rho1
     m2 = (1.0 - alpha1) * rho2
-    return np.stack([alpha1, m1, m2, m1 * u1, m2 * u2], axis=-1)
+    return alpha1, m1, m2, m1 * u1, m2 * u2
 
 
 def bn_to_prim(b):
@@ -234,7 +239,7 @@ class _System:
     reaches every call."""
 
     decode: Callable  # rows -> primitive rows, unchecked
-    encode: Callable  # primitive (n, 5) -> cells (n, 5)
+    encode: Callable  # primitive rows -> cell rows (5, n)
     flux: Callable  # (c, v, eos_pair): conservative flux rows of rows c decoded to v
     nonconservative: Optional[Callable]  # (cl, cr, eos_pair): product on the path cl -> cr
     invalid: Callable  # rows -> mask of broken state invariants
@@ -245,7 +250,7 @@ class _System:
 
 _SHTC = _System(
     decode=lambda c: _prim_rows(c),
-    encode=lambda v: prim_to_cons_array(v),
+    encode=lambda v: np.stack(_cons_rows(v)),
     flux=lambda c, v, eos_pair: _flux_rows(v, eos_pair),
     nonconservative=None,
     invalid=lambda c: _invalid_cons(c),
@@ -258,7 +263,7 @@ _SHTC = _System(
 # on the masses and the momentum sum
 _BN = _System(
     decode=lambda b: _bn_prim_rows(b),
-    encode=lambda v: bn_from_prim(v),
+    encode=lambda v: np.stack(_bn_rows(v)),
     flux=lambda b, v, eos_pair: _bn_flux(b, v, eos_pair),
     nonconservative=lambda bl, br, eos_pair: _bn_nonconservative(bl, br, eos_pair),
     invalid=lambda b: _invalid_bn(b),
@@ -283,10 +288,12 @@ def _force(cl, cr, fl, fr, dx, dt, eos_pair, positivity, t):
     f_lf = 0.5 * (fl + fr) - 0.5 * (dx / dt) * (cr - cl)
     c_lw = 0.5 * (cl + cr) - 0.5 * (dt / dx) * (fr - fl)
     bad = _invalid_cons(c_lw)
-    if _fallback(bad, c_lw, positivity, t, "FORCE midpoint", "Lax-Friedrichs flux on", "face"):
+    if masked := _fallback(bad, c_lw, positivity, t, "FORCE midpoint", "Lax-Friedrichs flux on",
+                           "face"):
         c_lw[:, bad] = cl[:, bad]  # any valid state: its flux is not used
     flux = 0.5 * (f_lf + _flux_rows(_prim_rows(c_lw), eos_pair))
-    flux[:, bad] = f_lf[:, bad]
+    if masked:
+        flux[:, bad] = f_lf[:, bad]
     return flux
 
 
@@ -308,7 +315,7 @@ def _fallback(bad, states, mode, t, where, action, unit="cell", extended=False):
     """Whether a stage masked some states.  Strict mode raises
     PositivityError naming the first; on an `extended` array (one ghost
     row per side) row i is cell i - 1.  Floor mode logs how many."""
-    if not np.any(bad):
+    if not bad.any():
         return False
     if mode == "strict":
         row = int(np.argmax(bad))
@@ -317,14 +324,14 @@ def _fallback(bad, states, mode, t, where, action, unit="cell", extended=False):
             f"state invariants violated in {unit} {cell} ({where}): {states[..., row].T}",
             cell=cell, time=t,
         )
-    _log.warning("%s %d %ss at t=%g (%s)", action, int(np.sum(bad)), unit, t, where)
+    _log.warning("%s %d %ss at t=%g (%s)", action, int(bad.sum()), unit, t, where)
     return True
 
 
 _FACE_SIGNS = np.array([[-1.0], [1.0]])  # faces[:, 0] = mid - slope/2, faces[:, 1] = mid + slope/2
 
 
-def _muscl_hancock(system, c, dt, dx, config, eos_pair, t):
+def _muscl_hancock(system, c, dt, dx, config, eos_pair, t, v=None):
     """One second-order MUSCL-Hancock update of the interior cells
     (Toro, ch. 14) in path-conservative form (Pares 2006):
 
@@ -333,9 +340,10 @@ def _muscl_hancock(system, c, dt, dx, config, eos_pair, t):
     with Rusanov fluxes F between the half-evolved face states, the
     products P_{i+-1/2} along the segments joining them and the in-cell
     product P_i; the P terms vanish for a conservative system.  Cells c
-    are rows (5, n); both face states of every cell, ghosts included, are
-    held as faces[:, 0] (left) and faces[:, 1] (right) and checked once per
-    stage.  Returns the bracket, which _step applies, and the fluxes.
+    are rows (5, n), v is unused; both face states of every cell, ghosts
+    included, are held as faces[:, 0] (left) and faces[:, 1] (right) and
+    checked once per stage.  Returns the bracket, which _advance applies,
+    and the fluxes.
     """
     cp = _pad_transmissive(c, 2)
     mid = cp[:, 1:-1]
@@ -372,18 +380,24 @@ def _muscl_hancock(system, c, dt, dx, config, eos_pair, t):
     return div, flux
 
 
-def _step(kernel, system, u, dt, dx, config, eos_pair, t):
-    """Update cells u (n, 5) by dt with the flux divergence of a row
-    kernel, after one check of the input and before one of the output;
-    returns the new cells (n, 5) and the two boundary fluxes."""
-    c = _checked_rows(system.invalid, u)
-    div, flux = kernel(system, c, dt, dx, config, eos_pair, t)
-    out = np.empty(np.shape(u))  # written as rows; stays C-ordered (n, 5) for the ledger
-    c_new = np.subtract(c, (dt / dx) * div, out=out.T)
+def _advance(kernel, system, c, dt, dx, config, eos_pair, t, v=None):
+    """Update valid cell rows c (5, n) by dt with the flux divergence of a
+    row kernel, then check the new rows once and, in floor mode, repair
+    them; v, the decoded c if at hand, spares a kernel that needs it a
+    second decode.  Returns the new rows and the two boundary fluxes."""
+    div, flux = kernel(system, c, dt, dx, config, eos_pair, t, v)
+    c_new = c - (dt / dx) * div
     bad = system.invalid(c_new)
     if _fallback(bad, c_new, config.positivity, t, "update", "flooring"):
         c_new = system.floor(c_new, bad)
-    return np.ascontiguousarray(c_new.T), (flux[:, 0], flux[:, -1])
+    return c_new, (flux[:, 0], flux[:, -1])
+
+
+def _step(kernel, system, u, dt, dx, config, eos_pair, t):
+    """_advance on cells u (n, 5), checked once; returns cells (n, 5) and boundary fluxes."""
+    c, fluxes = _advance(kernel, system, _checked_rows(system.invalid, u), dt, dx, config,
+                         eos_pair, t)
+    return np.ascontiguousarray(c.T), fluxes
 
 
 def muscl_hancock_step(u, dt, dx, config, eos_pair, t=0.0):
@@ -398,9 +412,9 @@ def path_conservative_step(b, dt, dx, config, eos_pair, t=0.0):
     return _step(_muscl_hancock, _BN, b, dt, dx, config, eos_pair, t)
 
 
-def _force_godunov(system, c, dt, dx, config, eos_pair, t):
+def _force_godunov(system, c, dt, dx, config, eos_pair, t, v=None):
     cp = _pad_transmissive(c, 1)
-    f = _flux_rows(_prim_rows(cp), eos_pair)
+    f = _pad_transmissive(_flux_rows(_prim_rows(c) if v is None else v, eos_pair), 1)
     flux = _force(cp[:, :-1], cp[:, 1:], f[:, :-1], f[:, 1:], dx, dt, eos_pair,
                   config.positivity, t)
     return flux[:, 1:] - flux[:, :-1], flux
@@ -460,13 +474,19 @@ def _equilibrium_alpha(alpha0, m1, m2, dt, theta1, eos_pair, tol=1e-13):
 
 
 def relax_primitive(v, dt, theta1, theta2, eos_pair):
-    """Apply the relaxation sources to an (n, 5) primitive array.
+    """Apply the relaxation sources to an (n, 5) primitive array (see
+    _relax_rows)."""
+    v = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+    return np.stack(_relax_rows(v, dt, theta1, theta2, eos_pair), axis=-1)
+
+
+def _relax_rows(v, dt, theta1, theta2, eos_pair):
+    """Apply the relaxation sources to primitive rows v (5, n).
 
     Partial masses alpha_i rho_i, the mixture density and the mixture
     momentum are invariants of both sub-steps.
     """
-    v = np.asarray(v, dtype=float)
-    alpha1, rho1, rho2, u1, u2 = (v[..., i].copy() for i in range(5))
+    alpha1, rho1, rho2, u1, u2 = v
     m1 = alpha1 * rho1
     m2 = (1.0 - alpha1) * rho2
     rho = m1 + m2
@@ -483,9 +503,7 @@ def relax_primitive(v, dt, theta1, theta2, eos_pair):
         alpha1 = _equilibrium_alpha(alpha1, m1, m2, dt, theta1, eos_pair)
         rho1 = m1 / alpha1
         rho2 = m2 / (1.0 - alpha1)
-    u1 = u + c2 * w
-    u2 = u - c1 * w
-    return np.stack([alpha1, rho1, rho2, u1, u2], axis=-1)
+    return alpha1, rho1, rho2, u + c2 * w, u - c1 * w
 
 
 # ---------------------------------------------------------------------------
@@ -518,41 +536,39 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
     """March Riemann data to t_end under the configured scheme.
 
     Returns the final snapshot plus a conservation ledger: totals are
-    cell sums times dx; for source-free components the change must
-    balance the time-integrated boundary fluxes to round-off.
+    cell sums times dx, summed pairwise along contiguous rows; for
+    source-free components the change must balance the time-integrated
+    boundary fluxes to round-off.
     """
     if x0 is None:
         x0 = 0.5 * (grid.x_min + grid.x_max)
-    v0 = _riemann_cells(left, right, grid, x0)
     dx = grid.dx
     system = _BN if config.scheme == "muscl-pathcons-bn" else _SHTC
-    stepper = {
-        "muscl-rusanov": muscl_hancock_step,
-        "force-godunov": force_godunov_step,
-        "muscl-pathcons-bn": path_conservative_step,
-    }[config.scheme]
-    cells = system.encode(v0)
+    kernel = _force_godunov if config.scheme == "force-godunov" else _muscl_hancock
+    # cells stay contiguous rows (5, n) until the final decode; they are
+    # checked here once, and after that each stage checks what it makes
+    cells = system.encode(_riemann_cells(left, right, grid, x0).T)
+    _checked_rows(system.invalid, cells.T)
 
     t = 0.0
     steps = 0
-    totals0 = cells.sum(axis=0) * dx
+    totals0 = total = cells.sum(axis=1) * dx
     boundary_integral = np.zeros(5)
     relax_delta = np.zeros(5)
 
-    def relax(c, dt):
-        vp = relax_primitive(np.stack(system.decode(c.T), axis=-1), dt, config.theta1,
-                             config.theta2, eos_pair)
-        out = system.encode(vp)
-        relax_delta[:] += out.sum(axis=0) * dx - c.sum(axis=0) * dx
-        return out
+    def relax(c, total, dt):
+        c = system.encode(_relax_rows(system.decode(c), dt, config.theta1, config.theta2,
+                                      eos_pair))
+        relaxed = c.sum(axis=1) * dx
+        relax_delta[:] += relaxed - total
+        return c, relaxed
     worst_closure = 0.0
     smax_prev = None
     dt_min, dt_max = np.inf, 0.0
     t_wall = _time.perf_counter()
     while t < config.t_end - 1e-15 * max(1.0, config.t_end):
-        # cells stay (n, 5), which keeps the ledger's summation order; the
-        # step functions check them, so this decode runs unchecked on rows
-        smax = float(np.max(_max_wavespeed_rows(system.decode(cells.T), eos_pair)))
+        v = system.decode(cells)
+        smax = float(np.max(_max_wavespeed_rows(v, eos_pair)))
         if smax_prev is not None and smax > WAVESPEED_GROWTH_GUARD * smax_prev:
             raise PositivityError(
                 f"max wave speed grew from {smax_prev:.6g} to {smax:.6g} in one step "
@@ -564,30 +580,30 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
         dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
 
         if config.relaxing:
-            cells = relax(cells, 0.5 * dt)
+            cells, total = relax(cells, total, 0.5 * dt)
+            v = None  # stale: the kernel decodes the relaxed cells if it needs them
 
-        before = cells.sum(axis=0) * dx
-        cells, (f_left, f_right) = stepper(cells, dt, dx, config, eos_pair, t)
-        after = cells.sum(axis=0) * dx
-        boundary_integral += dt * (np.asarray(f_right) - np.asarray(f_left))
+        cells, (f_left, f_right) = _advance(kernel, system, cells, dt, dx, config, eos_pair, t, v)
+        after = cells.sum(axis=1) * dx
+        boundary_integral += dt * (f_right - f_left)
         view = system.conserved_view
-        closure = view(after - before) + dt * view(np.asarray(f_right) - np.asarray(f_left))
+        closure = view(after - total) + dt * view(f_right - f_left)
         # totals of signed fields can cancel to zero; scale by the L1 mass
-        abs_mass = view(np.abs(cells).sum(axis=0) * dx)
+        abs_mass = view(np.abs(cells).sum(axis=1) * dx)
         scale = np.maximum(np.abs(view(after)), abs_mass)
         scale = np.maximum(scale, 1e-30)
         worst_closure = max(worst_closure, float(np.max(np.abs(closure) / scale)))
+        total = after
 
         if config.relaxing:
-            cells = relax(cells, 0.5 * dt)
+            cells, total = relax(cells, total, 0.5 * dt)
 
         t += dt
         steps += 1
 
-    totals = cells.sum(axis=0) * dx
     ledger = {
         "time": t,
-        "totals": totals.tolist(),
+        "totals": total.tolist(),
         "totals_initial": totals0.tolist(),
         "boundary_flux_integrals": boundary_integral.tolist(),
         "relaxation_source_integrals": relax_delta.tolist(),
@@ -599,7 +615,7 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
         "dt_min": dt_min if steps else None,
         "dt_max": dt_max if steps else None,
     }
-    prim = np.stack(system.decode(cells.T), axis=-1)
+    prim = np.stack(system.decode(cells), axis=-1)
     cons = prim_to_cons_array(prim)
     return SimulationResult(grid, config, t, steps, prim, cons, ledger)
 

@@ -128,11 +128,15 @@ def mixture_table(xs, prim, eos_pair):
 # ---------------------------------------------------------------------------
 
 def prim_to_cons_array(v):
-    v = np.asarray(v, dtype=float)
-    alpha1, rho1, rho2, u1, u2 = (v[..., i] for i in range(5))
+    return np.stack(_cons_rows(np.moveaxis(np.asarray(v, dtype=float), -1, 0)), axis=-1)
+
+
+def _cons_rows(v):
+    """Conserved rows of primitive rows v (5, ...)."""
+    alpha1, rho1, rho2, u1, u2 = v
     rho = alpha1 * rho1 + (1.0 - alpha1) * rho2
     rho_u = alpha1 * rho1 * u1 + (1.0 - alpha1) * rho2 * u2
-    return np.stack([alpha1 * rho, alpha1 * rho1, rho, rho_u, u1 - u2], axis=-1)
+    return alpha1 * rho, alpha1 * rho1, rho, rho_u, u1 - u2
 
 
 def cons_to_prim_array(u):

@@ -682,6 +682,10 @@ def test_run_conservation_ledger(ideal_pair):
     boundary = np.array(res.ledger["boundary_flux_integrals"])
     scale = np.maximum(np.abs(initial), 1.0)
     assert np.max(np.abs(totals - initial + boundary) / scale) < 1e-12
+    # the totals are pairwise sums along the cell rows; a plain column sum
+    # of the final cells agrees to round-off of the L1 mass
+    l1 = np.abs(res.cons).sum(axis=0) * g.dx
+    assert np.all(np.abs(totals - res.cons.sum(axis=0) * g.dx) <= 1e-12 * l1)
 
 
 def test_run_convergence_toward_exact(ideal_pair):
@@ -714,6 +718,44 @@ def test_wavespeed_guard_trips(ideal_pair, monkeypatch):
     with pytest.raises(PositivityError) as err:
         run_simulation(left, right, g, cfg, ideal_pair)
     assert "wave speed" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "problem, scheme, mask, decode, stages",
+    [
+        ("RP4", "force-godunov", "_invalid_cons", "_prim_rows", 2),
+        ("RP6", "muscl-rusanov", "_invalid_cons", "_prim_rows", 3),
+        ("RP6", "muscl-pathcons-bn", "_invalid_bn", "_bn_prim_rows", 3),
+    ],
+)
+def test_driver_checks_and_decodes_once_per_stage(monkeypatch, problem, scheme, mask, decode,
+                                                  stages):
+    # The driver checks its initial cells once; after that each stage masks
+    # what it makes, once, and no step re-checks its input.  FORCE has 2
+    # stages (Lax-Wendroff midpoint, update), MUSCL-Hancock 3
+    # (reconstruction, half step, update): 1 + stages*steps masks, of which
+    # 1 + steps see the cells (input and update checks).  A step decodes
+    # the cells once, for the wave speed, and FORCE takes those rows
+    # instead of decoding them again; the run decodes them once more at the
+    # end.  With one decode per later stage (FORCE midpoint, MUSCL faces
+    # before and after the half step) that is 1 + stages*steps decodes, of
+    # which 1 + steps see the cells.
+    calls = {}
+    for name in ("_invalid_cons", "_invalid_bn", "_prim_rows", "_bn_prim_rows"):
+        def counted(x, real=getattr(fv, name), name=name):
+            calls.setdefault(name, []).append(np.shape(x)[1:])
+            return real(x)
+        monkeypatch.setattr(fv, name, counted)
+    p = get_problem(problem)
+    left, right = p.riemann_data()
+    n = 64
+    cfg = SolverConfig(t_end=p.t_end, cfl=p.cfl, scheme=scheme)
+    res = run_simulation(left, right, Grid(p.x_min, p.x_max, n), cfg, p.eos_pair, x0=p.x0)
+    assert res.steps > 0
+    assert set(calls) == {mask, decode}
+    for name in (mask, decode):
+        assert len(calls[name]) == 1 + stages * res.steps, name
+        assert calls[name].count((n,)) == 1 + res.steps, name
 
 
 def test_bn_driver_matches_shtc_on_smooth_problem(ideal_pair):
@@ -799,9 +841,10 @@ def test_ledger_dt_range(ideal_pair):
 
 
 def test_run_simulation_matches_snapshot():
-    # answers frozen by tools/fv_snapshot.py before the kernel moved to
-    # component-major rows: equal step counts, primitives within 1e-12 of
-    # each field's scale
+    # answers frozen by tools/fv_snapshot.py before the driver held its
+    # cells as rows (the RP4 and floor-mode cases) or before the kernel
+    # moved to component-major rows (the rest): equal step counts,
+    # primitives within 1e-12 of each field's scale
     tool = snapshot_tool()
     ref = np.load(Path(__file__).resolve().parent / "data" / "fv_snapshot.npz")
     keys = [key for key, _, _ in tool.cases()]

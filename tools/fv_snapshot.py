@@ -6,8 +6,12 @@ each final primitive array and step count to an npz file:
 
 * RP1, RP5 and RP6 under muscl-rusanov and muscl-pathcons-bn with the
   minmod and superbee limiters, and under force-godunov;
+* RP4 (the stiff liquid/gas EOS) under force-godunov and muscl-rusanov;
 * RP6 with stiff relaxation (theta1 = 1e-3, theta2 = 1e-8) under
-  muscl-rusanov and muscl-pathcons-bn.
+  muscl-rusanov and muscl-pathcons-bn;
+* a near-pure material interface on RP5's gases (`INTERFACE`) under
+  muscl-rusanov in floor mode, which drops cells to first order in
+  reconstruction and in the half step on most steps (strict mode aborts).
 
 For every preset it also writes the exact solution's `sample_many` on
 `exact_points`: a fixed grid spanning the breakpoints, every
@@ -30,9 +34,12 @@ import numpy as np
 
 from twophase.fv import Grid, SolverConfig, run_simulation
 from twophase.problems import PRESETS, get_problem
+from twophase.state import PrimitiveState
 
 CELLS = 128
 GRID_POINTS = 401
+# left and right primitive states (alpha1, rho1, rho2, u1, u2)
+INTERFACE = ((1.0 - 1e-6, 10.0, 1.0, 0.0, 0.0), (1e-6, 1.0, 10.0, 0.0, 0.0))
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "fv_snapshot.npz"
 
 
@@ -43,13 +50,23 @@ def cases():
             for limiter in ("minmod", "superbee"):
                 yield f"{name}|{scheme}|{limiter}", name, {"scheme": scheme, "limiter": limiter}
         yield f"{name}|force-godunov", name, {"scheme": "force-godunov"}
+    yield "RP4|force-godunov", "RP4", {"scheme": "force-godunov"}
+    yield "RP4|muscl-rusanov|minmod", "RP4", {"scheme": "muscl-rusanov"}
     for scheme in ("muscl-rusanov", "muscl-pathcons-bn"):
         yield f"RP6|{scheme}|relaxed", "RP6", {"scheme": scheme, "theta1": 1e-3, "theta2": 1e-8}
+    yield "RP5|muscl-rusanov|floor|interface", "RP5", {"positivity": "floor", "states": INTERFACE}
 
 
 def run_case(name, options):
+    """Run a case on preset `name`'s EOS, grid and t_end, from its Riemann
+    data or from the primitive pair in the option `states`."""
     problem = get_problem(name)
-    left, right = problem.riemann_data()
+    options = dict(options)
+    states = options.pop("states", None)
+    if states is None:
+        left, right = problem.riemann_data()
+    else:
+        left, right = (PrimitiveState(*s) for s in states)
     grid = Grid(problem.x_min, problem.x_max, CELLS)
     config = SolverConfig(t_end=problem.t_end, cfl=problem.cfl, **options)
     return run_simulation(left, right, grid, config, problem.eos_pair, x0=problem.x0)
