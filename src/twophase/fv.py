@@ -13,10 +13,10 @@ Three schemes share the grid and time loop:
 
 The two models share their eigenvalues; a small system description
 (`_System`) carries all that separates their second-order schemes.  One
-row stepper (`_advance`) serves the driver and the public (n, 5) steps;
-the driver holds cells as contiguous (5, n) rows from encode to the final
-decode, each stage checks the state invariants of what it makes once, and
-only the public steps check their input.
+row stepper (`_advance`) serves the driver and `step`, the one public
+step, whose (n, 5) cells take the layout of `config.scheme`; the driver
+holds cells as contiguous (5, n) rows from encode to the final decode,
+each stage checks what it makes once, and only `step` checks its input.
 
 Pressure and velocity relaxation enter as Strang-split half steps
 around each transport step.  The velocity sub-step integrates
@@ -40,10 +40,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError, PositivityError, RelaxationError
+from .errors import ConfigError, NumericsError, PositivityError, RelaxationError, StateDecodeError
 from .state import (
-    _checked_rows, _cons_rows, _flux_rows, _invalid_cons, _max_wavespeed_rows, _or_nonfinite,
-    _prim_rows, prim_to_cons_array,
+    _cons_rows, _flux_rows, _invalid_cons, _max_wavespeed_rows, _or_nonfinite, _prim_rows,
+    prim_to_cons_array,
 )
 
 RELAX_PROJECTION_FACTOR = 1e-6  # theta < factor*dt switches to projection
@@ -162,19 +162,11 @@ def _floor_cons(c, bad):
     return out
 
 
-def bn_from_prim(v):
-    return np.stack(_bn_rows(np.moveaxis(np.asarray(v, dtype=float), -1, 0)), axis=-1)
-
-
 def _bn_rows(v):
     alpha1, rho1, rho2, u1, u2 = v
     m1 = alpha1 * rho1
     m2 = (1.0 - alpha1) * rho2
     return alpha1, m1, m2, m1 * u1, m2 * u2
-
-
-def bn_to_prim(b):
-    return np.stack(_bn_prim_rows(np.moveaxis(np.asarray(b, dtype=float), -1, 0)), axis=-1)
 
 
 def _bn_prim_rows(b):
@@ -220,10 +212,14 @@ def _invalid_bn(b):
 
 
 def _floor_bn(b, bad):
+    # as _floor_cons: a non-finite cell or a near-vacuum phase loses the
+    # phase momenta, which would explode over a floored mass
     out = b.copy()
     fixed = np.nan_to_num(b[:, bad], nan=RHO_FLOOR)
+    vacuous = ~np.isfinite(b[:, bad]).all(axis=0) | (fixed[1:3] <= RHO_FLOOR).any(axis=0)
     fixed[0] = np.clip(fixed[0], ALPHA_FLOOR, 1.0 - ALPHA_FLOOR)
     fixed[1:3] = np.clip(fixed[1:3], RHO_FLOOR, None)
+    fixed[3:, vacuous] = 0.0
     out[:, bad] = fixed
     return out
 
@@ -284,7 +280,11 @@ def _rusanov(cl, cr, fl, fr, sl, sr):
 
 
 def _force(cl, cr, fl, fr, dx, dt, eos_pair, positivity, t):
-    """FORCE flux rows of face states cl, cr with fluxes fl, fr."""
+    """FORCE flux rows (Toro & Billett 2000) of face states cl, cr with
+    fluxes fl, fr: the mean of the Lax-Friedrichs flux and the flux at
+    the two-step Lax-Wendroff midpoint.  A face whose midpoint breaks the
+    state invariants raises PositivityError in strict mode and takes the
+    Lax-Friedrichs flux alone in floor mode."""
     f_lf = 0.5 * (fl + fr) - 0.5 * (dx / dt) * (cr - cl)
     c_lw = 0.5 * (cl + cr) - 0.5 * (dt / dx) * (fr - fl)
     bad = _invalid_cons(c_lw)
@@ -295,16 +295,6 @@ def _force(cl, cr, fl, fr, dx, dt, eos_pair, positivity, t):
     if masked:
         flux[:, bad] = f_lf[:, bad]
     return flux
-
-
-def force_flux(ul, ur, dx, dt, eos_pair, positivity="strict", t=0.0):
-    """FORCE flux (Toro & Billett 2000): the mean of the Lax-Friedrichs
-    flux and the flux at the two-step Lax-Wendroff midpoint.  A face
-    whose midpoint breaks the state invariants raises PositivityError in
-    strict mode and takes the Lax-Friedrichs flux alone in floor mode."""
-    cl, cr = _checked_rows(_invalid_cons, ul), _checked_rows(_invalid_cons, ur)
-    fl, fr = _flux_rows(_prim_rows(cl), eos_pair), _flux_rows(_prim_rows(cr), eos_pair)
-    return np.moveaxis(_force(cl, cr, fl, fr, dx, dt, eos_pair, positivity, t), 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -393,26 +383,8 @@ def _advance(kernel, system, c, dt, dx, config, eos_pair, t, v=None):
     return c_new, (flux[:, 0], flux[:, -1])
 
 
-def _step(kernel, system, u, dt, dx, config, eos_pair, t):
-    """_advance on cells u (n, 5), checked once; returns cells (n, 5) and boundary fluxes."""
-    c, fluxes = _advance(kernel, system, _checked_rows(system.invalid, u), dt, dx, config,
-                         eos_pair, t)
-    return np.ascontiguousarray(c.T), fluxes
-
-
-def muscl_hancock_step(u, dt, dx, config, eos_pair, t=0.0):
-    """MUSCL-Hancock update of conservative cells (see _muscl_hancock)."""
-    return _step(_muscl_hancock, _SHTC, u, dt, dx, config, eos_pair, t)
-
-
-def path_conservative_step(b, dt, dx, config, eos_pair, t=0.0):
-    """Path-conservative MUSCL-Hancock update of Baer-Nunziato blocks
-    (see _muscl_hancock); the Rusanov dissipation uses the analytic
-    spectral radius, which the blocks share with the conservative form."""
-    return _step(_muscl_hancock, _BN, b, dt, dx, config, eos_pair, t)
-
-
 def _force_godunov(system, c, dt, dx, config, eos_pair, t, v=None):
+    """First-order Godunov-type update of conservative rows c with the FORCE flux."""
     cp = _pad_transmissive(c, 1)
     f = _pad_transmissive(_flux_rows(_prim_rows(c) if v is None else v, eos_pair), 1)
     flux = _force(cp[:, :-1], cp[:, 1:], f[:, :-1], f[:, 1:], dx, dt, eos_pair,
@@ -420,9 +392,33 @@ def _force_godunov(system, c, dt, dx, config, eos_pair, t, v=None):
     return flux[:, 1:] - flux[:, :-1], flux
 
 
-def force_godunov_step(u, dt, dx, config, eos_pair, t=0.0):
-    """First-order Godunov-type update with the FORCE flux."""
-    return _step(_force_godunov, _SHTC, u, dt, dx, config, eos_pair, t)
+def _scheme(config):
+    """The row kernel and the cell system of config.scheme."""
+    kernel = _force_godunov if config.scheme == "force-godunov" else _muscl_hancock
+    return kernel, _BN if config.scheme == "muscl-pathcons-bn" else _SHTC
+
+
+def _checked_rows(invalid, c):
+    """Rows c (5, ...) after one scan with the mask `invalid`; a broken
+    cell raises StateDecodeError naming it."""
+    if np.any(bad := invalid(c)):
+        cell = int(np.argmax(bad))
+        raise StateDecodeError(
+            f"input cell {cell} violates the state invariants: {np.reshape(c, (5, -1))[:, cell]}"
+        )
+    return c
+
+
+def step(u, dt, dx, config, eos_pair, t=0.0):
+    """One transport step (no relaxation) of cells u (n, 5) in the layout
+    of config.scheme: conservative cells, or Baer-Nunziato blocks for
+    muscl-pathcons-bn.  The input is checked once, and a broken cell
+    raises StateDecodeError naming it in either positivity mode.  Returns
+    the new cells (n, 5) and the two boundary fluxes."""
+    kernel, system = _scheme(config)
+    c = _checked_rows(system.invalid, np.asarray(u, dtype=float).T)
+    c, fluxes = _advance(kernel, system, c, dt, dx, config, eos_pair, t)
+    return np.ascontiguousarray(c.T), fluxes
 
 
 # ---------------------------------------------------------------------------
@@ -471,13 +467,6 @@ def _equilibrium_alpha(alpha0, m1, m2, dt, theta1, eos_pair, tol=1e-13):
     if np.any((x <= 0.0) | (x >= 1.0)):
         raise RelaxationError("equilibrium volume fraction left (0, 1)")
     return x
-
-
-def relax_primitive(v, dt, theta1, theta2, eos_pair):
-    """Apply the relaxation sources to an (n, 5) primitive array (see
-    _relax_rows)."""
-    v = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
-    return np.stack(_relax_rows(v, dt, theta1, theta2, eos_pair), axis=-1)
 
 
 def _relax_rows(v, dt, theta1, theta2, eos_pair):
@@ -543,12 +532,10 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
     if x0 is None:
         x0 = 0.5 * (grid.x_min + grid.x_max)
     dx = grid.dx
-    system = _BN if config.scheme == "muscl-pathcons-bn" else _SHTC
-    kernel = _force_godunov if config.scheme == "force-godunov" else _muscl_hancock
+    kernel, system = _scheme(config)
     # cells stay contiguous rows (5, n) until the final decode; they are
     # checked here once, and after that each stage checks what it makes
-    cells = system.encode(_riemann_cells(left, right, grid, x0).T)
-    _checked_rows(system.invalid, cells.T)
+    cells = _checked_rows(system.invalid, system.encode(_riemann_cells(left, right, grid, x0).T))
 
     t = 0.0
     steps = 0

@@ -139,24 +139,6 @@ def _cons_rows(v):
     return alpha1 * rho, alpha1 * rho1, rho, rho_u, u1 - u2
 
 
-def cons_to_prim_array(u):
-    """Invert the conserved map (see _prim_rows) after checking the state
-    invariants (see _invalid_cons)."""
-    return np.stack(_prim_rows(_checked_rows(_invalid_cons, u)), axis=-1)
-
-
-def _checked_rows(invalid, u):
-    """Rows (5, ...) of cells u (..., 5) after one scan with the mask
-    `invalid`; a broken cell raises StateDecodeError naming it."""
-    c = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
-    if np.any(bad := invalid(c)):
-        cell = int(np.argmax(bad))
-        raise StateDecodeError(
-            f"input cell {cell} violates the state invariants: {np.reshape(c, (5, -1))[:, cell]}"
-        )
-    return c
-
-
 def _invalid_cons(w):
     """Mask of conserved rows w (5, ...) that break 0 < w2 < w3 or
     0 < w1 < w3, with w1/w3 no smaller than the least normal float so that

@@ -16,16 +16,10 @@ from twophase.eos import BarotropicEos, EosPair
 from twophase.errors import ConfigError, NumericsError, PositivityError, StateDecodeError
 from twophase.fv import (
     LIMITERS,
+    SCHEMES,
     Grid,
     SolverConfig,
-    bn_from_prim,
-    bn_to_prim,
-    force_flux,
-    force_godunov_step,
     limited_slope,
-    muscl_hancock_step,
-    path_conservative_step,
-    relax_primitive,
     run_simulation,
     run_simulations,
 )
@@ -36,12 +30,29 @@ from twophase.state import (
     _invalid_cons,
     _max_wavespeed_rows,
     _prim_rows,
-    cons_to_prim_array,
     flux_conserved_array,
     flux_primitive_array,
     jacobian_primitive,
     prim_to_cons_array,
 )
+
+
+def encode(system, v):
+    """Cells (n, 5) in the layout of a cell system of primitive cells v (n, 5)."""
+    return np.stack(system.encode(np.asarray(v, dtype=float).T), axis=-1)
+
+
+def decode(system, u):
+    """Primitive cells (n, 5) of cells u (n, 5) that pass the system's invariant mask."""
+    c = np.asarray(u, dtype=float).T
+    assert not np.any(system.invalid(c))
+    return np.stack(system.decode(c), axis=-1)
+
+
+def relax(v, dt, theta1, theta2, eos_pair):
+    """The relaxation sub-step of the driver on primitive cells v (n, 5)."""
+    return np.stack(fv._relax_rows(np.asarray(v, dtype=float).T, dt, theta1, theta2, eos_pair),
+                    axis=-1)
 
 
 def rusanov_flux(ul, ur, eos_pair):
@@ -51,6 +62,14 @@ def rusanov_flux(ul, ur, eos_pair):
     vl, vr = _prim_rows(cl), _prim_rows(cr)
     sl, sr = _max_wavespeed_rows(vl, eos_pair), _max_wavespeed_rows(vr, eos_pair)
     return fv._rusanov(cl, cr, _flux_rows(vl, eos_pair), _flux_rows(vr, eos_pair), sl, sr).T
+
+
+def force_face_flux(ul, ur, dx, dt, eos_pair):
+    """FORCE flux between conservative cells ul and ur (n, 5), built from
+    the row helpers the FORCE kernel uses."""
+    cl, cr = np.asarray(ul, dtype=float).T, np.asarray(ur, dtype=float).T
+    fl, fr = _flux_rows(_prim_rows(cl), eos_pair), _flux_rows(_prim_rows(cr), eos_pair)
+    return fv._force(cl, cr, fl, fr, dx, dt, eos_pair, "strict", 0.0).T
 
 
 def max_wavespeed(v, eos_pair):
@@ -90,7 +109,7 @@ def test_rusanov_consistency(ideal_pair):
     rng = np.random.default_rng(0)
     u = prim_to_cons_array(random_state_array(rng, 20))
     f = rusanov_flux(u, u, ideal_pair)
-    assert np.allclose(f, flux_primitive_array(cons_to_prim_array(u), ideal_pair), rtol=1e-13)
+    assert np.allclose(f, flux_primitive_array(decode(fv._SHTC, u), ideal_pair), rtol=1e-13)
 
 
 def test_rusanov_against_eigensolve_oracle(ideal_pair):
@@ -126,21 +145,21 @@ def test_rusanov_reflection_symmetry(ideal_pair):
 def test_force_consistency_and_lf_limit(ideal_pair):
     rng = np.random.default_rng(2)
     u = prim_to_cons_array(random_state_array(rng, 6))
-    f = force_flux(u, u, 0.1, 0.01, ideal_pair)
-    assert np.allclose(f, flux_primitive_array(cons_to_prim_array(u), ideal_pair), rtol=1e-13)
+    f = force_face_flux(u, u, 0.1, 0.01, ideal_pair)
+    assert np.allclose(f, flux_primitive_array(decode(fv._SHTC, u), ideal_pair), rtol=1e-13)
     # dt -> 0: the Lax-Friedrichs half dominates
     ul, ur = u[:3], u[3:]
     dx = 0.1
-    smax = float(np.max(max_wavespeed(cons_to_prim_array(u), ideal_pair)))
+    smax = float(np.max(max_wavespeed(decode(fv._SHTC, u), ideal_pair)))
     dt = 1e-12 * dx / smax
-    f = force_flux(ul, ur, dx, dt, ideal_pair)
-    fl = flux_primitive_array(cons_to_prim_array(ul), ideal_pair)
-    fr = flux_primitive_array(cons_to_prim_array(ur), ideal_pair)
+    f = force_face_flux(ul, ur, dx, dt, ideal_pair)
+    fl = flux_primitive_array(decode(fv._SHTC, ul), ideal_pair)
+    fr = flux_primitive_array(decode(fv._SHTC, ur), ideal_pair)
     f_lf = 0.5 * (fl + fr) - 0.5 * (dx / dt) * (ur - ul)
     assert np.allclose(f, 0.5 * f_lf, rtol=1e-9)
 
 
-def test_force_flux_textbook_oracle(ideal_pair):
+def test_force_textbook_oracle(ideal_pair):
     # the mean of the Lax-Friedrichs flux and the flux at the two-step
     # Lax-Wendroff midpoint, assembled through the conserved-variable flux
     rng = np.random.default_rng(7)
@@ -151,40 +170,41 @@ def test_force_flux_textbook_oracle(ideal_pair):
     fr = flux_conserved_array(ur, ideal_pair)
     lf = 0.5 * (fl + fr) - 0.5 * dx / dt * (ur - ul)
     lw = flux_conserved_array(0.5 * (ul + ur) - 0.5 * dt / dx * (fr - fl), ideal_pair)
-    got = force_flux(ul, ur, dx, dt, ideal_pair)
+    got = force_face_flux(ul, ur, dx, dt, ideal_pair)
     assert np.allclose(got, 0.5 * (lf + lw), rtol=1e-12, atol=1e-12)
 
 
-def _violent_force_cells():
-    # 40 sets of 16 random cells with |u| up to 60; stepped at dt/dx = 2,
-    # far above the CFL limit, each has Lax-Wendroff midpoints outside the
-    # invariant set
+def _violent_cells():
+    # 40 sets of 16 random primitive cells with |u| up to 60; stepped at
+    # dt/dx = 2, far above the CFL limit, each has Lax-Wendroff midpoints
+    # outside the invariant set
     rng = np.random.default_rng(11)
     for _ in range(40):
-        yield prim_to_cons_array(random_state_array(rng, 16, u=(-60.0, 60.0)))
+        yield random_state_array(rng, 16, u=(-60.0, 60.0))
 
 
 def test_force_floor_mode_survives_violent_steps(ideal_pair):
     dx = 0.01
     dt = 2.0 * dx
-    floor = SolverConfig(t_end=1.0, positivity="floor")
-    strict = SolverConfig(t_end=1.0)
-    for u in _violent_force_cells():
-        out, _ = force_godunov_step(u, dt, dx, floor, ideal_pair)
+    floor = SolverConfig(t_end=1.0, scheme="force-godunov", positivity="floor")
+    strict = SolverConfig(t_end=1.0, scheme="force-godunov")
+    for v in _violent_cells():
+        u = prim_to_cons_array(v)
+        out, _ = fv.step(u, dt, dx, floor, ideal_pair)
         assert np.all(np.isfinite(out))
-        v = cons_to_prim_array(out)
+        v = decode(fv._SHTC, out)
         assert np.all((v[:, 0] > 0) & (v[:, 0] < 1))
         assert np.all(v[:, 0] * v[:, 1] > 0)
         assert np.all((1 - v[:, 0]) * v[:, 2] > 0)
         with pytest.raises(PositivityError):
-            force_godunov_step(u, dt, dx, strict, ideal_pair)
+            fv.step(u, dt, dx, strict, ideal_pair)
 
 
 def test_muscl_step_preserves_uniform_state(ideal_pair):
     v = np.tile([0.35, 1.4, 0.9, 0.4, -0.2], (32, 1))
     u = prim_to_cons_array(v)
     cfg = SolverConfig(t_end=1.0)
-    out, (fl, fr) = muscl_hancock_step(u, 1e-3, 0.01, cfg, ideal_pair)
+    out, (fl, fr) = fv.step(u, 1e-3, 0.01, cfg, ideal_pair)
     assert np.allclose(out, u, rtol=1e-13, atol=1e-15)
     assert np.allclose(fl, fr, rtol=1e-13)
 
@@ -198,41 +218,44 @@ def test_muscl_step_conserves_compact_perturbation(ideal_pair):
     u = prim_to_cons_array(v)
     cfg = SolverConfig(t_end=1.0)
     dt, dx = 5e-4, 0.01
-    out, (fl, fr) = muscl_hancock_step(u, dt, dx, cfg, ideal_pair)
+    out, (fl, fr) = fv.step(u, dt, dx, cfg, ideal_pair)
     change = out.sum(axis=0) - u.sum(axis=0) + dt / dx * (fr - fl)
     scale = np.abs(u).sum(axis=0)
     assert np.max(np.abs(change) / scale) < 1e-12
 
 
-# the two cell systems of the shared MUSCL-Hancock kernel: step, encode, decode
+# the two cell systems of the shared MUSCL-Hancock kernel: scheme, system
 SYSTEMS = {
-    "shtc": (muscl_hancock_step, prim_to_cons_array, cons_to_prim_array),
-    "bn": (path_conservative_step, bn_from_prim, bn_to_prim),
+    "shtc": ("muscl-rusanov", fv._SHTC),
+    "bn": ("muscl-pathcons-bn", fv._BN),
 }
 
 
 @pytest.mark.parametrize("system", ["shtc", "bn"])
 def test_muscl_positivity_error_names_cell(ideal_pair, system):
-    step, encode, decode = SYSTEMS[system]
+    scheme, cells = SYSTEMS[system]
     v = np.tile([0.5, 1.0, 1.0, 0.0, 0.0], (16, 1))
     v[7:, 3] = 40.0   # violent expansion
     v[:7, 3] = -40.0
-    u = encode(v)
-    cfg = SolverConfig(t_end=1.0)
+    u = encode(cells, v)
+    cfg = SolverConfig(t_end=1.0, scheme=scheme)
     with pytest.raises(PositivityError) as err:
-        step(u, 2e-2, 0.01, cfg, ideal_pair, t=0.123)
+        fv.step(u, 2e-2, 0.01, cfg, ideal_pair, t=0.123)
     assert err.value.cell == 6
     assert err.value.time == 0.123
     # floor mode survives the same update with every invariant restored
-    cfg_floor = SolverConfig(t_end=1.0, positivity="floor")
-    out, _ = step(u, 2e-2, 0.01, cfg_floor, ideal_pair)
+    cfg_floor = SolverConfig(t_end=1.0, scheme=scheme, positivity="floor")
+    out, _ = fv.step(u, 2e-2, 0.01, cfg_floor, ideal_pair)
     assert np.all(np.isfinite(out))
-    vout = decode(out)
+    vout = decode(cells, out)
     assert np.all((vout[:, 0] > 0) & (vout[:, 0] < 1))
     assert np.all(vout[:, 0] * vout[:, 1] > 0)
     assert np.all((1 - vout[:, 0]) * vout[:, 2] > 0)
     if system == "shtc":
         assert np.all(out[:, 2] > 0)
+    # the floored cells keep no momentum, so no phase moves faster than
+    # the fastest input cell
+    assert np.max(np.abs(vout[:, 3:])) <= 40.0
 
 
 def _half_step_fault(n, k):
@@ -258,27 +281,26 @@ def _reconstruction_fault(n, k):
 def test_stage_errors_name_the_cell(ideal_pair, system):
     # the reconstruction and half-step masks run over the cells plus one
     # ghost per side; the error names the cell, not the row
-    step, encode, _ = SYSTEMS[system]
+    scheme, cells = SYSTEMS[system]
     n, k = 16, 6
+    cfg = SolverConfig(t_end=1.0, scheme=scheme)
     with pytest.raises(PositivityError, match=r"cell 6 \(half step\)") as err:
-        step(encode(_half_step_fault(n, k)), 2e-3, 0.01, SolverConfig(t_end=1.0), ideal_pair)
+        fv.step(encode(cells, _half_step_fault(n, k)), 2e-3, 0.01, cfg, ideal_pair)
     assert err.value.cell == k
     if system == "shtc":
         cfg = SolverConfig(t_end=1.0, limiter="superbee")
         with pytest.raises(PositivityError, match=r"cell 6 \(reconstruction\)") as err:
-            step(_reconstruction_fault(n, k), 1e-4, 0.01, cfg, ideal_pair)
+            fv.step(_reconstruction_fault(n, k), 1e-4, 0.01, cfg, ideal_pair)
         assert err.value.cell == k
     # a broken cell reaches the kernel's first mask only past the input
-    # check of the public steps; that mask names it too, with the ghost
-    # row beside cell 0 (also broken) clipped to the cell
-    kernel_system = {"shtc": fv._SHTC, "bn": fv._BN}[system]
+    # check of fv.step; that mask names it too, with the ghost row beside
+    # cell 0 (also broken) clipped to the cell
     broken = [0.6, 0.8, 0.5, 0.0, 0.0] if system == "shtc" else [1.2, 0.5, -0.2, 0.0, 0.0]
     for cell in (k, 0, n - 1):
-        c = encode(np.tile([0.5, 1.0, 1.0, 0.0, 0.0], (n, 1))).T.copy()
+        c = encode(cells, np.tile([0.5, 1.0, 1.0, 0.0, 0.0], (n, 1))).T.copy()
         c[:, cell] = broken
         with pytest.raises(PositivityError, match=r"\(reconstruction\)") as err:
-            fv._muscl_hancock(kernel_system, c, 1e-4, 0.01, SolverConfig(t_end=1.0),
-                              ideal_pair, 0.0)
+            fv._muscl_hancock(cells, c, 1e-4, 0.01, SolverConfig(t_end=1.0), ideal_pair, 0.0)
         assert err.value.cell == cell
 
 
@@ -294,16 +316,15 @@ BROKEN_INPUTS = {
 @pytest.mark.parametrize("positivity", ["strict", "floor"])
 @pytest.mark.parametrize("case", sorted(BROKEN_INPUTS))
 def test_broken_input_cell_raises_state_decode_error(ideal_pair, case, positivity):
-    # one outcome in both modes: the public steps scan their input once
+    # one outcome in both modes: fv.step scans its input once
     system, row = BROKEN_INPUTS[case]
-    step, encode, _ = SYSTEMS[system]
-    cells = encode(np.tile([0.5, 1.0, 1.0, 0.2, -0.1], (16, 1)))
-    cells[9] = row
-    steps = [step] + ([force_godunov_step] if system == "shtc" else [])
-    for step in steps:
-        cfg = SolverConfig(t_end=1.0, positivity=positivity)
+    scheme, cells = SYSTEMS[system]
+    u = encode(cells, np.tile([0.5, 1.0, 1.0, 0.2, -0.1], (16, 1)))
+    u[9] = row
+    for scheme in [scheme] + (["force-godunov"] if system == "shtc" else []):
+        cfg = SolverConfig(t_end=1.0, scheme=scheme, positivity=positivity)
         with pytest.raises(StateDecodeError, match="input cell 9 "):
-            step(cells, 1e-4, 0.01, cfg, ideal_pair)
+            fv.step(u, 1e-4, 0.01, cfg, ideal_pair)
 
 
 def _rows_near_invariants(lead):
@@ -328,31 +349,30 @@ def _rows_near_invariants(lead):
 @given(w=_rows_near_invariants(2))
 # the kind of row this property found: 0 < w1 < w3, yet w1/w3 rounds to 0
 @example(w=np.array([1e-300, 1.0, 1e30, 0.0, 0.0]))
-def test_cons_mask_implies_decodable(w):
+def test_cons_mask_implies_decodable(ideal_pair, w):
     # a conserved row the mask passes decodes, without the strict scan and
     # the EOS density checks the kernel no longer runs, to 0 < alpha1 < 1
-    # and positive densities; decoding by rows equals cons_to_prim_array.
-    # Rows near the float range may overflow to inf in the decode, which
-    # the density check accepts, so overflow lies outside this property.
-    if _invalid_cons(w):
-        with pytest.raises(StateDecodeError):
-            cons_to_prim_array(w)
-        return
-    with np.errstate(over="ignore", invalid="ignore"):
-        alpha1, rho1, rho2, u1, u2 = _prim_rows(w)
-        assert 0.0 < alpha1 < 1.0 and rho1 > 0.0 and rho2 > 0.0
-        assert np.array_equal(cons_to_prim_array(w), [alpha1, rho1, rho2, u1, u2], equal_nan=True)
+    # and positive densities; fv.step rejects a row the mask flags.  Rows
+    # near the float range may overflow to inf in the decode, which the
+    # density check accepts, so overflow lies outside this property.
+    _check_mask_implies_decodable(ideal_pair, "muscl-rusanov", w)
 
 
 @settings(max_examples=1000, deadline=None)
 @given(b=_rows_near_invariants(0))
-def test_bn_mask_implies_decodable(b):
-    if fv._invalid_bn(b):
+def test_bn_mask_implies_decodable(ideal_pair, b):
+    _check_mask_implies_decodable(ideal_pair, "muscl-pathcons-bn", b)
+
+
+def _check_mask_implies_decodable(eos_pair, scheme, row):
+    _, system = fv._scheme(SolverConfig(t_end=1.0, scheme=scheme))
+    if system.invalid(row):
+        with pytest.raises(StateDecodeError, match="input cell 0 "):
+            fv.step(row[None], 1e-4, 0.01, SolverConfig(t_end=1.0, scheme=scheme), eos_pair)
         return
     with np.errstate(over="ignore", invalid="ignore"):
-        alpha1, rho1, rho2, u1, u2 = fv._bn_prim_rows(b)
+        alpha1, rho1, rho2, _, _ = system.decode(row)
         assert 0.0 < alpha1 < 1.0 and rho1 > 0.0 and rho2 > 0.0
-        assert np.array_equal(bn_to_prim(b), [alpha1, rho1, rho2, u1, u2], equal_nan=True)
 
 
 @pytest.mark.parametrize("limiter", LIMITERS)
@@ -361,21 +381,21 @@ def test_muscl_survives_violent_steps(ideal_pair, system, limiter):
     # the FORCE test's 40 violent cell sets, stepped at dt/dx = 2: strict
     # mode stops with PositivityError alone, floor mode returns finite
     # cells inside the invariant set; any RuntimeWarning fails the test
-    step, encode, decode = SYSTEMS[system]
+    scheme, cells = SYSTEMS[system]
     dx = 0.01
     dt = 2.0 * dx
-    floor = SolverConfig(t_end=1.0, limiter=limiter, positivity="floor")
-    strict = SolverConfig(t_end=1.0, limiter=limiter)
-    for u in _violent_force_cells():
-        cells = encode(cons_to_prim_array(u))
-        out, _ = step(cells, dt, dx, floor, ideal_pair)
+    floor = SolverConfig(t_end=1.0, scheme=scheme, limiter=limiter, positivity="floor")
+    strict = SolverConfig(t_end=1.0, scheme=scheme, limiter=limiter)
+    for v in _violent_cells():
+        u = encode(cells, v)
+        out, _ = fv.step(u, dt, dx, floor, ideal_pair)
         assert np.all(np.isfinite(out))
-        v = decode(out)
+        v = decode(cells, out)
         assert np.all((v[:, 0] > 0) & (v[:, 0] < 1))
         assert np.all(v[:, 0] * v[:, 1] > 0)
         assert np.all((1 - v[:, 0]) * v[:, 2] > 0)
         with pytest.raises(PositivityError):
-            step(cells, dt, dx, strict, ideal_pair)
+            fv.step(u, dt, dx, strict, ideal_pair)
 
 
 @pytest.mark.parametrize(
@@ -388,7 +408,7 @@ def test_muscl_survives_violent_steps(ideal_pair, system, limiter):
 def test_floor_fallbacks_are_logged(ideal_pair, caplog, stage, cells, limiter, dt):
     cfg = SolverConfig(t_end=1.0, limiter=limiter, positivity="floor")
     with caplog.at_level(logging.WARNING, logger="twophase.fv"):
-        muscl_hancock_step(cells(), dt, 0.01, cfg, ideal_pair, t=0.5)
+        fv.step(cells(), dt, 0.01, cfg, ideal_pair, t=0.5)
     assert any(
         r.getMessage().endswith(f" 1 cells at t=0.5 ({stage})") for r in caplog.records
     ), [r.getMessage() for r in caplog.records]
@@ -401,7 +421,7 @@ def test_floor_fallbacks_are_logged(ideal_pair, caplog, stage, cells, limiter, d
 def test_bn_round_trip():
     rng = np.random.default_rng(4)
     v = random_state_array(rng, 200)
-    assert np.allclose(bn_to_prim(bn_from_prim(v)), v, rtol=1e-13)
+    assert np.allclose(decode(fv._BN, encode(fv._BN, v)), v, rtol=1e-13)
 
 
 def test_bn_constant_alpha_equals_decoupled_euler(ideal_pair):
@@ -414,11 +434,11 @@ def test_bn_constant_alpha_equals_decoupled_euler(ideal_pair):
     v[15:35, 2] = 1.0 + 0.3 * rng.random(20)
     v[12:20, 3] = 0.3
     v[25:40, 4] = -0.2
-    b = bn_from_prim(v)
+    b = encode(fv._BN, v)
     cfg = SolverConfig(t_end=1.0, scheme="muscl-pathcons-bn")
     dt, dx = 4e-4, 0.01
-    out, _ = path_conservative_step(b, dt, dx, cfg, ideal_pair)
-    vout = bn_to_prim(out)
+    out, _ = fv.step(b, dt, dx, cfg, ideal_pair)
+    vout = decode(fv._BN, out)
 
     # the coupled scheme dissipates every row with the mixture-wide
     # spectral radius, so the independent oracle below advances the
@@ -467,10 +487,10 @@ def test_bn_total_momentum_conserved(ideal_pair):
     left, right = p.riemann_data()
     n = 64
     v = np.where((np.arange(n) < n // 2)[:, None], left.as_array(), right.as_array())
-    b = bn_from_prim(v)
+    b = encode(fv._BN, v)
     cfg = SolverConfig(t_end=1.0, scheme="muscl-pathcons-bn")
     dt, dx = 2e-3, 2.0 / n
-    out, (gl, gr) = path_conservative_step(b, dt, dx, cfg, ideal_pair)
+    out, (gl, gr) = fv.step(b, dt, dx, cfg, ideal_pair)
     mom_change = (out[:, 3] + out[:, 4]).sum() - (b[:, 3] + b[:, 4]).sum()
     flux_diff = dt / dx * ((gr[3] + gr[4]) - (gl[3] + gl[4]))
     scale = max(np.abs(out[:, 3:5]).sum(), 1.0)
@@ -512,8 +532,8 @@ def _pares_bn_step(b, dt, dx, limiter, eos_pair):
     vl, vr = b_plus_h[:-1], b_minus_h[1:]
     total = flux(vr) - flux(vl) + product(vl, vr)
     smax = np.maximum(
-        max_wavespeed(bn_to_prim(vl), eos_pair),
-        max_wavespeed(bn_to_prim(vr), eos_pair),
+        max_wavespeed(decode(fv._BN, vl), eos_pair),
+        max_wavespeed(decode(fv._BN, vr), eos_pair),
     )[:, None]
     d_minus = 0.5 * total - 0.5 * smax * (vr - vl)
     d_plus = 0.5 * total + 0.5 * smax * (vr - vl)
@@ -529,11 +549,11 @@ def test_bn_step_matches_fluctuation_form(ideal_pair, limiter):
     # fluctuation sum to round-off, with alpha1 jumping between cells so
     # that every nonconservative product is active
     rng = np.random.default_rng(9)
-    b = bn_from_prim(random_state_array(rng, 40, u=(-1.0, 1.0)))
+    b = encode(fv._BN, random_state_array(rng, 40, u=(-1.0, 1.0)))
     dx = 0.01
-    dt = 0.2 * dx / np.max(max_wavespeed(bn_to_prim(b), ideal_pair))
+    dt = 0.2 * dx / np.max(max_wavespeed(decode(fv._BN, b), ideal_pair))
     cfg = SolverConfig(t_end=1.0, scheme="muscl-pathcons-bn", limiter=limiter)
-    out, (fl, fr) = path_conservative_step(b, dt, dx, cfg, ideal_pair)
+    out, (fl, fr) = fv.step(b, dt, dx, cfg, ideal_pair)
     ref, (rl, rr) = _pares_bn_step(b, dt, dx, limiter, ideal_pair)
     assert np.ptp(ref[:, 0]) > 0.5
     scale = np.max(np.abs(ref), axis=0)
@@ -552,14 +572,14 @@ def test_relaxation_fixed_point(ideal_pair):
     rho1 = 1.2
     rho2 = rho1**0.7
     v = np.tile([0.45, rho1, rho2, 0.3, 0.3], (8, 1))
-    out = relax_primitive(v, 1e-3, 1e-4, 1e-4, ideal_pair)
+    out = relax(v, 1e-3, 1e-4, 1e-4, ideal_pair)
     assert np.allclose(out, v, rtol=1e-12, atol=1e-14)
 
 
 def test_velocity_projection_conserves_momentum(ideal_pair):
     rng = np.random.default_rng(6)
     v = random_state_array(rng, 100)
-    out = relax_primitive(v, 1.0, None, 1e-30, ideal_pair)
+    out = relax(v, 1.0, None, 1e-30, ideal_pair)
     w = out[:, 3] - out[:, 4]
     assert np.max(np.abs(w)) < 1e-12
     rho_u = lambda a: a[:, 0] * a[:, 1] * a[:, 3] + (1 - a[:, 0]) * a[:, 2] * a[:, 4]
@@ -571,7 +591,7 @@ def test_velocity_projection_conserves_momentum(ideal_pair):
 def test_velocity_exponential_decay(ideal_pair):
     v = np.array([[0.5, 1.0, 1.0, 0.4, -0.4]])
     theta2, dt = 0.05, 0.02
-    out = relax_primitive(v, dt, None, theta2, ideal_pair)
+    out = relax(v, dt, None, theta2, ideal_pair)
     c1 = 0.5
     expected_w = 0.8 * np.exp(-c1 * (1 - c1) * dt / theta2)
     assert out[0, 3] - out[0, 4] == pytest.approx(expected_w, rel=1e-12)
@@ -580,7 +600,7 @@ def test_velocity_exponential_decay(ideal_pair):
 def test_pressure_projection_equilibrates(ideal_pair):
     rng = np.random.default_rng(7)
     v = random_state_array(rng, 60, u=(-0.5, 0.5))
-    out = relax_primitive(v, 1.0, 1e-30, None, ideal_pair)
+    out = relax(v, 1.0, 1e-30, None, ideal_pair)
     p1 = out[:, 1] ** 1.4
     p2 = out[:, 2] ** 2.0
     assert np.max(np.abs(p1 - p2) / np.maximum(p1, p2)) < 1e-10
@@ -593,7 +613,7 @@ def test_pressure_projection_equilibrates(ideal_pair):
 
 def test_pressure_projection_matches_bisection_oracle(ideal_pair):
     v = np.array([[0.35, 1.8, 0.7, 0.1, -0.2]])
-    out = relax_primitive(v, 1.0, 1e-30, None, ideal_pair)
+    out = relax(v, 1.0, 1e-30, None, ideal_pair)
     m1 = 0.35 * 1.8
     m2 = 0.65 * 0.7
     alpha = brentq(
@@ -606,7 +626,7 @@ def test_implicit_pressure_step_partial(ideal_pair):
     # moderate theta1: alpha moves toward equilibrium but not onto it
     v = np.array([[0.5, 2.0, 1.0, 0.0, 0.0]])
     p1_0, p2_0 = 2.0**1.4, 1.0
-    out = relax_primitive(v, 1e-3, 1e-2, None, ideal_pair)
+    out = relax(v, 1e-3, 1e-2, None, ideal_pair)
     a_new = out[0, 0]
     # implicit Euler balance: (a - a0) = dt/theta1 (p1 - p2) at the new state
     p1 = out[0, 1] ** 1.4
@@ -638,7 +658,7 @@ def test_pressure_relaxation_newton_iteration_count():
     # implicit step (mu = theta1/dt) and projection (theta1 << dt, mu = 0)
     for theta1, mu in ((1e-3, 1.0), (1e-12, 0.0)):
         calls.clear()
-        out = relax_primitive(v, dt, theta1, None, pair)
+        out = relax(v, dt, theta1, None, pair)
         assert 0 < len(calls) <= 25, theta1
         p1 = out[:, 1] ** 1.4
         p2 = out[:, 2] ** 2.0
@@ -649,7 +669,7 @@ def test_pressure_relaxation_newton_iteration_count():
 def test_relaxation_step_conserved_view(ideal_pair):
     rng = np.random.default_rng(8)
     u = prim_to_cons_array(random_state_array(rng, 50, u=(-0.5, 0.5)))
-    v = relax_primitive(cons_to_prim_array(u), 1e-2, 1e-3, 1e-8, ideal_pair)
+    v = relax(decode(fv._SHTC, u), 1e-2, 1e-3, 1e-8, ideal_pair)
     out = prim_to_cons_array(v)
     # alpha1 rho1, rho, rho u conserved; alpha1 rho and w carry sources
     assert np.allclose(out[:, 1], u[:, 1], rtol=1e-12)
@@ -740,12 +760,7 @@ def test_driver_checks_and_decodes_once_per_stage(monkeypatch, problem, scheme, 
     # end.  With one decode per later stage (FORCE midpoint, MUSCL faces
     # before and after the half step) that is 1 + stages*steps decodes, of
     # which 1 + steps see the cells.
-    calls = {}
-    for name in ("_invalid_cons", "_invalid_bn", "_prim_rows", "_bn_prim_rows"):
-        def counted(x, real=getattr(fv, name), name=name):
-            calls.setdefault(name, []).append(np.shape(x)[1:])
-            return real(x)
-        monkeypatch.setattr(fv, name, counted)
+    calls = _count_masks_and_decodes(monkeypatch)
     p = get_problem(problem)
     left, right = p.riemann_data()
     n = 64
@@ -756,6 +771,92 @@ def test_driver_checks_and_decodes_once_per_stage(monkeypatch, problem, scheme, 
     for name in (mask, decode):
         assert len(calls[name]) == 1 + stages * res.steps, name
         assert calls[name].count((n,)) == 1 + res.steps, name
+
+
+def _count_masks_and_decodes(monkeypatch):
+    calls = {}
+    for name in ("_invalid_cons", "_invalid_bn", "_prim_rows", "_bn_prim_rows"):
+        def counted(x, real=getattr(fv, name), name=name):
+            calls.setdefault(name, []).append(np.shape(x)[1:])
+            return real(x)
+        monkeypatch.setattr(fv, name, counted)
+    return calls
+
+
+def _riemann_step(problem, scheme, n=64):
+    """Riemann cells of a problem in the layout of a scheme, with a dt below the CFL limit."""
+    p = get_problem(problem)
+    grid = Grid(p.x_min, p.x_max, n)
+    v = fv._riemann_cells(*p.riemann_data(), grid, p.x0)
+    dt = 0.5 * p.cfl * grid.dx / float(np.max(_max_wavespeed_rows(v.T, p.eos_pair)))
+    return p, grid, encode(fv._scheme(SolverConfig(t_end=1.0, scheme=scheme))[1], v), dt
+
+
+@pytest.mark.parametrize(
+    "problem, scheme", [("RP6", "muscl-rusanov"), ("RP6", "muscl-pathcons-bn"),
+                        ("RP4", "force-godunov")],
+)
+def test_step_equals_one_driver_step(problem, scheme):
+    # a run whose t_end lies below the CFL dt takes one step of dt = t_end
+    p, grid, u, dt = _riemann_step(problem, scheme)
+    cfg = SolverConfig(t_end=dt, cfl=p.cfl, scheme=scheme)
+    res = run_simulation(*p.riemann_data(), grid, cfg, p.eos_pair, x0=p.x0)
+    assert res.steps == 1
+    out, _ = fv.step(u, dt, grid.dx, cfg, p.eos_pair)
+    assert decode(fv._scheme(cfg)[1], out).tobytes() == res.prim.tobytes()
+
+
+@pytest.mark.parametrize(
+    "problem, scheme, mask, decoder, stages, decodes, cell_decodes",
+    [
+        ("RP4", "force-godunov", "_invalid_cons", "_prim_rows", 2, 2, 1),
+        ("RP6", "muscl-rusanov", "_invalid_cons", "_prim_rows", 3, 2, 0),
+        ("RP6", "muscl-pathcons-bn", "_invalid_bn", "_bn_prim_rows", 3, 2, 0),
+    ],
+)
+def test_step_checks_its_input_once(monkeypatch, problem, scheme, mask, decoder, stages,
+                                    decodes, cell_decodes):
+    # fv.step masks its (n,) input once, then each stage masks what it
+    # makes once (the update check is the other mask of shape (n,)).  No
+    # wave speed is taken, so the cells are decoded only where a kernel
+    # needs their flux (FORCE); MUSCL decodes its faces before and after
+    # the half step, FORCE its Lax-Wendroff midpoints.
+    p, grid, u, dt = _riemann_step(problem, scheme)
+    calls = _count_masks_and_decodes(monkeypatch)
+    fv.step(u, dt, grid.dx, SolverConfig(t_end=1.0, scheme=scheme), p.eos_pair)
+    assert set(calls) == {mask, decoder}
+    assert len(calls[mask]) == 1 + stages
+    assert calls[mask].count((grid.n_cells,)) == 2
+    assert len(calls[decoder]) == decodes
+    assert calls[decoder].count((grid.n_cells,)) == cell_decodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scheme=st.sampled_from(SCHEMES),
+    limiter=st.sampled_from(LIMITERS),
+    positivity=st.sampled_from(("strict", "floor")),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 24),
+    speed=st.floats(0.0, 60.0),
+    ratio=st.floats(1e-3, 2.0),
+)
+def test_step_raises_or_returns_valid_cells(ideal_pair, scheme, limiter, positivity, seed, n,
+                                           speed, ratio):
+    # on admissible cells, strict mode either stops with PositivityError or
+    # returns finite cells inside the invariant set; floor mode always
+    # returns such cells.  dt/dx runs from well below to far above the CFL
+    # limit.
+    cfg = SolverConfig(t_end=1.0, scheme=scheme, limiter=limiter, positivity=positivity)
+    system = fv._scheme(cfg)[1]
+    u = encode(system, random_state_array(np.random.default_rng(seed), n, u=(-speed, speed)))
+    try:
+        out, _ = fv.step(u, ratio * 0.01, 0.01, cfg, ideal_pair)
+    except PositivityError:
+        assert positivity == "strict"
+        return
+    assert out.shape == u.shape and np.all(np.isfinite(out))
+    assert not np.any(system.invalid(out.T))
 
 
 def test_bn_driver_matches_shtc_on_smooth_problem(ideal_pair):
@@ -814,7 +915,7 @@ def test_floor_mode_survives_reconstruction_violations(ideal_pair):
     u[6] = [1.4, 0.9, 1.5, 0.0, 0.0]
     u[7] = [0.3, 0.1, 1.1, 0.0, 0.0]
     cfg = SolverConfig(t_end=1.0, positivity="floor", limiter="superbee")
-    out, _ = muscl_hancock_step(u, 1e-3, 0.01, cfg, ideal_pair)
+    out, _ = fv.step(u, 1e-3, 0.01, cfg, ideal_pair)
     # offending cells drop to first order instead of producing floored
     # near-vacuum reconstructions with astronomical fluxes
     assert np.all(out[:, 2] > 0)
@@ -822,7 +923,7 @@ def test_floor_mode_survives_reconstruction_violations(ideal_pair):
     assert np.max(np.abs(out)) < 10.0
     # the same data aborts in strict mode
     with pytest.raises(PositivityError):
-        muscl_hancock_step(u, 1e-3, 0.01, SolverConfig(t_end=1.0, limiter="superbee"), ideal_pair)
+        fv.step(u, 1e-3, 0.01, SolverConfig(t_end=1.0, limiter="superbee"), ideal_pair)
 
 
 def test_ledger_dt_range(ideal_pair):

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import coincident_state, random_state_array, random_states
+from twophase import fv
 from twophase.errors import StateDecodeError
 from twophase.state import (
     ACOUSTIC_KEYS,
     FAMILY_KEYS,
     PrimitiveState,
+    _invalid_cons,
+    _prim_rows,
     check_resonance,
-    cons_to_prim_array,
     eigenstructure,
     eigenvalues,
     field_characterization,
@@ -34,26 +36,33 @@ def test_rp1_left_mixture_density():
     assert w[2] == pytest.approx(0.7 * 1.2449 + 0.3 * 1.2969, rel=1e-14)
 
 
+def decode(u):
+    """Primitive cells (n, 5) of conservative cells u (n, 5) that pass the invariant mask."""
+    w = np.asarray(u, dtype=float).T
+    assert not np.any(_invalid_cons(w))
+    return np.stack(_prim_rows(w), axis=-1)
+
+
 def test_round_trip_scalar():
     v = PrimitiveState(0.37, 2.1, 0.6, 1.3, -0.8).as_array()
-    back = cons_to_prim_array(prim_to_cons_array(v))
+    back = decode(prim_to_cons_array(v))
     assert np.allclose(back, v, rtol=1e-14, atol=0)
 
 
 def test_round_trip_property():
     rng = np.random.default_rng(0)
     v = random_state_array(rng, 10_000)
-    back = cons_to_prim_array(prim_to_cons_array(v))
+    back = decode(prim_to_cons_array(v))
     assert np.max(np.abs(back - v) / np.maximum(np.abs(v), 1.0)) < 1e-13
 
 
-def test_decode_rejects_boundary():
-    with pytest.raises(StateDecodeError):
-        cons_to_prim_array(np.array([0.5, 0.25, 0.5, 0.0, 0.0]))  # w1 == w3
-    with pytest.raises(StateDecodeError):
-        cons_to_prim_array(np.array([[0.5, 0.25, 0.5, 0.0, 0.0]]))
-    with pytest.raises(StateDecodeError):
-        cons_to_prim_array(np.array([0.2, 0.5, 0.4, 0.0, 0.0]))  # w2 > w3
+def test_decode_rejects_boundary(ideal_pair):
+    # the mask flags rows on the edge of the invariant set, and fv.step,
+    # the one checked entry, rejects them before any decode
+    for row in ([0.5, 0.25, 0.5, 0.0, 0.0], [0.2, 0.5, 0.4, 0.0, 0.0]):  # w1 == w3; w2 > w3
+        assert _invalid_cons(np.array(row))
+        with pytest.raises(StateDecodeError, match="input cell 0 "):
+            fv.step(np.array([row]), 1e-4, 0.01, fv.SolverConfig(t_end=1.0), ideal_pair)
 
 
 def test_flux_rest_state(ideal_pair):
