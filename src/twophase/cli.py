@@ -134,7 +134,7 @@ def cmd_exact(args):
 
 
 def _solver_config(problem, args, scheme):
-    return SolverConfig(
+    config = SolverConfig(
         t_end=args.t_end if args.t_end is not None else problem.t_end,
         cfl=args.cfl if args.cfl is not None else problem.cfl,
         scheme=scheme,
@@ -143,6 +143,10 @@ def _solver_config(problem, args, scheme):
         theta2=args.theta2,
         positivity="floor" if args.floor else "strict",
     )
+    # a run of no step has no x/t profile to write or compare
+    if config.t_end == 0.0:
+        raise ConfigError("t_end must be positive for a run, got 0")
+    return config
 
 
 def _scheme_for(problem, args, model):

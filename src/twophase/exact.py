@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, InadmissibleWaveError, TwoPhaseError
-from .state import PrimitiveState, check_resonance, eigenvalues, mixture_props, mixture_table
+from .state import PrimitiveState, check_resonance, eigenvalues, mixture_pressures, mixture_table
 from .waves import (
     WaveFamily,
     _fan_state,
@@ -219,10 +219,12 @@ class ExactSolution:
 # construction
 # ---------------------------------------------------------------------------
 
-def _expansion_ok(family, head, target):
-    if family.sign < 0:
-        return target <= head + ZERO_TOL * max(1.0, abs(head))
-    return target >= head - ZERO_TOL * max(1.0, abs(head))
+def _element(side, family, kind, inner, outer, xi_inner, xi_outer):
+    """The x-ordered element of a piece running from `inner` (contact
+    side) at xi_inner to `outer` at xi_outer on the given side."""
+    if side == "left":
+        return WaveElement(family, kind, xi_outer, xi_inner, outer, inner)
+    return WaveElement(family, kind, xi_inner, xi_outer, inner, outer)
 
 
 def _walk_side(contact_state, specs, side, eos_pair):
@@ -245,30 +247,16 @@ def _walk_side(contact_state, specs, side, eos_pair):
             raise ConstructionError(
                 label, f"{side} waves must belong to {'minus' if sign < 0 else 'plus'} families"
             )
-        n_before = len(elements)
         try:
             if spec.kind == RAREFACTION:
                 head = fam.speed_of(current, eos_pair)
-                if not _expansion_ok(fam, head, spec.speed):
-                    raise InadmissibleWaveError(
-                        f"fan would compress (head {head:.6g}, target {spec.speed:.6g})"
-                    )
                 outer = rarefaction_connect(current, fam, spec.speed, eos_pair)
-                lo, hi = sorted((head, spec.speed))
-                if side == "left":
-                    elements.append(WaveElement(fam, RAREFACTION, lo, hi, outer, current))
-                else:
-                    elements.append(WaveElement(fam, RAREFACTION, lo, hi, current, outer))
-                current = outer
+                new = [_element(side, fam, RAREFACTION, current, outer, head, spec.speed)]
             elif spec.kind == SHOCK:
-                post, _ = shock_connect(current, fam, spec.speed, eos_pair)
-                if side == "left":
-                    elements.append(WaveElement(fam, SHOCK, spec.speed, spec.speed, post, current))
-                else:
-                    elements.append(WaveElement(fam, SHOCK, spec.speed, spec.speed, current, post))
-                current = post
+                outer, _ = shock_connect(current, fam, spec.speed, eos_pair)
+                new = [_element(side, fam, SHOCK, current, outer, spec.speed, spec.speed)]
             elif spec.kind == SHOCK_IN_RAREFACTION:
-                current = _interior_shock(current, fam, spec, side, eos_pair, elements)
+                new, outer = _interior_shock(current, fam, spec, side, eos_pair)
             else:
                 raise ConstructionError(label, f"unknown wave kind {spec.kind!r}")
         except ConstructionError:
@@ -276,33 +264,33 @@ def _walk_side(contact_state, specs, side, eos_pair):
         except TwoPhaseError as exc:
             raise ConstructionError(label, str(exc)) from exc
         pad = ZERO_TOL * max(1.0, abs(u_c))
-        for el in elements[n_before:]:
+        for el in new:
             on_side = el.xi_tail <= u_c + pad if side == "left" else el.xi_head >= u_c - pad
             if not on_side:
                 raise ConstructionError(
                     label, f"wave interval crosses the contact speed {u_c:.6g}"
                 )
+        elements += new
+        current = outer
     return elements, current
 
 
-def _interior_shock(current, host, spec, side, eos_pair, elements):
-    """Host fan with an interior shock of the other phase at xi = S.
+def _interior_shock(current, host, spec, side, eos_pair):
+    """Host fan with an interior shock of the other phase at xi = S:
+    its three elements, inner to outer, and the state beyond them.
 
     The fan runs from its head to S, where the in-fan state is the
     pre-shock side and the host characteristic coincides with S by
     construction; the jump is followed by a plateau until the host
     characteristic of the post state, from which the fan resumes up to
-    the prescribed tail.
+    the prescribed tail.  A host fan that would compress has S outside
+    it.
     """
     S = spec.shock_speed
     tail = spec.speed
     if S is None:
         raise InadmissibleWaveError("interior shock speed missing")
     head = host.speed_of(current, eos_pair)
-    if not _expansion_ok(host, head, tail):
-        raise InadmissibleWaveError(
-            f"host fan would compress (head {head:.6g}, target {tail:.6g})"
-        )
     inside = (head < S < tail) if host.sign > 0 else (tail < S < head)
     if not inside:
         raise InadmissibleWaveError(
@@ -313,24 +301,17 @@ def _interior_shock(current, host, spec, side, eos_pair, elements):
     post, _ = shock_connect(pre, interior_family, S, eos_pair)
     resume = host.speed_of(post, eos_pair)
     # the fan can only resume outward of the shock
-    if host.sign > 0 and not (S - ZERO_TOL <= resume <= tail + ZERO_TOL):
+    lo, hi = sorted((S, tail))
+    if not lo - ZERO_TOL <= resume <= hi + ZERO_TOL:
         raise InadmissibleWaveError(
-            f"host fan cannot resume (resume speed {resume:.6g} not in [{S:.6g}, {tail:.6g}])"
-        )
-    if host.sign < 0 and not (tail - ZERO_TOL <= resume <= S + ZERO_TOL):
-        raise InadmissibleWaveError(
-            f"host fan cannot resume (resume speed {resume:.6g} not in [{tail:.6g}, {S:.6g}])"
+            f"host fan cannot resume (resume speed {resume:.6g} not in [{lo:.6g}, {hi:.6g}])"
         )
     outer = rarefaction_connect(post, host, tail, eos_pair)
-    if side == "right":
-        elements.append(WaveElement(host, RAREFACTION, head, S, current, pre))
-        elements.append(WaveElement(interior_family, INTERIOR_SHOCK, S, S, pre, post))
-        elements.append(WaveElement(host, RAREFACTION, resume, tail, post, outer))
-    else:
-        elements.append(WaveElement(host, RAREFACTION, S, head, pre, current))
-        elements.append(WaveElement(interior_family, INTERIOR_SHOCK, S, S, post, pre))
-        elements.append(WaveElement(host, RAREFACTION, tail, resume, outer, post))
-    return outer
+    return [
+        _element(side, host, RAREFACTION, current, pre, head, S),
+        _element(side, interior_family, INTERIOR_SHOCK, pre, post, S, S),
+        _element(side, host, RAREFACTION, post, outer, resume, tail),
+    ], outer
 
 
 def build_solution(contact_left, alpha1_right, left_waves, right_waves, eos_pair,
@@ -502,8 +483,8 @@ def validate_solution(solution):
             if resid > RESIDUAL_TOL:
                 flags.append(f"jump residual {resid:.3e} above {RESIDUAL_TOL:g}")
             entropy = entropy_production(el.left, el.right, el.speed, eos_pair, check=False)
-            mp = mixture_props(el.left, eos_pair)
-            ent_tol = 1e-9 * max(1.0, abs(mp.p_bar))
+            _, p_bar = mixture_pressures(el.left, eos_pair)
+            ent_tol = 1e-9 * max(1.0, abs(p_bar))
             if entropy > ent_tol:
                 flags.append(f"entropy production {entropy:.3e} > 0 (expansion shock)")
             census = classify_discontinuity(el.left, el.right, el.speed, eos_pair)

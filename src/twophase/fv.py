@@ -7,7 +7,8 @@ Three schemes share the grid and time loop:
   muscl-pathcons-bn the same kernel on the Baer-Nunziato block variables
                     (alpha1, a1*r1, a2*r2, a1*r1*u1, a2*r2*u2), path-
                     conservative: Rusanov flux of the conservative part
-                    plus the segment-path products of u_I and p_I;
+                    plus the segment-path products of u_I and p_I, the
+                    closure of models.interface_closure;
   force-godunov     first order Godunov update with the FORCE flux
                     (mean of Lax-Friedrichs and two-step Lax-Wendroff).
 
@@ -41,6 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, NumericsError, PositivityError, RelaxationError, StateDecodeError
+from .models import interface_closure
 from .state import (
     _cons_rows, _flux_rows, _invalid_cons, _max_wavespeed_rows, _or_nonfinite, _prim_rows,
     prim_to_cons_array,
@@ -96,9 +98,16 @@ class SolverConfig:
             raise ConfigError("MUSCL-Hancock needs 0 < cfl <= 0.5")
         if self.positivity not in ("strict", "floor"):
             raise ConfigError("positivity mode must be strict or floor")
-        for th in (self.theta1, self.theta2):
-            if th is not None and th <= 0.0:
-                raise ConfigError("relaxation times must be positive (or None for off)")
+        # t_end = 0 is a run of no step that returns the initial cells
+        if not 0.0 <= self.t_end < np.inf:
+            raise ConfigError(f"t_end must be finite and non-negative, got {self.t_end}")
+        for name in ("theta1", "theta2"):
+            th = getattr(self, name)
+            if th is not None and not 0.0 < th < np.inf:
+                raise ConfigError(
+                    f"relaxation time {name} must be finite and positive (or None for off), "
+                    f"got {th}"
+                )
 
     @property
     def relaxing(self):
@@ -189,18 +198,15 @@ def _bn_flux(b, v, eos_pair):
 
 def _bn_nonconservative(bl, br, eos_pair):
     """B(V) dV along the segment path from bl to br: (u_I dalpha, 0, 0,
-    -p_I dalpha, +p_I dalpha) with u_I = u and p_I = (m2 p1 + m1 p2)/rho
-    at the midpoint.  The single nonconservative column makes the path
-    integral exact up to the midpoint rule for u_I, p_I."""
-    alpha1, m1, m2, q1, q2 = 0.5 * (bl + br)
+    -p_I dalpha, +p_I dalpha) with the closure u_I, p_I of
+    models.interface_closure at the midpoint.  The single nonconservative
+    column makes the path integral exact up to the midpoint rule for u_I,
+    p_I."""
+    u_i, p_i = interface_closure(*(0.5 * (bl + br)), eos_pair)
     dalpha = br[0] - bl[0]
-    rho = m1 + m2
-    p1 = eos_pair.phase1._pressure(m1 / alpha1)
-    p2 = eos_pair.phase2._pressure(m2 / (1.0 - alpha1))
-    p_i = (m2 * p1 + m1 * p2) / rho
     out = np.empty(np.shape(bl))
     out[1:3] = 0.0
-    np.multiply((q1 + q2) / rho, dalpha, out=out[0])
+    np.multiply(u_i, dalpha, out=out[0])
     np.multiply(-p_i, dalpha, out=out[3])
     np.multiply(p_i, dalpha, out=out[4])
     return out

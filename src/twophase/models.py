@@ -1,46 +1,19 @@
 """Source conversions between the conservative and Baer-Nunziato forms,
-interface closures, and pressure-equilibrium (Kapila) diagnostics.
+the interface closure, and pressure-equilibrium (Kapila) diagnostics.
 
 For smooth solutions the two five-equation systems are equivalent for
 exactly one closure pair,
 
     u_I = u,    p_I = (alpha2*rho2*p1 + alpha1*rho1*p2) / rho,
 
-and the source vectors transform linearly, Xi = B zeta and
-zeta = C Xi with B C = I.  The matrices are assembled from their
-printed entries; the inverse identity is the guard against
-transcription slips.
+which `interface_closure` evaluates on Baer-Nunziato blocks and the
+path-conservative kernel in `fv` runs; the source vectors transform
+linearly, Xi = B zeta and zeta = C Xi with B C = I.  The matrices are
+assembled from their printed entries; the inverse identity is the guard
+against transcription slips.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import ConfigError
-
-SHTC_BASIS = "shtc"
-BN_BASIS = "bn"
-
-
-@dataclass(frozen=True)
-class SourceVector:
-    """Five source components tagged by basis (shtc: xi, bn: zeta)."""
-
-    components: np.ndarray
-    basis: str
-
-    def __post_init__(self):
-        if self.basis not in (SHTC_BASIS, BN_BASIS):
-            raise ConfigError(f"unknown source basis {self.basis!r}")
-        object.__setattr__(self, "components", np.asarray(self.components, dtype=float))
-        if self.components.shape != (5,):
-            raise ConfigError("source vector must have five components")
-
-
-@dataclass(frozen=True)
-class InterfaceClosure:
-    u_I: float
-    p_I: float
 
 
 def conversion_matrix_bn_to_shtc(state):
@@ -75,24 +48,14 @@ def conversion_matrix_shtc_to_bn(state):
     )
 
 
-def bn_to_shtc_sources(zeta, state):
-    if zeta.basis != BN_BASIS:
-        raise ConfigError("expected a source vector in the bn basis")
-    return SourceVector(conversion_matrix_bn_to_shtc(state) @ zeta.components, SHTC_BASIS)
-
-
-def shtc_to_bn_sources(xi, state):
-    if xi.basis != SHTC_BASIS:
-        raise ConfigError("expected a source vector in the shtc basis")
-    return SourceVector(conversion_matrix_shtc_to_bn(state) @ xi.components, BN_BASIS)
-
-
-def interface_closure(state, eos_pair):
-    p1 = eos_pair.phase1.pressure(state.rho1)
-    p2 = eos_pair.phase2.pressure(state.rho2)
-    m1 = state.alpha1 * state.rho1
-    m2 = state.alpha2 * state.rho2
-    return InterfaceClosure(u_I=state.u, p_I=(m2 * p1 + m1 * p2) / state.rho)
+def interface_closure(alpha1, m1, m2, q1, q2, eos_pair):
+    """(u_I, p_I) of Baer-Nunziato blocks (alpha1, a1*r1, a2*r2, q1, q2),
+    elementwise, densities unchecked: u_I = (q1 + q2)/rho is the mixture
+    velocity and p_I = (m2 p1 + m1 p2)/rho."""
+    rho = m1 + m2
+    p1 = eos_pair.phase1._pressure(m1 / alpha1)
+    p2 = eos_pair.phase2._pressure(m2 / (1.0 - alpha1))
+    return (q1 + q2) / rho, (m2 * p1 + m1 * p2) / rho
 
 
 def kapila_coefficients(state, eos_pair):

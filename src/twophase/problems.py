@@ -12,6 +12,7 @@ RP1/RP2 ideal-gas pair (gamma1 = 1.4, gamma2 = 2, unit scales), which
 is printed in run headers and overridable through a problem file.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -313,14 +314,20 @@ def get_problem(name_or_path):
 # ---------------------------------------------------------------------------
 
 def _parse_kv(path):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read problem file: {exc}") from None
     entries = {}
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in entries:
+            raise ConfigError(f"{path}:{ln}: {key} given twice")
         entries[key] = value
     return entries
 
@@ -340,26 +347,32 @@ _KNOWN_KEYS = frozenset(
 
 def _get(entries, key, default=_REQUIRED, cast=float):
     """entries[key] through `cast`; ConfigError names the key when it is
-    missing (and has no default) or does not parse."""
+    missing (and has no default), does not parse, or is a nan or inf."""
     raw = entries.get(key)
     if raw is None:
         if default is _REQUIRED:
             raise ConfigError(f"missing {key}")
         return default
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError:
         raise ConfigError(f"{key} = {raw!r} is not a valid {cast.__name__}") from None
+    if cast is float and not math.isfinite(value):
+        raise ConfigError(f"{key} = {raw!r} is not a finite number")
+    return value
 
 
 def _eos_from(entries, section):
-    return BarotropicEos(
-        A=_get(entries, f"{section}.A"),
-        gamma=_get(entries, f"{section}.gamma"),
-        rho_ref=_get(entries, f"{section}.rho_ref", 1.0),
-        B=_get(entries, f"{section}.B", 0.0),
-        mode=_get(entries, f"{section}.mode", "isentropic", cast=str),
-    )
+    try:
+        return BarotropicEos(
+            A=_get(entries, f"{section}.A"),
+            gamma=_get(entries, f"{section}.gamma"),
+            rho_ref=_get(entries, f"{section}.rho_ref", 1.0),
+            B=_get(entries, f"{section}.B", 0.0),
+            mode=_get(entries, f"{section}.mode", "isentropic", cast=str),
+        )
+    except ArithmeticError:  # overflow or underflow to zero
+        raise ConfigError(f"{section}.rho_ref**{section}.gamma is out of float range") from None
 
 
 def _state_from(entries, section):

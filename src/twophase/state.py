@@ -87,27 +87,14 @@ class PrimitiveState:
         return PrimitiveState(*(float(x) for x in v))
 
 
-@dataclass(frozen=True)
-class MixtureProps:
-    """Mixture quantities of a primitive state, including the generalized
-    total pressure p_bar = rho*c1*c2*w**2 + p that is continuous across
-    the contact."""
-
-    rho: float
-    c1: float
-    c2: float
-    u: float
-    w: float
-    p: float
-    p_bar: float
-
-
-def mixture_props(state, eos_pair):
+def mixture_pressures(state, eos_pair):
+    """Mixture pressure p = alpha1*p1 + alpha2*p2 of a primitive state and
+    the generalized total pressure p_bar = rho*c1*c2*w**2 + p that is
+    continuous across the contact."""
     p1 = eos_pair.phase1.pressure(state.rho1)
     p2 = eos_pair.phase2.pressure(state.rho2)
     p = state.alpha1 * p1 + state.alpha2 * p2
-    rho, c1, c2, w = state.rho, state.c1, state.c2, state.w
-    return MixtureProps(rho, c1, c2, state.u, w, p, rho * c1 * c2 * w**2 + p)
+    return p, state.rho * state.c1 * state.c2 * state.w**2 + p
 
 
 def mixture_table(xs, prim, eos_pair):

@@ -41,7 +41,7 @@ from .state import (
     PrimitiveState,
     eigenvalues,
     flux_primitive_array,
-    mixture_props,
+    mixture_pressures,
     prim_to_cons_array,
 )
 
@@ -439,14 +439,15 @@ def shock_mass_flux_system(w_minus, w_plus, alpha1, eos_pair):
 # ---------------------------------------------------------------------------
 
 def _contact_targets(state, eos_pair):
-    mp = mixture_props(state, eos_pair)
-    k = mp.rho * mp.c1 * mp.c2
+    p, _ = mixture_pressures(state, eos_pair)
+    c1, c2, w = state.c1, state.c2, state.w
+    k = state.rho * c1 * c2
     e1, e2 = eos_pair.phase1, eos_pair.phase2
     return np.array(
         [
-            k * mp.w,
-            k * mp.w**2 + mp.p,
-            0.5 * (mp.c2 - mp.c1) * mp.w**2 + e1.psi(state.rho1) - e2.psi(state.rho2),
+            k * w,
+            k * w**2 + p,
+            0.5 * (c2 - c1) * w**2 + e1.psi(state.rho1) - e2.psi(state.rho2),
         ]
     )
 
@@ -488,16 +489,17 @@ def _contact_jacobian(x, alpha1, eos_pair):
 
 
 def _contact_scales(state, eos_pair):
-    mp = mixture_props(state, eos_pair)
+    p, p_bar = mixture_pressures(state, eos_pair)
+    w = state.w
     e1, e2 = eos_pair.phase1, eos_pair.phase2
     a1 = e1.sound_speed(state.rho1)
     a2 = e2.sound_speed(state.rho2)
-    vs = max(abs(mp.w), a1, a2)
-    k = mp.rho * mp.c1 * mp.c2
+    vs = max(abs(w), a1, a2)
+    k = state.rho * state.c1 * state.c2
     return np.array(
         [
-            max(abs(k * mp.w), k * vs),
-            max(abs(mp.p_bar), abs(mp.p), k * vs**2),
+            max(abs(k * w), k * vs),
+            max(abs(p_bar), abs(p), k * vs**2),
             max(abs(e1.psi(state.rho1)) + abs(e2.psi(state.rho2)), vs**2, a1**2, a2**2),
         ]
     )

@@ -270,6 +270,28 @@ def test_grammar_rejects_wave_past_contact():
     assert err.value.wave == "contact"
 
 
+# RP1's spec with one wave replaced: (side, replaced wave index, wave)
+_RP1_REJECTIONS = {
+    "compressive-left-fan": ("left", 0, raref("2-", -1.0)),
+    "compressive-right-fan": ("right", 0, raref("1+", 0.5)),
+    "compressive-host-fan": ("right", 0, shock_in_raref("1+", 0.5, 0.6)),
+    "interior-shock-outside-host": ("right", 0, shock_in_raref("1+", 1.5, 1.6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RP1_REJECTIONS))
+def test_construction_rejects_compressive_fans_and_stray_interior_shocks(case):
+    # each is rejected with the label of the wave at fault
+    side, index, wave = _RP1_REJECTIONS[case]
+    spec = get_problem("RP1").exact_spec
+    waves = {"left": list(spec.left_waves), "right": list(spec.right_waves)}
+    waves[side][index] = wave
+    with pytest.raises(ConstructionError) as err:
+        build_solution(spec.contact_left, spec.alpha1_right, waves["left"], waves["right"],
+                       IDEAL_PAIR)
+    assert err.value.wave.startswith(f"{side}{index + 1}:")
+
+
 def test_grammar_rejects_wrong_side_family():
     seed = PrimitiveState(0.5, 1.0, 1.0, 0.0, 0.0)
     with pytest.raises(ConstructionError):

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import twophase
-from twophase import cli, fv
+from twophase import cli, fv, problems
 from twophase.errors import ConfigError
 from twophase.problems import (
     GOLDEN_TABLES,
@@ -144,6 +146,13 @@ BAD_FILE_CASES = [
     ("grid.theta2", "1e-8", ""),
     ("waves.left", "raref:1-:-2.5", ""),  # no waves.seed state
     ("waves.right", "raref:9+:1.0", SEED_LINES),  # unknown family
+    # nan and inf parse as floats but are no data
+    ("phase1.gamma", "nan", ""),
+    ("right.rho2", "nan", ""),
+    ("grid.x_max", "inf", ""),
+    ("waves.right", "raref:1+:-inf", SEED_LINES),
+    ("phase1.gamma", "1e300", "phase1.rho_ref = 2.0\n"),  # rho_ref**gamma overflows
+    ("phase2.gamma", "1e300", "phase2.rho_ref = 0.5\n"),  # ... or underflows to 0
 ]
 
 
@@ -163,6 +172,92 @@ def test_cli_problem_file_errors_exit_2(tmp_path, capsys, key, value, extra):
     rc = cli.main(["simulate", str(path), "--cells", "8", "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_VALIDATION
     assert key in capsys.readouterr().err
+
+
+def test_cli_unreadable_problem_file_or_repeated_key_exit_2(tmp_path, capsys):
+    # a file that is not UTF-8 text, a directory, and a key given twice
+    # fail as configuration errors naming the path (and the line and key)
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(RIEMANN_FILE.encode() + b"# caf\xe9\n")
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text(RIEMANN_FILE + "left.rho1 = 3.0\n")
+    line = len(RIEMANN_FILE.splitlines()) + 1
+    for path, named in ((latin1, f"{latin1}: "), (tmp_path, f"{tmp_path}: "),
+                        (repeated, f"{repeated}:{line}: left.rho1 given twice")):
+        rc = cli.main(["simulate", str(path), "--cells", "8", "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+
+
+_LOADER_KEYS = sorted(problems._KNOWN_KEYS) + ["grid.typo_key"]
+_LOADER_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10, 10**6).map(str),
+    st.sampled_from(["raref:1-:-2.5", "shock:2+:1.0", "sir:1+:1.5:1.0", "raref:9+:1", "sir:1+",
+                     "isothermal", "muscl-rusanov", "1e400", ""]),
+    st.text(max_size=12),
+)
+_VALID_LINES = (RIEMANN_FILE + SEED_LINES).strip().splitlines() + [
+    "waves.alpha1_right = 0.3", "waves.left = raref:2-:-2.0", "waves.right = sir:1+:1.5:1.0",
+]
+
+
+@st.composite
+def _problem_texts(draw):
+    # a valid file under a few edits: a line dropped, repeated, given
+    # another key or value, or a line of any text put in
+    lines = list(_VALID_LINES)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        key, _, value = lines[i].partition(" = ")
+        edit = draw(st.sampled_from(("drop", "repeat", "key", "value", "text")))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        elif edit == "key":
+            lines[i] = f"{draw(st.sampled_from(_LOADER_KEYS))} = {value}"
+        elif edit == "value":
+            lines[i] = f"{key} = {draw(_LOADER_VALUES)}"
+        else:
+            lines.insert(i, draw(st.text(max_size=30)))
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(_problem_texts(), st.text()))
+def test_problem_file_loader_returns_problem_or_config_error(tmp_path, text):
+    # whatever the text, the loader gives a Problem or a ConfigError
+    path = tmp_path / "fuzz.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        problem = load_problem_file(path)
+    except ConfigError:
+        return
+    assert isinstance(problem, problems.Problem)
+
+
+_BAD_RUN_TIMES = [("compare", "--t-end", v) for v in ("inf", "nan", "0", "-1")] + [
+    ("simulate", flag, v) for flag in ("--theta1", "--theta2") for v in ("nan", "inf")
+]
+
+
+@pytest.mark.parametrize("command, flag, value", _BAD_RUN_TIMES,
+                         ids=[f"{c}{f}={v}" for c, f, v in _BAD_RUN_TIMES])
+def test_cli_run_times_must_be_finite_and_positive(tmp_path, capsys, monkeypatch, command,
+                                                   flag, value):
+    # an end time or relaxation time that is not finite and positive is a
+    # configuration error before any run
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a backend ran")
+
+    monkeypatch.setattr(cli, "run_simulation", no_runs)
+    monkeypatch.setattr(cli, "run_simulations", no_runs)
+    rc = cli.main([command, "RP6", "--cells", "64", flag, value, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "configuration error" in err and flag[2:].replace("-", "_") in err
 
 
 def test_cli_exact_and_eigen(tmp_path):

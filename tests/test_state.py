@@ -19,7 +19,7 @@ from twophase.state import (
     flux_conserved_array,
     flux_primitive_array,
     jacobian_primitive,
-    mixture_props,
+    mixture_pressures,
     prim_to_cons_array,
 )
 
@@ -68,10 +68,10 @@ def test_decode_rejects_boundary(ideal_pair):
 def test_flux_rest_state(ideal_pair):
     st = PrimitiveState(0.4, 1.2, 0.9, 0.0, 0.0)
     f = flux_conserved_array(prim_to_cons_array(st.as_array()), ideal_pair)
-    mp = mixture_props(st, ideal_pair)
+    p, _ = mixture_pressures(st, ideal_pair)
     psi_diff = ideal_pair.phase1.psi(st.rho1) - ideal_pair.phase2.psi(st.rho2)
     assert np.allclose(f[:3], 0.0, atol=1e-15)
-    assert f[3] == pytest.approx(mp.p, rel=1e-14)
+    assert f[3] == pytest.approx(p, rel=1e-14)
     assert f[4] == pytest.approx(psi_diff, rel=1e-14)
 
 
