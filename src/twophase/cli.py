@@ -5,12 +5,12 @@ Commands
   exact PROBLEM      sample the exact solution, dump CSV + wave summary
                      + validation report
   simulate PROBLEM   run a finite-volume scheme, dump snapshot CSV +
-                     conservation ledger (+ Kapila diagnostics when
-                     relaxation is on)
+                     conservation ledger with the run's relaxation
+                     counters (+ Kapila diagnostics when relaxation is on)
   compare PROBLEM    run the backends named by --models (shtc, bn), each
                      in its own forked worker process, and report aligned
                      L1/Linf differences against each other and the
-                     exact solution
+                     exact solution, with each backend's counters
   eigen PROBLEM      five eigenvalue curves along xi (wave-structure
                      figures)
   validate PROBLEM   build the exact solution and print the
@@ -180,6 +180,12 @@ def cmd_simulate(args):
     write_csv(out / "snapshot.csv", SNAPSHOT_COLUMNS, rows)
     write_json(out / "ledger.json", result.ledger)
     if config.relaxing:
+        relax = result.ledger["telemetry"]["relax"]
+        print(
+            f"  relaxation: {relax['solves']} pressure solves, {relax['newton_iterations']} "
+            f"Newton iterations (at most {relax['max_iterations']} in one solve), "
+            f"{relax['roundoff_stops']} cells stopped at round-off"
+        )
         diag = kapila_limit_diagnostics(result.prim, problem.eos_pair)
         write_json(out / "kapila.json", diag)
         print(
@@ -225,7 +231,8 @@ def cmd_compare(args):
 
     columns = SNAPSHOT_COLUMNS[1:]
     tables = {m: mixture_table(r.x, r.prim, problem.eos_pair)[:, 1:] for m, r in runs.items()}
-    report = {"problem": problem.name, "cells": cells, "pairs": {}, "verdicts": []}
+    report = {"problem": problem.name, "cells": cells, "pairs": {}, "verdicts": [],
+              "telemetry": {m: r.ledger["telemetry"] for m, r in runs.items()}}
 
     exact_ref = None
     if problem.exact_spec is not None and not args.theta1 and not args.theta2:

@@ -23,10 +23,15 @@ Pressure and velocity relaxation enter as Strang-split half steps
 around each transport step.  The velocity sub-step integrates
 dw/dt = -c1*c2*w/theta2 exactly with frozen mass fractions; the
 pressure sub-step advances dalpha1/dt = (p1 - p2)/theta1 by an
-implicit solve in alpha1 with the partial masses frozen.  Both project
-instantaneously for theta below 1e-6*dt.  The sub-steps conserve the
-partial masses, the mixture density and the mixture momentum to
-round-off.
+implicit solve in alpha1 with the partial masses frozen (its theta1 -> 0
+end is the instantaneous pressure relaxation of Saurel & Abgrall 1999):
+a safeguarded Newton iteration that, after the first residual, works
+on the unconverged cells only and stops a cell at the tolerance or at
+round-off.  Both sub-steps project instantaneously for theta below
+1e-6*dt, and conserve the partial masses, the mixture density and the
+mixture momentum to round-off.  The run's ledger counts the pressure
+solves, their Newton iterations and their round-off stops under
+ledger["telemetry"]["relax"].
 
 `run_simulation` marches one configuration in this process;
 `run_simulations` marches several, each in a forked worker process, and
@@ -431,52 +436,89 @@ def step(u, dt, dx, config, eos_pair, t=0.0):
 # relaxation sources
 # ---------------------------------------------------------------------------
 
-def _equilibrium_alpha(alpha0, m1, m2, dt, theta1, eos_pair, tol=1e-13):
+RELAX_COUNTERS = ("solves", "newton_iterations", "max_iterations", "roundoff_stops")
+
+
+def _equilibrium_alpha(alpha0, m1, m2, dt, theta1, eos_pair, tol=1e-13, counts=None):
     """Advance dalpha1/dt = (p1 - p2)/theta1 implicitly (or project to
     p1 = p2 for theta1 below the stiff threshold), partial masses
-    frozen.  Vectorized safeguarded Newton on the increasing residual
-    mu (alpha - alpha0) - (p1 - p2), mu = theta1/dt (0 when projecting);
-    the root is always bracketed in (0, 1), and a cell stops moving
-    once it meets the tolerance."""
+    frozen.  Safeguarded Newton on the increasing residual
+    mu (alpha - alpha0) - (p1 - p2), mu = theta1/dt (0 when projecting),
+    with the root bracketed in (0, 1): a step that leaves the bracket,
+    or is not finite, bisects it.
+
+    The first residual is evaluated on every cell; after that only the
+    cells still iterating are, gathered into one work array that sheds
+    a cell as soon as it stops.  A cell stops when it meets the
+    tolerance tol * max(|p1|, |p2|, mu), or at round-off: when its
+    update leaves x unchanged or no double lies strictly inside its
+    bracket, so that its iterates could only repeat.  Each cell's
+    iterates are those of a solve of that cell alone.  The bracket
+    [1e-14, 1 - 1e-14] keeps alpha, and so both densities, positive,
+    and the unchecked EOS formulas serve.  `counts`, a dict over
+    RELAX_COUNTERS, accumulates the solves, the Newton iterations (in
+    total and the most in one solve) and the cells stopped at round-off
+    short of the tolerance."""
     mu = 0.0 if theta1 < RELAX_PROJECTION_FACTOR * dt else theta1 / dt
+    fscale_floor = max(mu, 1e-300)
+    pressure1, pressure2 = eos_pair.phase1._pressure, eos_pair.phase2._pressure
+    ssq1, ssq2 = eos_pair.phase1._sound_speed_sq, eos_pair.phase2._sound_speed_sq
 
-    e1, e2 = eos_pair.phase1, eos_pair.phase2
+    def residual(x, f, rho1, rho2, y, m1, m2, a0):
+        # writes f, the densities and y = 1 - x at x into their rows and
+        # returns the mask of the cells that meet the tolerance
+        np.divide(m1, x, out=rho1)
+        np.divide(m2, np.subtract(1.0, x, out=y), out=rho2)
+        p1 = pressure1(rho1)
+        p2 = pressure2(rho2)
+        np.subtract(mu * (x - a0), p1 - p2, out=f)
+        # a NaN residual meets no tolerance
+        return np.abs(f) <= tol * np.maximum(np.maximum(np.abs(p1), np.abs(p2)), fscale_floor)
 
-    def residual(a):
-        p1 = e1.pressure(m1 / a)
-        p2 = e2.pressure(m2 / (1.0 - a))
-        return mu * (a - alpha0) - (p1 - p2), p1, p2
-
-    def derivative(a):
-        a1sq = e1.sound_speed_sq(m1 / a)
-        a2sq = e2.sound_speed_sq(m2 / (1.0 - a))
-        return mu + a1sq * m1 / a**2 + a2sq * m2 / (1.0 - a) ** 2
-
-    lo = np.full_like(alpha0, 1e-14)
-    hi = np.full_like(alpha0, 1.0 - 1e-14)
-    x = np.clip(alpha0, 1e-12, 1.0 - 1e-12)
-    f, p1, p2 = residual(x)
-    for _ in range(200):
-        fscale = np.maximum(np.maximum(mu, np.maximum(np.abs(p1), np.abs(p2))), 1e-300)
-        active = ~(np.abs(f) <= tol * fscale)  # a NaN residual stays active
-        if not np.any(active) or np.all(hi - lo < 1e-16):
+    # work rows: x, its bracket lo and hi, then f, rho1, rho2 and 1 - x
+    # at x, then the frozen m1, m2 and alpha0
+    work = np.empty((10, np.size(alpha0)))
+    np.clip(alpha0, 1e-12, 1.0 - 1e-12, out=work[0])
+    work[1] = 1e-14
+    work[2] = 1.0 - 1e-14
+    work[7:] = m1, m2, alpha0
+    alpha = work[0]  # the answer on every cell; the gathers copy
+    cells = np.flatnonzero(~residual(work[0], *work[3:]))
+    work = work.take(cells, axis=1)
+    roundoff = 0
+    for iterations in range(200):
+        if not cells.size:
             break
+        x, lo, hi, f, rho1, rho2, y, m1, m2, a0 = work
+        # x lies in [lo, hi], so it replaces the bound on its side
         above = f > 0.0
-        hi = np.where(above, np.minimum(hi, x), hi)
-        lo = np.where(~above, np.maximum(lo, x), lo)
-        xn = x - f / derivative(x)
-        outside = (xn < lo) | (xn > hi) | ~np.isfinite(xn)
-        x = np.where(active, np.where(outside, 0.5 * (lo + hi), xn), x)
-        f, p1, p2 = residual(x)
+        np.copyto(hi, x, where=above)
+        np.copyto(lo, x, where=~above)
+        xn = x - f / (mu + ssq1(rho1) * m1 / x**2 + ssq2(rho2) * m2 / y**2)
+        xn = np.where((xn >= lo) & (xn <= hi), xn, 0.5 * (lo + hi))  # NaN and inf bisect
+        stuck = (xn == x) | (np.nextafter(lo, hi) >= hi)
+        x[:] = xn
+        met = residual(x, f, rho1, rho2, y, m1, m2, a0)
+        done = met | stuck
+        if stopped := np.count_nonzero(done):
+            alpha[cells] = x
+            roundoff += stopped - np.count_nonzero(met)
+            keep = ~done
+            cells = cells[keep]
+            work = work.compress(keep, axis=1)
     else:
         raise RelaxationError("pressure relaxation solve did not converge")
-    if np.any((x <= 0.0) | (x >= 1.0)):
-        raise RelaxationError("equilibrium volume fraction left (0, 1)")
-    return x
+    if counts is not None:
+        counts["solves"] += 1
+        counts["newton_iterations"] += iterations
+        counts["max_iterations"] = max(counts["max_iterations"], iterations)
+        counts["roundoff_stops"] += int(roundoff)
+    return alpha
 
 
-def _relax_rows(v, dt, theta1, theta2, eos_pair):
-    """Apply the relaxation sources to primitive rows v (5, n).
+def _relax_rows(v, dt, theta1, theta2, eos_pair, counts=None):
+    """Apply the relaxation sources to primitive rows v (5, n); `counts`
+    goes to _equilibrium_alpha.
 
     Partial masses alpha_i rho_i, the mixture density and the mixture
     momentum are invariants of both sub-steps.
@@ -495,7 +537,7 @@ def _relax_rows(v, dt, theta1, theta2, eos_pair):
         else:
             w = w * np.exp(-c1 * c2 * dt / theta2)
     if theta1 is not None:
-        alpha1 = _equilibrium_alpha(alpha1, m1, m2, dt, theta1, eos_pair)
+        alpha1 = _equilibrium_alpha(alpha1, m1, m2, dt, theta1, eos_pair, counts=counts)
         rho1 = m1 / alpha1
         rho2 = m2 / (1.0 - alpha1)
     return alpha1, rho1, rho2, u + c2 * w, u - c1 * w
@@ -548,10 +590,11 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
     totals0 = total = cells.sum(axis=1) * dx
     boundary_integral = np.zeros(5)
     relax_delta = np.zeros(5)
+    relax_counts = dict.fromkeys(RELAX_COUNTERS, 0)
 
     def relax(c, total, dt):
         c = system.encode(_relax_rows(system.decode(c), dt, config.theta1, config.theta2,
-                                      eos_pair))
+                                      eos_pair, relax_counts))
         relaxed = c.sum(axis=1) * dx
         relax_delta[:] += relaxed - total
         return c, relaxed
@@ -607,6 +650,8 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
         # the last step is cut to reach t_end; None when no step was taken
         "dt_min": dt_min if steps else None,
         "dt_max": dt_max if steps else None,
+        # counters of the run's pressure relaxation solves (all 0 without theta1)
+        "telemetry": {"relax": relax_counts},
     }
     prim = np.stack(system.decode(cells), axis=-1)
     cons = prim_to_cons_array(prim)

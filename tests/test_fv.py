@@ -637,15 +637,15 @@ def test_implicit_pressure_step_partial(ideal_pair):
 
 
 def test_pressure_relaxation_newton_iteration_count():
-    # every iteration of the vectorized Newton evaluates the phase-1
+    # every iteration of the Newton solve evaluates the unchecked phase-1
     # sound speed once; a cell that has met the tolerance must not be
     # sent back to its bracket midpoint and hold the whole batch up
     calls = []
 
     class CountingEos(BarotropicEos):
-        def sound_speed_sq(self, rho):
+        def _sound_speed_sq(self, rho):
             calls.append(1)
-            return super().sound_speed_sq(rho)
+            return super()._sound_speed_sq(rho)
 
     pair = EosPair(CountingEos(1.0, 1.4), BarotropicEos(1.0, 2.0))
     rng = np.random.default_rng(21)
@@ -664,6 +664,128 @@ def test_pressure_relaxation_newton_iteration_count():
         p2 = out[:, 2] ** 2.0
         balance = mu * (out[:, 0] - v[:, 0]) - (p1 - p2)
         assert np.max(np.abs(balance) / np.maximum(mu, np.maximum(p1, p2))) < 1e-12
+
+
+def _dense_equilibrium_alpha(alpha0, m1, m2, dt, theta1, eos_pair, tol=1e-13):
+    # the solve as it was before it iterated on the unconverged cells only:
+    # every iterate evaluates every cell with the checked EOS and stops
+    # when all cells meet the tolerance
+    mu = 0.0 if theta1 < fv.RELAX_PROJECTION_FACTOR * dt else theta1 / dt
+    e1, e2 = eos_pair.phase1, eos_pair.phase2
+
+    def residual(a):
+        p1 = e1.pressure(m1 / a)
+        p2 = e2.pressure(m2 / (1.0 - a))
+        return mu * (a - alpha0) - (p1 - p2), p1, p2
+
+    def derivative(a):
+        a1sq = e1.sound_speed_sq(m1 / a)
+        a2sq = e2.sound_speed_sq(m2 / (1.0 - a))
+        return mu + a1sq * m1 / a**2 + a2sq * m2 / (1.0 - a) ** 2
+
+    lo = np.full_like(alpha0, 1e-14)
+    hi = np.full_like(alpha0, 1.0 - 1e-14)
+    x = np.clip(alpha0, 1e-12, 1.0 - 1e-12)
+    f, p1, p2 = residual(x)
+    for _ in range(200):
+        fscale = np.maximum(np.maximum(mu, np.maximum(np.abs(p1), np.abs(p2))), 1e-300)
+        active = ~(np.abs(f) <= tol * fscale)
+        if not np.any(active) or np.all(hi - lo < 1e-16):
+            return x
+        above = f > 0.0
+        hi = np.where(above, np.minimum(hi, x), hi)
+        lo = np.where(~above, np.maximum(lo, x), lo)
+        xn = x - f / derivative(x)
+        outside = (xn < lo) | (xn > hi) | ~np.isfinite(xn)
+        x = np.where(active, np.where(outside, 0.5 * (lo + hi), xn), x)
+        f, p1, p2 = residual(x)
+    raise AssertionError("dense oracle did not converge")
+
+
+@pytest.mark.parametrize("theta1", [1e-3, 1e-12])  # mu = 1 and mu = 0 (projection)
+def test_pressure_relaxation_matches_dense_oracle(ideal_pair, theta1):
+    # iterating on the unconverged cells only changes no bit of the answer
+    rng = np.random.default_rng(31)
+    n = 2000
+    alpha0 = rng.uniform(0.05, 0.95, n)
+    m1 = alpha0 * rng.uniform(0.3, 3.0, n)
+    m2 = (1.0 - alpha0) * rng.uniform(0.3, 3.0, n)
+    want = _dense_equilibrium_alpha(alpha0, m1, m2, 1e-3, theta1, ideal_pair)
+    assert np.array_equal(fv._equilibrium_alpha(alpha0, m1, m2, 1e-3, theta1, ideal_pair), want)
+
+
+def _relaxation_residual(a, alpha0, m1, m2, mu, eos_pair):
+    p1 = eos_pair.phase1.pressure(m1 / a)
+    p2 = eos_pair.phase2.pressure(m2 / (1.0 - a))
+    return mu * (a - alpha0) - (p1 - p2), p1, p2
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stiff=st.booleans(),
+    cells=st.lists(
+        st.tuples(st.floats(1e-6, 1.0 - 1e-6), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        min_size=1, max_size=12,
+    ),
+    mu=st.one_of(st.just(0.0), st.floats(1e-3, 1e9)),
+)
+# m1 = 100 against m2 = 0.01: the root near alpha1 = 0.9996 is met at round-off only
+@example(stiff=False, cells=[(0.5, 1.0, 0.0)], mu=0.0)
+def test_pressure_relaxation_meets_tolerance_or_roundoff(ideal_pair, stiff_pair, stiff, cells,
+                                                         mu):
+    # the solve returns alpha in (0, 1), and each cell either meets the
+    # tolerance or is a closest double to its root: the residual changes
+    # sign between it and one of its neighbouring doubles.  Masses span
+    # four decades around the RP1-RP6 states of each pair.
+    pair = stiff_pair if stiff else ideal_pair
+    alpha0, s1, s2 = (np.array(c) for c in zip(*cells))
+    m1 = 1e-2 * 10.0 ** (4.0 * s1)
+    m2 = (1e0 if stiff else 1e-2) * 10.0 ** (4.0 * s2)
+    theta1 = mu if mu else 1e-30  # dt = 1: mu = theta1, or projection
+    x = fv._equilibrium_alpha(alpha0, m1, m2, 1.0, theta1, pair)
+    assert np.all((x > 0.0) & (x < 1.0))
+    f, p1, p2 = _relaxation_residual(x, alpha0, m1, m2, mu, pair)
+    met = np.abs(f) <= 1e-13 * np.maximum(np.maximum(np.abs(p1), np.abs(p2)), max(mu, 1e-300))
+    below = _relaxation_residual(np.nextafter(x, 0.0), alpha0, m1, m2, mu, pair)[0]
+    above = _relaxation_residual(np.nextafter(x, 1.0), alpha0, m1, m2, mu, pair)[0]
+    closest = (np.sign(f) != np.sign(below)) | (np.sign(f) != np.sign(above)) | (f == 0.0)
+    assert np.all(met | closest), (x[~(met | closest)], f[~(met | closest)])
+
+
+@pytest.mark.parametrize("theta1", [1e-3, 1e-2, 0.1])
+def test_relaxed_rp4_bn_finishes(theta1):
+    # on RP4's stiff pair the residual's round-off floor |f'| ulp(alpha)
+    # can exceed the tolerance; such cells stop at round-off, where the
+    # solve used to iterate them to its limit and raise RelaxationError
+    p = get_problem("RP4")
+    left, right = p.riemann_data()
+    cfg = SolverConfig(t_end=p.t_end, cfl=p.cfl, scheme="muscl-pathcons-bn", theta1=theta1)
+    res = run_simulation(left, right, Grid(p.x_min, p.x_max, 200), cfg, p.eos_pair, x0=p.x0)
+    assert res.t == pytest.approx(p.t_end, rel=1e-12)
+    assert np.all(np.isfinite(res.prim))
+    assert np.all((res.prim[:, 0] > 0.0) & (res.prim[:, 0] < 1.0))
+    relax = res.ledger["telemetry"]["relax"]
+    assert relax["solves"] == 2 * res.steps
+    assert relax["roundoff_stops"] > 0
+
+
+def test_relaxation_counters_in_ledger(ideal_pair):
+    p = get_problem("RP6")
+    left, right = p.riemann_data()
+    g = Grid(p.x_min, p.x_max, 64)
+    relaxed = SolverConfig(t_end=0.05, theta1=1e-3, theta2=1e-8)
+    res = run_simulation(left, right, g, relaxed, ideal_pair)
+    relax = res.ledger["telemetry"]["relax"]
+    assert set(relax) == set(fv.RELAX_COUNTERS)
+    assert relax["solves"] == 2 * res.steps
+    assert 0 < relax["max_iterations"] <= 25
+    assert relax["max_iterations"] <= relax["newton_iterations"] <= 25 * relax["solves"]
+    assert relax["roundoff_stops"] == 0
+    # the counters come back from a forked worker with its result
+    forked = run_simulations(left, right, g, [SolverConfig(t_end=0.05), relaxed], ideal_pair)
+    assert forked[1].ledger["telemetry"]["relax"] == relax
+    # a run without theta1 solves nothing
+    assert set(forked[0].ledger["telemetry"]["relax"].values()) == {0}
 
 
 def test_relaxation_step_conserved_view(ideal_pair):

@@ -313,6 +313,20 @@ def test_cli_simulate_relaxed_writes_kapila(tmp_path):
     assert diag["velocity_disequilibrium_max"] < 1e-6
 
 
+def test_cli_reports_relaxation_counters(tmp_path, capsys):
+    relaxed = ["--cells", "64", "--t-end", "0.02", "--theta1", "1e-3", "--theta2", "1e-8"]
+    assert cli.main(["simulate", "RP6", *relaxed, "--out", str(tmp_path / "sim")]) == 0
+    relax = json.loads((tmp_path / "sim" / "ledger.json").read_text())["telemetry"]["relax"]
+    assert relax["solves"] > 0 and relax["newton_iterations"] > 0
+    assert (f"relaxation: {relax['solves']} pressure solves, {relax['newton_iterations']} "
+            "Newton iterations") in capsys.readouterr().out
+    # compare's workers send their counters back with their results
+    assert cli.main(["compare", "RP6", *relaxed, "--out", str(tmp_path / "cmp")]) == 0
+    report = json.loads((tmp_path / "cmp" / "compare.json").read_text())
+    assert report["telemetry"]["shtc"]["relax"] == relax
+    assert report["telemetry"]["bn"]["relax"]["solves"] > 0
+
+
 def test_cli_simulate_bn_model(tmp_path):
     out = tmp_path / "bn"
     rc = cli.main(["simulate", "RP6", "--model", "bn", "--cells", "100", "--out", str(out)])
