@@ -22,6 +22,7 @@ whole array of similarity coordinates at once.  Only differences of Psi
 are ever observable, so the integration constant is fixed to zero.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +65,12 @@ class BarotropicEos:
 
     @staticmethod
     def _check_density(rho):
-        # scalar fast path: these run inside Newton loops
-        if np.ndim(rho):
-            if not np.all(np.asarray(rho) > 0.0):
+        # floats (np.float64 too) first: these run inside Newton loops;
+        # `not rho > 0.0` also rejects NaN
+        if isinstance(rho, float) or not np.ndim(rho):
+            if not rho > 0.0:
                 raise EosDomainError(f"density must be positive, got {rho}")
-        elif not rho > 0.0:
+        elif not np.all(np.asarray(rho) > 0.0):
             raise EosDomainError(f"density must be positive, got {rho}")
 
     def _pressure(self, rho):
@@ -87,7 +89,8 @@ class BarotropicEos:
         return self._sound_speed_sq(rho)
 
     def sound_speed(self, rho):
-        return np.sqrt(self.sound_speed_sq(rho))
+        a_sq = self.sound_speed_sq(rho)  # both square roots are correctly rounded
+        return math.sqrt(a_sq) if isinstance(a_sq, float) else np.sqrt(a_sq)
 
     def psi(self, rho):
         """Potential with dPsi/drho = a**2/rho (additive constant zero).
@@ -105,7 +108,8 @@ class BarotropicEos:
     def fundamental_derivative(self, rho):
         """G = 1 + (rho/a) da/drho = (gamma+1)/2 for the power law."""
         self._check_density(rho)
-        return np.full_like(np.asarray(rho, dtype=float), 0.5 * (self.gamma + 1.0))[()]
+        g = 0.5 * (self.gamma + 1.0)
+        return g if isinstance(rho, float) else np.full_like(np.asarray(rho, dtype=float), g)[()]
 
     def riemann_integral(self, rho_from, rho_to):
         """Integral of a(rho)/rho over [rho_from, rho_to].

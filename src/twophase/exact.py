@@ -469,13 +469,14 @@ def validate_solution(solution):
         lax = ""
         resid = 0.0
         entropy = 0.0
+        lam = (eigenvalues(el.left, eos_pair), eigenvalues(el.right, eos_pair))
         if el.kind == CONTACT_KIND:
             resid = float(np.max(contact_residuals(el.left, el.right, eos_pair)))
             if resid > RESIDUAL_TOL:
                 flags.append(f"contact residual {resid:.3e} above {RESIDUAL_TOL:g}")
             entropy = entropy_production(el.left, el.right, el.speed, eos_pair, check=False)
             if not _is_zero_strength(el):
-                census = classify_discontinuity(el.left, el.right, el.speed, eos_pair)
+                census = classify_discontinuity(el.left, el.right, el.speed, eos_pair, lam)
                 if not census.evolutionary:
                     flags.append("contact census is not evolutionary")
         elif el.is_discontinuity:
@@ -487,14 +488,14 @@ def validate_solution(solution):
             ent_tol = 1e-9 * max(1.0, abs(p_bar))
             if entropy > ent_tol:
                 flags.append(f"entropy production {entropy:.3e} > 0 (expansion shock)")
-            census = classify_discontinuity(el.left, el.right, el.speed, eos_pair)
+            census = classify_discontinuity(el.left, el.right, el.speed, eos_pair, lam)
             if not census.evolutionary:
                 flags.append(
                     f"census not evolutionary (i={census.i}, o={census.o}, c={census.c}, "
                     f"undetermined={census.undetermined})"
                 )
             if el.kind == SHOCK:
-                lax = lax_check(el.left, el.right, el.speed, el.family, eos_pair)
+                lax = lax_check(el.left, el.right, el.speed, el.family, eos_pair, lam)
                 if lax != "compressive":
                     flags.append(f"isolated shock is not compressive ({lax})")
             else:
@@ -510,9 +511,9 @@ def validate_solution(solution):
             if lam_r < lam_l - tol:
                 flags.append("fan is not expanding")
         eig = {"label": el.label()}
-        for side, state in (("left", el.left), ("right", el.right)):
-            eig[side] = {k: float(v) for k, v in eigenvalues(state, eos_pair).items()}
-            for k in check_resonance(state, eos_pair, eig[side]).coinciding:
+        for side, state, speeds in zip(("left", "right"), (el.left, el.right), lam):
+            eig[side] = {k: float(v) for k, v in speeds.items()}
+            for k in check_resonance(state, eos_pair, speeds).coinciding:
                 flags.append(f"resonant {side} state: lambda_{k} = u")
         eigen_map.append(eig)
         reports.append(

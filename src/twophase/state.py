@@ -50,34 +50,16 @@ class PrimitiveState:
     u2: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha1 < 1.0:
-            raise StateDecodeError(f"volume fraction outside (0,1): {self.alpha1}")
-        if self.rho1 <= 0.0 or self.rho2 <= 0.0:
-            raise StateDecodeError(f"non-positive phase density: {self.rho1}, {self.rho2}")
-
-    @property
-    def alpha2(self):
-        return 1.0 - self.alpha1
-
-    @property
-    def rho(self):
-        return self.alpha1 * self.rho1 + self.alpha2 * self.rho2
-
-    @property
-    def c1(self):
-        return self.alpha1 * self.rho1 / self.rho
-
-    @property
-    def c2(self):
-        return self.alpha2 * self.rho2 / self.rho
-
-    @property
-    def u(self):
-        return self.c1 * self.u1 + self.c2 * self.u2
-
-    @property
-    def w(self):
-        return self.u1 - self.u2
+        alpha1, rho1, rho2, u1, u2 = self.alpha1, self.rho1, self.rho2, self.u1, self.u2
+        if not 0.0 < alpha1 < 1.0:
+            raise StateDecodeError(f"volume fraction outside (0,1): {alpha1}")
+        if not (rho1 > 0.0 and rho2 > 0.0):  # NaN too
+            raise StateDecodeError(f"non-positive phase density: {rho1}, {rho2}")
+        # mixture quantities, once per state (not fields: eq, repr and replace ignore them)
+        alpha2 = 1.0 - alpha1
+        rho = alpha1 * rho1 + alpha2 * rho2
+        c1, c2 = alpha1 * rho1 / rho, alpha2 * rho2 / rho
+        vars(self).update(alpha2=alpha2, rho=rho, c1=c1, c2=c2, u=c1 * u1 + c2 * u2, w=u1 - u2)
 
     def as_array(self):
         return np.array([self.alpha1, self.rho1, self.rho2, self.u1, self.u2])

@@ -39,10 +39,10 @@ from .errors import (
 from .state import (
     ACOUSTIC_KEYS,
     PrimitiveState,
+    _cons_rows,
+    _flux_rows,
     eigenvalues,
-    flux_primitive_array,
     mixture_pressures,
-    prim_to_cons_array,
 )
 
 NEWTON_TOL = 1e-12
@@ -131,7 +131,7 @@ def _fan_state(family, eos, rho_edge, u_edge, xi):
     rho = rho_e exp(+-(xi - lambda_e)/a_e).  Either way u = xi -+ a.
     """
     sign = family.sign
-    a_e = eos.sound_speed(rho_edge)
+    a_e = np.sqrt(eos.sound_speed_sq(rho_edge))  # np.float64: a far scalar edge overflows to inf
     lam_e = u_edge + sign * a_e
     gamma = eos.gamma
     with np.errstate(over="ignore"):
@@ -216,42 +216,35 @@ class ShockData:
     entropy_production: float
 
 
-def _shock_residuals(x, pre, alpha1, Q1, Q2, eos_pair):
-    r1, r2 = x
+def _shock_system(pre, alpha1, Q1, Q2, eos_pair):
+    """Residual, Jacobian and scales of the reduced jump pair in the post
+    densities x = (rho1, rho2); the known side's terms are evaluated once."""
     e1, e2 = eos_pair.phase1, eos_pair.phase2
     alpha2 = 1.0 - alpha1
-    f1 = alpha1 * (Q1**2 * (1.0 / r1 - 1.0 / pre.rho1) + e1.pressure(r1) - e1.pressure(pre.rho1)) \
-        + alpha2 * (Q2**2 * (1.0 / r2 - 1.0 / pre.rho2) + e2.pressure(r2) - e2.pressure(pre.rho2))
-    f2 = 0.5 * Q1**2 * (1.0 / r1**2 - 1.0 / pre.rho1**2) \
-        - 0.5 * Q2**2 * (1.0 / r2**2 - 1.0 / pre.rho2**2) \
-        + (e1.psi(r1) - e1.psi(pre.rho1)) - (e2.psi(r2) - e2.psi(pre.rho2))
-    return np.array([f1, f2])
+    q1sq, q2sq = Q1**2, Q2**2
+    inv1, inv2, inv1sq, inv2sq = 1.0 / pre.rho1, 1.0 / pre.rho2, 1.0 / pre.rho1**2, 1.0 / pre.rho2**2
+    p1, p2 = e1.pressure(pre.rho1), e2.pressure(pre.rho2)
+    psi1, psi2 = e1.psi(pre.rho1), e2.psi(pre.rho2)
+    a1sq, a2sq = e1.sound_speed_sq(pre.rho1), e2.sound_speed_sq(pre.rho2)
 
+    def residual(x):
+        r1, r2 = x
+        f1 = alpha1 * (q1sq * (1.0 / r1 - inv1) + e1.pressure(r1) - p1) \
+            + alpha2 * (q2sq * (1.0 / r2 - inv2) + e2.pressure(r2) - p2)
+        f2 = 0.5 * q1sq * (1.0 / r1**2 - inv1sq) - 0.5 * q2sq * (1.0 / r2**2 - inv2sq) \
+            + (e1.psi(r1) - psi1) - (e2.psi(r2) - psi2)
+        return np.array([f1, f2])
 
-def _shock_jacobian(x, alpha1, Q1, Q2, eos_pair):
-    r1, r2 = x
-    alpha2 = 1.0 - alpha1
-    a1sq = eos_pair.phase1.sound_speed_sq(r1)
-    a2sq = eos_pair.phase2.sound_speed_sq(r2)
-    return np.array(
-        [
-            [alpha1 * (a1sq - Q1**2 / r1**2), alpha2 * (a2sq - Q2**2 / r2**2)],
-            [(a1sq - Q1**2 / r1**2) / r1, -(a2sq - Q2**2 / r2**2) / r2],
-        ]
-    )
+    def jacobian(x):
+        r1, r2 = x
+        d1 = e1.sound_speed_sq(r1) - q1sq / r1**2
+        d2 = e2.sound_speed_sq(r2) - q2sq / r2**2
+        return np.array([[alpha1 * d1, alpha2 * d2], [d1 / r1, -d2 / r2]])
 
-
-def _shock_scales(pre, alpha1, Q1, Q2, eos_pair):
-    e1, e2 = eos_pair.phase1, eos_pair.phase2
-    alpha2 = 1.0 - alpha1
-    s1 = alpha1 * (Q1**2 / pre.rho1 + abs(e1.pressure(pre.rho1))) \
-        + alpha2 * (Q2**2 / pre.rho2 + abs(e2.pressure(pre.rho2))) \
-        + alpha1 * pre.rho1 * e1.sound_speed_sq(pre.rho1) \
-        + alpha2 * pre.rho2 * e2.sound_speed_sq(pre.rho2)
-    s2 = 0.5 * Q1**2 / pre.rho1**2 + 0.5 * Q2**2 / pre.rho2**2 \
-        + abs(e1.psi(pre.rho1)) + abs(e2.psi(pre.rho2)) \
-        + e1.sound_speed_sq(pre.rho1) + e2.sound_speed_sq(pre.rho2)
-    return np.array([max(s1, 1e-300), max(s2, 1e-300)])
+    s1 = alpha1 * (q1sq / pre.rho1 + abs(p1)) + alpha2 * (q2sq / pre.rho2 + abs(p2)) \
+        + alpha1 * pre.rho1 * a1sq + alpha2 * pre.rho2 * a2sq
+    s2 = 0.5 * q1sq / pre.rho1**2 + 0.5 * q2sq / pre.rho2**2 + abs(psi1) + abs(psi2) + a1sq + a2sq
+    return residual, jacobian, np.array([max(s1, 1e-300), max(s2, 1e-300)])
 
 
 def _damped_newton(residual, jacobian, x0, scales, what):
@@ -260,7 +253,7 @@ def _damped_newton(residual, jacobian, x0, scales, what):
     positive.  Raises NumericsError unless that error ends below 1e-9."""
     x = np.array(x0, dtype=float)
     f = residual(x)
-    err = np.max(np.abs(f) / scales)
+    err = (np.abs(f) / scales).max()
     for _ in range(NEWTON_MAXITER):
         if err < NEWTON_TOL:
             return x
@@ -273,7 +266,7 @@ def _damped_newton(residual, jacobian, x0, scales, what):
             xn = x + lam * step
             if xn[0] > 0.0 and xn[1] > 0.0:
                 fn = residual(xn)
-                errn = np.max(np.abs(fn) / scales)
+                errn = (np.abs(fn) / scales).max()
                 if errn < err or errn < NEWTON_TOL:
                     x, f, err = xn, fn, errn
                     break
@@ -345,8 +338,7 @@ def shock_connect(state, family, S, eos_pair, post_side=None, initial_guess=None
         raise DegenerateShockError(
             f"requested {family} shock has zero strength (S on the characteristic)"
         )
-    alpha1 = state.alpha1
-    scales = _shock_scales(state, alpha1, Q1, Q2, eos_pair)
+    residual, jacobian, scales = _shock_system(state, state.alpha1, Q1, Q2, eos_pair)
     rho_pre = family.rho_of(state)
     roots = []
 
@@ -378,11 +370,7 @@ def shock_connect(state, family, S, eos_pair, post_side=None, initial_guess=None
     x = None
     for x0 in starts:
         try:
-            fresh = add_root(_damped_newton(
-                lambda y: _shock_residuals(y, state, alpha1, Q1, Q2, eos_pair),
-                lambda y: _shock_jacobian(y, alpha1, Q1, Q2, eos_pair),
-                x0, scales, "shock",
-            ))
+            fresh = add_root(_damped_newton(residual, jacobian, x0, scales, "shock"))
         except NumericsError:
             continue
         if not roots:
@@ -460,32 +448,34 @@ def _contact_state(alpha1, x, u_mix):
     return PrimitiveState(alpha1, r1, r2, u_mix + c2 * w, u_mix - c1 * w)
 
 
-def _contact_residuals(x, alpha1, targets, u_mix, eos_pair):
-    st = _contact_state(alpha1, x, u_mix)
-    return _contact_targets(st, eos_pair) - targets
-
-
-def _contact_jacobian(x, alpha1, eos_pair):
-    r1, r2, w = x
+def _contact_system(alpha1, targets, u_mix, eos_pair):
+    """Residual and Jacobian of the contact jump system in x = (rho1, rho2, w)
+    at volume fraction alpha1, for the invariants `targets`."""
+    e1, e2 = eos_pair.phase1, eos_pair.phase2
     alpha2 = 1.0 - alpha1
-    m1, m2 = alpha1 * r1, alpha2 * r2
-    rho = m1 + m2
-    c1, c2 = m1 / rho, m2 / rho
-    k = rho * c1 * c2
-    a1sq = eos_pair.phase1.sound_speed_sq(r1)
-    a2sq = eos_pair.phase2.sound_speed_sq(r2)
-    dk_dr1 = alpha1 * c2**2
-    dk_dr2 = alpha2 * c1**2
-    # d(c2 - c1)/drho_i
-    dd_dr1 = -2.0 * alpha1 * c2 / rho
-    dd_dr2 = +2.0 * alpha2 * c1 / rho
-    return np.array(
-        [
-            [dk_dr1 * w, dk_dr2 * w, k],
-            [dk_dr1 * w**2 + alpha1 * a1sq, dk_dr2 * w**2 + alpha2 * a2sq, 2.0 * k * w],
-            [0.5 * dd_dr1 * w**2 + a1sq / r1, 0.5 * dd_dr2 * w**2 - a2sq / r2, (c2 - c1) * w],
-        ]
-    )
+
+    def residual(x):
+        return _contact_targets(_contact_state(alpha1, x, u_mix), eos_pair) - targets
+
+    def jacobian(x):
+        r1, r2, w = x
+        m1, m2 = alpha1 * r1, alpha2 * r2
+        rho = m1 + m2
+        c1, c2 = m1 / rho, m2 / rho
+        k = rho * c1 * c2
+        a1sq, a2sq = e1.sound_speed_sq(r1), e2.sound_speed_sq(r2)
+        dk_dr1, dk_dr2 = alpha1 * c2**2, alpha2 * c1**2
+        # d(c2 - c1)/drho_i
+        dd_dr1, dd_dr2 = -2.0 * alpha1 * c2 / rho, +2.0 * alpha2 * c1 / rho
+        return np.array(
+            [
+                [dk_dr1 * w, dk_dr2 * w, k],
+                [dk_dr1 * w**2 + alpha1 * a1sq, dk_dr2 * w**2 + alpha2 * a2sq, 2.0 * k * w],
+                [0.5 * dd_dr1 * w**2 + a1sq / r1, 0.5 * dd_dr2 * w**2 - a2sq / r2, (c2 - c1) * w],
+            ]
+        )
+
+    return residual, jacobian
 
 
 def _contact_scales(state, eos_pair):
@@ -521,11 +511,7 @@ def contact_connect(state, alpha1_right, eos_pair):
     def walk(steps):
         x = np.array([state.rho1, state.rho2, state.w])
         for a in np.linspace(state.alpha1, alpha1_right, steps + 1)[1:]:
-            x = _damped_newton(
-                lambda y: _contact_residuals(y, a, targets, u_mix, eos_pair),
-                lambda y: _contact_jacobian(y, a, eos_pair),
-                x, scales, "contact",
-            )
+            x = _damped_newton(*_contact_system(a, targets, u_mix, eos_pair), x, scales, "contact")
         return x
 
     try:
@@ -542,15 +528,13 @@ def contact_connect(state, alpha1_right, eos_pair):
 
 def rhc_residuals(w_left, w_right, S, eos_pair):
     """Scaled residuals of the five jump conditions [[F]] = S [[U]]."""
-    ul = prim_to_cons_array(w_left.as_array())
-    ur = prim_to_cons_array(w_right.as_array())
-    fl = flux_primitive_array(w_left.as_array(), eos_pair)
-    fr = flux_primitive_array(w_right.as_array(), eos_pair)
+    # rows of np.float64 scalars: the scalar arithmetic (libm pow) of one state
+    vl, vr = w_left.as_array(), w_right.as_array()
+    ul, ur = np.array(_cons_rows(vl)), np.array(_cons_rows(vr))
+    fl, fr = _flux_rows(vl, eos_pair), _flux_rows(vr, eos_pair)
     resid = np.abs(fr - fl - S * (ur - ul))
-    scale = np.max(
-        np.stack([np.abs(fl), np.abs(fr), np.abs(S * ul), np.abs(S * ur)]), axis=0
-    )
-    scale = np.maximum(scale, 1e-9 * max(np.max(scale), 1e-300))
+    scale = np.abs([fl, fr, S * ul, S * ur]).max(axis=0)
+    scale = np.maximum(scale, 1e-9 * max(scale.max(), 1e-300))
     return resid / scale
 
 
@@ -597,8 +581,9 @@ def entropy_production(w_left, w_right, S, eos_pair, check=True):
     return _entropy_bracket(w_left, w_right, S, eos_pair, Q)
 
 
-def lax_check(w_left, w_right, S, family, eos_pair):
-    """Classify the discontinuity against the Lax inequality chains.
+def lax_check(w_left, w_right, S, family, eos_pair, speeds=None):
+    """Classify the discontinuity against the Lax inequality chains;
+    `speeds` are the `eigenvalues` of both sides when the caller has them.
 
     Sorted eigenvalues on each side are compared with S (agreement
     lambda^(0) = -inf, lambda^(n+1) = +inf).  With i the first left
@@ -612,8 +597,7 @@ def lax_check(w_left, w_right, S, family, eos_pair):
     dr = w_right.as_array()
     if np.all(np.abs(dr - dl) <= 1e-12 * np.maximum(np.abs(dl), 1.0)):
         return "fails"  # zero-strength: no discontinuity to classify
-    lam_l = eigenvalues(w_left, eos_pair)
-    lam_r = eigenvalues(w_right, eos_pair)
+    lam_l, lam_r = speeds or (eigenvalues(w_left, eos_pair), eigenvalues(w_right, eos_pair))
     all_l = sorted(lam_l.values())
     all_r = sorted(lam_r.values())
     for lam in list(all_l) + list(all_r):
@@ -658,11 +642,12 @@ class CharacteristicCensus:
         return self.n_unknowns == self.i + self.c + self.m
 
 
-def classify_discontinuity(w_left, w_right, S, eos_pair):
-    lam = {"left": eigenvalues(w_left, eos_pair), "right": eigenvalues(w_right, eos_pair)}
+def classify_discontinuity(w_left, w_right, S, eos_pair, speeds=None):
+    """Census of a discontinuity; `speeds` as in `lax_check`."""
+    lam = speeds or (eigenvalues(w_left, eos_pair), eigenvalues(w_right, eos_pair))
     incoming, outgoing, coinciding = [], [], []
-    for side in ("left", "right"):
-        for key, val in lam[side].items():
+    for side, lam_side in zip(("left", "right"), lam):
+        for key, val in lam_side.items():
             if abs(val - S) < COINCIDE_TOL * max(1.0, abs(val), abs(S)):
                 coinciding.append((key, side))
             elif (val > S) == (side == "left"):

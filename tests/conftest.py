@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from twophase.problems import IDEAL_PAIR, STIFF_PAIR
 from twophase.state import PrimitiveState
@@ -16,6 +17,27 @@ def ideal_pair():
 @pytest.fixture(scope="session")
 def stiff_pair():
     return STIFF_PAIR
+
+
+def primitive_rows():
+    """Hypothesis rows (alpha1, rho1, rho2, u1, u2): alpha1 in (0.01, 0.99),
+    densities over four decades (1e-2 to 1e2) and |u| <= 100.  Speeds
+    below 1e-300 become 0, so that every partial momentum is a normal
+    float: a subnormal one holds fewer than 53 bits, whatever the algebra."""
+    density = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+    velocity = st.floats(-100.0, 100.0).map(lambda u: u if abs(u) >= 1e-300 else 0.0)
+    alpha = st.floats(0.01, 0.99, exclude_min=True, exclude_max=True)
+    return st.tuples(alpha, density, density, velocity, velocity).map(np.array)
+
+
+def round_trip_error(v, back):
+    """Per component |back - v| over the component's own scale: 1 for
+    alpha1, the larger phase density for rho1, rho2, the larger phase
+    speed for u1, u2 (zero speeds must come back exactly)."""
+    rho, speed = max(v[1], v[2]), max(abs(v[3]), abs(v[4]))
+    scale = np.array([1.0, rho, rho, speed, speed])
+    err = np.abs(np.asarray(back) - v)
+    return np.divide(err, scale, out=np.where(err > 0.0, np.inf, 0.0), where=scale > 0.0)
 
 
 def random_states(rng, n, alpha=(0.05, 0.95), rho=(0.1, 5.0), u=(-3.0, 3.0)):

@@ -166,3 +166,85 @@ def test_eos_pair_indexing():
     assert pair[0] is pair.phase1
     assert pair[1] is pair.phase2
     assert tuple(pair) == (pair.phase1, pair.phase2)
+
+
+# ---------------------------------------------------------------------------
+# the float fast path of the density check
+# ---------------------------------------------------------------------------
+
+PARITY_EOS = (
+    BarotropicEos(1.0, 1.4),
+    BarotropicEos(8.5e8, 2.8, 1e3, 8.4999e8),
+    BarotropicEos(2.0, 1.0, mode="isothermal"),
+)
+METHODS = ("pressure", "sound_speed_sq", "sound_speed", "psi", "fundamental_derivative")
+
+
+def _kinds(x):
+    """x as a Python float, an np.float64, a 0-d array and a 3-element array."""
+    return float(x), np.float64(x), np.array(x), np.full(3, x)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def _formulas(eos):
+    """Each checked method as its unchecked formula, the pre-fast-path expressions."""
+    def riemann_integral(a, b):
+        if eos.gamma == 1.0:
+            return np.sqrt(eos._k) * np.log(np.asarray(b, dtype=float) / a)
+        return 2.0 * (np.sqrt(eos._sound_speed_sq(b)) - np.sqrt(eos._sound_speed_sq(a))) / (eos.gamma - 1.0)
+
+    return {
+        "pressure": eos._pressure,
+        "sound_speed_sq": eos._sound_speed_sq,
+        "sound_speed": lambda r: np.sqrt(eos._sound_speed_sq(r)),
+        "psi": eos._psi,
+        "fundamental_derivative": lambda r: np.full_like(
+            np.asarray(r, dtype=float), 0.5 * (eos.gamma + 1.0)
+        )[()],
+        "riemann_integral": riemann_integral,
+    }
+
+
+@pytest.mark.parametrize("eos", PARITY_EOS, ids=("ideal", "stiff", "isothermal"))
+@pytest.mark.parametrize("rho", (0.37, 1.0, 1234.5))
+def test_checked_methods_match_the_array_path_bit_for_bit(eos, rho):
+    # on every input kind each checked method returns its formula's bits;
+    # the two scalar kinds agree with each other and the 0-d array with
+    # every element of the 3-element one.  Scalars are not compared with
+    # arrays: numpy's SIMD array pow and libm's scalar pow may differ in
+    # the last bit, before and after the fast path alike
+    formulas = _formulas(eos)
+    for name in (*METHODS, "riemann_integral"):
+        method = getattr(eos, name)
+        args = (lambda x: (x, 2.0 * x)) if name == "riemann_integral" else (lambda x: (x,))
+        got = [method(*args(x)) for x in _kinds(rho)]
+        for x, value in zip(_kinds(rho), got):
+            assert _bits(value) == _bits(formulas[name](*args(x))), (name, type(x))
+        assert _bits(got[0]) == _bits(got[1]), name
+        assert np.shape(got[3]) == (3,) and _bits(np.full(3, got[2])) == _bits(got[3]), name
+        assert isinstance(got[0], float), name  # scalar in, scalar out
+
+
+@pytest.mark.parametrize("bad", (0.0, -1.0, np.nan))
+def test_density_check_rejects_nonpositive_and_nan_on_every_input_kind(bad):
+    # `not rho > 0.0` rejects NaN; a fast path written as `rho <= 0.0`
+    # would let NaN through on the scalar kinds
+    for eos in PARITY_EOS:
+        for x in _kinds(bad):
+            for name in METHODS:
+                with pytest.raises(EosDomainError):
+                    getattr(eos, name)(x)
+            for args in ((x, 1.0), (1.0, x)):
+                with pytest.raises(EosDomainError):
+                    eos.riemann_integral(*args)
+
+
+def test_density_check_passes_infinity_on_every_input_kind():
+    for eos in PARITY_EOS:
+        for x in _kinds(np.inf):
+            for name in METHODS:
+                assert np.all(np.asarray(getattr(eos, name)(x)) > 0.0), name
+            assert np.all(np.asarray(eos.riemann_integral(1.0, x)) == np.inf)

@@ -409,6 +409,21 @@ def test_sample_many_matches_snapshot():
         assert np.all(np.abs(sol.sample_many(xi) - want) <= 1e-12 * scale), name
 
 
+def test_exact_construction_matches_snapshot():
+    # element states, head and tail speeds and the validation report of
+    # every preset, frozen by `tools/fv_snapshot.py --exact`: equal bit
+    # for bit (float leaves compared by their IEEE bit patterns)
+    tool = snapshot_tool()
+    ref = np.load(tool.EXACT_OUT)
+    for name in sorted(PRESETS):
+        got = tool.exact_arrays(get_problem(name).build_exact())
+        for key in ("states", "speeds", "report_floats"):
+            want = ref[f"{name}|{key}"]
+            assert got[key].shape == want.shape, (name, key)
+            assert np.array_equal(got[key].view(np.int64), want.view(np.int64)), (name, key)
+        assert got["report_flags"][()] == ref[f"{name}|report_flags"][()], name
+
+
 def _speeds(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import random_state_array, snapshot_tool
+from conftest import primitive_rows, random_state_array, round_trip_error, snapshot_tool
 from twophase import fv
 from twophase.eos import BarotropicEos, EosPair
 from twophase.errors import ConfigError, NumericsError, PositivityError, StateDecodeError
@@ -422,6 +422,13 @@ def test_bn_round_trip():
     rng = np.random.default_rng(4)
     v = random_state_array(rng, 200)
     assert np.allclose(decode(fv._BN, encode(fv._BN, v)), v, rtol=1e-13)
+
+
+@settings(max_examples=500, deadline=None)
+@given(v=primitive_rows())
+def test_bn_prim_rows_invert_bn_rows(v):
+    back = fv._bn_prim_rows(np.array(fv._bn_rows(v)))
+    assert np.all(round_trip_error(v, back) <= 1e-12), (v, back)
 
 
 def test_bn_constant_alpha_equals_decoupled_euler(ideal_pair):

@@ -2,14 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import coincident_state, random_state_array, random_states
+from conftest import (
+    coincident_state,
+    primitive_rows,
+    random_state_array,
+    random_states,
+    round_trip_error,
+)
 from twophase import fv
 from twophase.errors import StateDecodeError
 from twophase.state import (
     ACOUSTIC_KEYS,
     FAMILY_KEYS,
     PrimitiveState,
+    _cons_rows,
     _invalid_cons,
     _prim_rows,
     check_resonance,
@@ -54,6 +62,13 @@ def test_round_trip_property():
     v = random_state_array(rng, 10_000)
     back = decode(prim_to_cons_array(v))
     assert np.max(np.abs(back - v) / np.maximum(np.abs(v), 1.0)) < 1e-13
+
+
+@settings(max_examples=500, deadline=None)
+@given(v=primitive_rows())
+def test_prim_rows_invert_cons_rows(v):
+    back = _prim_rows(np.array(_cons_rows(v)))
+    assert np.all(round_trip_error(v, back) <= 1e-12), (v, back)
 
 
 def test_decode_rejects_boundary(ideal_pair):

@@ -10,11 +10,13 @@ import pytest
 from scipy.integrate import quad
 
 from twophase.eos import BarotropicEos, EosPair
+from twophase import waves
 from twophase.errors import (
     DegenerateShockError,
     InadmissibleWaveError,
     NumericsError,
     OutOfFanError,
+    TwoPhaseError,
 )
 from twophase.problems import IDEAL_PAIR, STIFF_PAIR, table_states
 from twophase.state import PrimitiveState, mixture_pressures
@@ -23,6 +25,7 @@ from twophase.waves import (
     F1P,
     F2M,
     F2P,
+    NEWTON_TOL,
     classify_discontinuity,
     contact_connect,
     contact_residuals,
@@ -575,3 +578,91 @@ def test_rarefaction_frozen_quantities_bitwise():
         assert out.rho1 == st.rho1 and out.u1 == st.u1
         out = rarefaction_connect(st, F1P, F1P.speed_of(st, IDEAL_PAIR) + 0.7, IDEAL_PAIR)
         assert out.rho2 == st.rho2 and out.u2 == st.u2
+
+
+def test_fan_overflow_is_a_numerics_error():
+    # gamma near 1 makes the fan exponent 2/(gamma-1) = 2000: a far target
+    # overflows the density, which must end in NumericsError, not in a
+    # raw OverflowError from scalar float arithmetic
+    pair = EosPair(BarotropicEos(1.0, 1.001), BarotropicEos(1.0, 1.4))
+    st = PrimitiveState(0.5, 1.0, 1.0, 0.0, 0.0)
+    with pytest.raises(NumericsError, match="not finite"):
+        rarefaction_connect(st, F1M, -2000.0, pair)
+
+
+# Newton convergence over a seeded sweep, measured on the iterates
+# of 1ee7627: at most 7 (shock) and 8 (contact) iterations, and at
+# most C = 1.1e4 on the full steps below 1e-4
+NEWTON_ITERATIONS = {"shock": 10, "contact": 10}
+NEWTON_C = 5e4
+ROUNDOFF = 1e-2 * NEWTON_TOL  # scaled residual the last step may stall at
+
+
+def _traced_newton_solves(monkeypatch):
+    """Run the sweep with `_damped_newton` traced; per converged solve
+    the kind, the scaled errors of the accepted iterates and, per
+    step, whether it was a full Newton step (lambda = 1)."""
+    solves = []
+    newton = waves._damped_newton
+
+    def traced(residual, jacobian, x0, scales, what):
+        seen, path = {}, []
+
+        def res(x):
+            seen[x.tobytes()] = f = residual(x)
+            return f
+
+        def jac(x):
+            path.append((x.copy(), jacobian(x)))
+            return path[-1][1]
+
+        x = newton(res, jac, x0, scales, what)
+        xs = [p[0] for p in path]
+        if not xs or not np.array_equal(x, xs[-1]):
+            xs.append(x)
+        errs = [float(np.max(np.abs(seen[y.tobytes()]) / scales)) for y in xs]
+        full = [
+            np.array_equal(xk + np.linalg.solve(jk, -seen[xk.tobytes()]), xn)
+            for (xk, jk), xn in zip(path, xs[1:])
+        ]
+        solves.append((what, errs, full))
+        return x
+
+    monkeypatch.setattr(waves, "_damped_newton", traced)
+    rng = np.random.default_rng(12345)
+    for i in range(300):
+        st = PrimitiveState(
+            rng.uniform(0.15, 0.85), rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0),
+            rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+        )
+        fam = (F1M, F2M, F1P, F2P)[i % 4]
+        lam = fam.speed_of(st, IDEAL_PAIR)
+        try:
+            shock_connect(st, fam, lam + fam.sign * rng.uniform(0.1, 0.4) * (1 + abs(lam)), IDEAL_PAIR)
+        except TwoPhaseError:
+            pass
+    for _ in range(150):
+        st = PrimitiveState(
+            rng.uniform(0.15, 0.85), rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0),
+            rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+        )
+        try:
+            contact_connect(st, rng.uniform(0.15, 0.85), IDEAL_PAIR)
+        except TwoPhaseError:
+            pass
+    return solves
+
+
+def test_damped_newton_converges_quadratically(monkeypatch):
+    solves = _traced_newton_solves(monkeypatch)
+    kinds = [what for what, _, _ in solves]
+    assert kinds.count("shock") > 200 and kinds.count("contact") > 1000
+    checked = 0
+    for what, errs, full in solves:
+        assert errs[-1] < 1e-9
+        assert len(errs) - 1 <= NEWTON_ITERATIONS[what], (what, errs)
+        for err, err_next, is_full in zip(errs, errs[1:], full):
+            if is_full and NEWTON_TOL <= err < 1e-4:
+                checked += 1
+                assert err_next <= max(NEWTON_C * err**2, ROUNDOFF), (what, errs)
+    assert checked > 1000

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Freeze finite-volume and exact-sampling answers that later changes are held to.
+"""Freeze finite-volume and exact answers that later changes are held to.
 
 Runs `run_simulation` on a fixed set of cases at 128 cells and writes
 each final primitive array and step count to an npz file:
@@ -25,13 +25,24 @@ only from a commit whose answers are the reference, from the repository
 root:
 
     PYTHONPATH=src python3 tools/fv_snapshot.py [tests/data/fv_snapshot.npz]
+
+With `--exact` it writes the exact constructions instead, to
+tests/data/exact_snapshot.npz by default: for every preset the element
+states, head and tail speeds, and the floats and flags of
+`validate_solution(...).as_dict()` (see `exact_arrays`).
+tests/test_exact.py::test_exact_construction_matches_snapshot asserts
+that they are equal bit for bit:
+
+    PYTHONPATH=src python3 tools/fv_snapshot.py --exact [tests/data/exact_snapshot.npz]
 """
 
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from twophase.exact import validate_solution
 from twophase.fv import Grid, SolverConfig, run_simulation
 from twophase.problems import PRESETS, get_problem
 from twophase.state import PrimitiveState
@@ -40,7 +51,9 @@ CELLS = 128
 GRID_POINTS = 401
 # left and right primitive states (alpha1, rho1, rho2, u1, u2)
 INTERFACE = ((1.0 - 1e-6, 10.0, 1.0, 0.0, 0.0), (1e-6, 1.0, 10.0, 0.0, 0.0))
-DEFAULT_OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "fv_snapshot.npz"
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+DEFAULT_OUT = DATA / "fv_snapshot.npz"
+EXACT_OUT = DATA / "exact_snapshot.npz"
 
 
 def cases():
@@ -82,7 +95,45 @@ def exact_points(solution):
     return np.unique(np.concatenate([grid, *near]))
 
 
+def _split_floats(node, floats):
+    """`node` with every float leaf moved, in walk order, to `floats` and
+    replaced by None; bools, strings and the structure stay."""
+    if isinstance(node, dict):
+        return {k: _split_floats(node[k], floats) for k in sorted(node)}
+    if isinstance(node, (list, tuple)):
+        return [_split_floats(v, floats) for v in node]
+    if isinstance(node, float):
+        floats.append(node)
+        return None
+    return node
+
+
+def exact_arrays(solution):
+    """Arrays that pin an exact construction bit for bit: `states`
+    (elements, left/right, 5), `speeds` (elements, head/tail), the
+    report's float leaves `report_floats` and the rest of the report as
+    JSON, `report_flags`."""
+    floats = []
+    flags = _split_floats(validate_solution(solution).as_dict(), floats)
+    return {
+        "states": np.array([[el.left.as_array(), el.right.as_array()] for el in solution.elements]),
+        "speeds": np.array([[el.xi_head, el.xi_tail] for el in solution.elements]),
+        "report_floats": np.array(floats),
+        "report_flags": np.array(json.dumps(flags, sort_keys=True).encode()),
+    }
+
+
 def main(argv):
+    if argv[:1] == ["--exact"]:
+        out = Path(argv[1]) if argv[1:] else EXACT_OUT
+        arrays = {
+            f"{name}|{key}": value
+            for name in sorted(PRESETS)
+            for key, value in exact_arrays(get_problem(name).build_exact()).items()
+        }
+        np.savez(out, **arrays)
+        print(f"wrote {out}")
+        return 0
     out = Path(argv[0]) if argv else DEFAULT_OUT
     arrays = {}
     for key, name, options in cases():
