@@ -7,8 +7,10 @@ each final primitive array and step count to an npz file:
 * RP1, RP5 and RP6 under muscl-rusanov and muscl-pathcons-bn with the
   minmod and superbee limiters, and under force-godunov;
 * RP4 (the stiff liquid/gas EOS) under force-godunov and muscl-rusanov;
-* RP6 with stiff relaxation (theta1 = 1e-3, theta2 = 1e-8) under
-  muscl-rusanov and muscl-pathcons-bn;
+* relaxed runs under muscl-rusanov and muscl-pathcons-bn: RP6 with
+  theta1 = 1e-3 and theta2 = 1e-8 together (`relaxed`), with theta1 =
+  1e-3 alone (`theta1`) and with theta2 = 1e-8 alone (`theta2`), and RP4
+  with both (`relaxed`);
 * a near-pure material interface on RP5's gases (`INTERFACE`) under
   muscl-rusanov in floor mode, which drops cells to first order in
   reconstruction and in the half step on most steps (strict mode aborts).
@@ -65,8 +67,15 @@ def cases():
         yield f"{name}|force-godunov", name, {"scheme": "force-godunov"}
     yield "RP4|force-godunov", "RP4", {"scheme": "force-godunov"}
     yield "RP4|muscl-rusanov|minmod", "RP4", {"scheme": "muscl-rusanov"}
+    relaxations = (
+        ("RP6", "relaxed", {"theta1": 1e-3, "theta2": 1e-8}),
+        ("RP6", "theta1", {"theta1": 1e-3}),
+        ("RP6", "theta2", {"theta2": 1e-8}),
+        ("RP4", "relaxed", {"theta1": 1e-3, "theta2": 1e-8}),
+    )
     for scheme in ("muscl-rusanov", "muscl-pathcons-bn"):
-        yield f"RP6|{scheme}|relaxed", "RP6", {"scheme": scheme, "theta1": 1e-3, "theta2": 1e-8}
+        for name, tag, thetas in relaxations:
+            yield f"{name}|{scheme}|{tag}", name, {"scheme": scheme, **thetas}
     yield "RP5|muscl-rusanov|floor|interface", "RP5", {"positivity": "floor", "states": INTERFACE}
 
 
