@@ -39,7 +39,7 @@ from .errors import (
     TwoPhaseError,
 )
 from .exact import SOLUTION_COLUMNS, solution_table, validate_solution
-from .fv import Grid, SolverConfig, run_simulation, run_simulations
+from .fv import LIMITERS, SCHEMES, Grid, SolverConfig, run_simulation, run_simulations
 from .models import kapila_limit_diagnostics
 from .problems import get_problem
 from .state import mixture_table
@@ -235,7 +235,7 @@ def cmd_compare(args):
               "telemetry": {m: r.ledger["telemetry"] for m, r in runs.items()}}
 
     exact_ref = None
-    if problem.exact_spec is not None and not args.theta1 and not args.theta2:
+    if problem.exact_spec is not None and not configs[0].relaxing:
         solution = problem.build_exact()
         xs = grid.centers()
         xi = (xs - problem.x0) / runs[models[0]].t
@@ -275,7 +275,7 @@ def cmd_compare(args):
                 print("  " + verdict)
             else:
                 print(f"  L1(rho) {a}|{b}: {d:.3e}")
-    if args.theta1 or args.theta2:
+    if configs[0].relaxing:
         for m in models:
             diag = kapila_limit_diagnostics(runs[m].prim, problem.eos_pair)
             report.setdefault("kapila", {})[m] = diag
@@ -322,8 +322,9 @@ def cmd_validate(args):
 def _common_run_flags(p):
     p.add_argument("--cells", type=int, default=None, help="cell count (default desk scale)")
     p.add_argument("--paper-scale", action="store_true", help="use the published resolution")
-    p.add_argument("--scheme", default=None, choices=["muscl-rusanov", "force-godunov"])
-    p.add_argument("--limiter", default="minmod", choices=["minmod", "superbee", "mc", "vanleer"])
+    # muscl-pathcons-bn is the scheme of --model bn
+    p.add_argument("--scheme", choices=[s for s in SCHEMES if s != "muscl-pathcons-bn"])
+    p.add_argument("--limiter", default="minmod", choices=LIMITERS)
     p.add_argument("--cfl", type=float, default=None)
     p.add_argument("--t-end", type=float, default=None)
     p.add_argument("--theta1", type=float, default=None, help="pressure relaxation time")

@@ -127,15 +127,7 @@ class BarotropicEos:
 
 @dataclass(frozen=True)
 class EosPair:
-    """The two phase closures of a mixture, indexable as pair[0], pair[1]."""
+    """The two phase closures of a mixture."""
 
     phase1: BarotropicEos
     phase2: BarotropicEos
-
-    def __getitem__(self, i):
-        if i in (0, 1):
-            return (self.phase1, self.phase2)[i]
-        raise IndexError(i)
-
-    def __iter__(self):
-        return iter((self.phase1, self.phase2))

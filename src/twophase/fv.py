@@ -20,18 +20,18 @@ holds cells as contiguous (5, n) rows from encode to the final decode,
 each stage checks what it makes once, and only `step` checks its input.
 
 Pressure and velocity relaxation enter as Strang-split half steps
-around each transport step.  The velocity sub-step integrates
-dw/dt = -c1*c2*w/theta2 exactly with frozen mass fractions; the
-pressure sub-step advances dalpha1/dt = (p1 - p2)/theta1 by an
-implicit solve in alpha1 with the partial masses frozen (its theta1 -> 0
-end is the instantaneous pressure relaxation of Saurel & Abgrall 1999):
-a safeguarded Newton iteration that, after the first residual, works
-on the unconverged cells only and stops a cell at the tolerance or at
-round-off.  Both sub-steps project instantaneously for theta below
-1e-6*dt, and conserve the partial masses, the mixture density and the
-mixture momentum to round-off.  The run's ledger counts the pressure
-solves, their Newton iterations and their round-off stops under
-ledger["telemetry"]["relax"].
+around each transport step, taken on the cell rows by `_System.relax`.
+The velocity sub-step integrates dw/dt = -c1*c2*w/theta2 exactly; the
+pressure sub-step advances dalpha1/dt = (p1 - p2)/theta1 by an implicit
+solve in alpha1 (its theta1 -> 0 end is the instantaneous pressure
+relaxation of Saurel & Abgrall 1999): a safeguarded Newton iteration
+that, after the first residual, works on the unconverged cells only and
+stops a cell at the tolerance or at round-off.  Both project for theta
+below 1e-6*dt.  They rewrite alpha1*rho and w of conservative cells,
+whose other rows stay bit for bit, and alpha1, q1 and q2 of
+Baer-Nunziato blocks, whose masses stay bit for bit and q1 + q2 to
+round-off.  The run's ledger counts the pressure solves, their Newton
+iterations and their round-off stops under ledger["telemetry"]["relax"].
 
 `run_simulation` marches one configuration in this process;
 `run_simulations` marches several, each in a forked worker process, and
@@ -247,6 +247,7 @@ class _System:
 
     decode: Callable  # rows -> primitive rows, unchecked
     encode: Callable  # primitive rows -> cell rows (5, n)
+    relax: Callable  # (c, dt, config, eos_pair, counts): rows after the relaxation sources
     flux: Callable  # (c, v, eos_pair): conservative flux rows of rows c decoded to v
     nonconservative: Optional[Callable]  # (cl, cr, eos_pair): product on the path cl -> cr
     invalid: Callable  # rows -> mask of broken state invariants
@@ -258,6 +259,7 @@ class _System:
 _SHTC = _System(
     decode=lambda c: _prim_rows(c),
     encode=lambda v: np.stack(_cons_rows(v)),
+    relax=lambda c, dt, config, eos_pair, counts: _relax_cons(c, dt, config, eos_pair, counts),
     flux=lambda c, v, eos_pair: _flux_rows(v, eos_pair),
     nonconservative=None,
     invalid=lambda c: _invalid_cons(c),
@@ -271,6 +273,7 @@ _SHTC = _System(
 _BN = _System(
     decode=lambda b: _bn_prim_rows(b),
     encode=lambda v: np.stack(_bn_rows(v)),
+    relax=lambda b, dt, config, eos_pair, counts: _relax_bn(b, dt, config, eos_pair, counts),
     flux=lambda b, v, eos_pair: _bn_flux(b, v, eos_pair),
     nonconservative=lambda bl, br, eos_pair: _bn_nonconservative(bl, br, eos_pair),
     invalid=lambda b: _invalid_bn(b),
@@ -516,31 +519,34 @@ def _equilibrium_alpha(alpha0, m1, m2, dt, theta1, eos_pair, tol=1e-13, counts=N
     return alpha
 
 
-def _relax_rows(v, dt, theta1, theta2, eos_pair, counts=None):
-    """Apply the relaxation sources to primitive rows v (5, n); `counts`
-    goes to _equilibrium_alpha.
-
-    Partial masses alpha_i rho_i, the mixture density and the mixture
-    momentum are invariants of both sub-steps.
-    """
-    alpha1, rho1, rho2, u1, u2 = v
-    m1 = alpha1 * rho1
-    m2 = (1.0 - alpha1) * rho2
-    rho = m1 + m2
-    c1 = m1 / rho
-    c2 = m2 / rho
-    u = c1 * u1 + c2 * u2
-    w = u1 - u2
-    if theta2 is not None:
-        if theta2 < RELAX_PROJECTION_FACTOR * dt:
+def _relaxed(alpha1, m1, m2, w, dt, config, eos_pair, counts):
+    """alpha1 and the slip w after the relaxation sources over dt, the
+    partial masses m1, m2 frozen; `counts` goes to _equilibrium_alpha."""
+    if config.theta2 is not None:
+        rho = m1 + m2
+        if config.theta2 < RELAX_PROJECTION_FACTOR * dt:
             w = np.zeros_like(w)
         else:
-            w = w * np.exp(-c1 * c2 * dt / theta2)
-    if theta1 is not None:
-        alpha1 = _equilibrium_alpha(alpha1, m1, m2, dt, theta1, eos_pair, counts=counts)
-        rho1 = m1 / alpha1
-        rho2 = m2 / (1.0 - alpha1)
-    return alpha1, rho1, rho2, u + c2 * w, u - c1 * w
+            w = w * np.exp(-(m1 / rho) * (m2 / rho) * dt / config.theta2)
+    if config.theta1 is not None:
+        alpha1 = _equilibrium_alpha(alpha1, m1, m2, dt, config.theta1, eos_pair, counts=counts)
+    return alpha1, w
+
+
+def _relax_cons(c, dt, config, eos_pair, counts):
+    # only w1 = alpha1 rho and w5 = w change
+    alpha1, w = _relaxed(c[0] / c[2], c[1], c[2] - c[1], c[4], dt, config, eos_pair, counts)
+    return np.stack((alpha1 * c[2], c[1], c[2], c[3], w))
+
+
+def _relax_bn(b, dt, config, eos_pair, counts):
+    # alpha1 changes, and q1, q2 move to m1 (u + c2 w), m2 (u - c1 w)
+    # around the fixed mixture velocity u = (q1 + q2)/rho
+    alpha1, m1, m2, q1, q2 = b
+    alpha1, w = _relaxed(alpha1, m1, m2, q1 / m1 - q2 / m2, dt, config, eos_pair, counts)
+    u = (q1 + q2) / (m1 + m2)
+    slip = m1 * m2 * w / (m1 + m2)  # m1 c2 w = m2 c1 w
+    return np.stack((alpha1, m1, m2, m1 * u + slip, m2 * u - slip))
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +599,7 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
     relax_counts = dict.fromkeys(RELAX_COUNTERS, 0)
 
     def relax(c, total, dt):
-        c = system.encode(_relax_rows(system.decode(c), dt, config.theta1, config.theta2,
-                                      eos_pair, relax_counts))
+        c = system.relax(c, dt, config, eos_pair, relax_counts)
         relaxed = c.sum(axis=1) * dx
         relax_delta[:] += relaxed - total
         return c, relaxed

@@ -74,7 +74,7 @@ class WaveFamily:
         return 3 - self.phase
 
     def eos_of(self, eos_pair):
-        return eos_pair[self.phase - 1]
+        return eos_pair.phase1 if self.phase == 1 else eos_pair.phase2
 
     def rho_of(self, state):
         return state.rho1 if self.phase == 1 else state.rho2

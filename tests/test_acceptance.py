@@ -785,9 +785,16 @@ def test_c6_conservation_and_relaxation(comparison_runs, ideal_pair):
         rng.uniform(0.1, 0.9, 400), rng.uniform(0.2, 3.0, 400), rng.uniform(0.2, 3.0, 400),
         rng.uniform(-1.0, 1.0, 400), rng.uniform(-1.0, 1.0, 400),
     ])
-    from twophase.fv import _relax_rows
+    from twophase.fv import _BN, _SHTC
 
-    out = np.stack(_relax_rows(v.T, 1.0, 1e-30, 1e-30, ideal_pair), axis=-1)
+    # the relaxation sub-step of each cell system, on its own rows
+    config = SolverConfig(t_end=1.0, theta1=1e-30, theta2=1e-30)
+    out = np.concatenate([
+        np.stack(system.decode(system.relax(system.encode(v.T), 1.0, config, ideal_pair, None)),
+                 axis=-1)
+        for system in (_SHTC, _BN)
+    ])
+    v = np.concatenate([v, v])
     m1 = lambda a: a[:, 0] * a[:, 1]
     m2 = lambda a: (1 - a[:, 0]) * a[:, 2]
     mom = lambda a: m1(a) * a[:, 3] + m2(a) * a[:, 4]

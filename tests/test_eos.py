@@ -161,13 +161,6 @@ def test_riemann_integral_log_branch():
     assert eos.riemann_integral(0.5, 4.0) == pytest.approx(val, rel=1e-10)
 
 
-def test_eos_pair_indexing():
-    pair = EosPair(BarotropicEos(1.0, 1.4), BarotropicEos(1.0, 2.0))
-    assert pair[0] is pair.phase1
-    assert pair[1] is pair.phase2
-    assert tuple(pair) == (pair.phase1, pair.phase2)
-
-
 # ---------------------------------------------------------------------------
 # the float fast path of the density check
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import logging
 import os
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +50,12 @@ def decode(system, u):
     return np.stack(system.decode(c), axis=-1)
 
 
-def relax(v, dt, theta1, theta2, eos_pair):
-    """The relaxation sub-step of the driver on primitive cells v (n, 5)."""
-    return np.stack(fv._relax_rows(np.asarray(v, dtype=float).T, dt, theta1, theta2, eos_pair),
-                    axis=-1)
+def relax(system, v, dt, theta1, theta2, eos_pair):
+    """The relaxation sub-step of the driver on primitive cells v (n, 5),
+    taken on the rows of a cell system."""
+    config = SolverConfig(t_end=1.0, theta1=theta1, theta2=theta2)
+    c = system.relax(system.encode(np.asarray(v, dtype=float).T), dt, config, eos_pair, None)
+    return np.stack(system.decode(c), axis=-1)
 
 
 def rusanov_flux(ul, ur, eos_pair):
@@ -579,68 +582,74 @@ def test_relaxation_fixed_point(ideal_pair):
     rho1 = 1.2
     rho2 = rho1**0.7
     v = np.tile([0.45, rho1, rho2, 0.3, 0.3], (8, 1))
-    out = relax(v, 1e-3, 1e-4, 1e-4, ideal_pair)
-    assert np.allclose(out, v, rtol=1e-12, atol=1e-14)
+    for _, system in SYSTEMS.values():
+        out = relax(system, v, 1e-3, 1e-4, 1e-4, ideal_pair)
+        assert np.allclose(out, v, rtol=1e-12, atol=1e-14)
 
 
 def test_velocity_projection_conserves_momentum(ideal_pair):
     rng = np.random.default_rng(6)
     v = random_state_array(rng, 100)
-    out = relax(v, 1.0, None, 1e-30, ideal_pair)
-    w = out[:, 3] - out[:, 4]
-    assert np.max(np.abs(w)) < 1e-12
     rho_u = lambda a: a[:, 0] * a[:, 1] * a[:, 3] + (1 - a[:, 0]) * a[:, 2] * a[:, 4]
-    assert np.allclose(rho_u(out), rho_u(v), rtol=1e-13, atol=1e-14)
-    # masses untouched
-    assert np.allclose(out[:, :3], v[:, :3], rtol=1e-15)
+    for _, system in SYSTEMS.values():
+        out = relax(system, v, 1.0, None, 1e-30, ideal_pair)
+        w = out[:, 3] - out[:, 4]
+        assert np.max(np.abs(w)) < 1e-12
+        assert np.allclose(rho_u(out), rho_u(v), rtol=1e-13, atol=1e-14)
+        # masses untouched
+        assert np.allclose(out[:, :3], v[:, :3], rtol=1e-15)
 
 
 def test_velocity_exponential_decay(ideal_pair):
     v = np.array([[0.5, 1.0, 1.0, 0.4, -0.4]])
     theta2, dt = 0.05, 0.02
-    out = relax(v, dt, None, theta2, ideal_pair)
     c1 = 0.5
     expected_w = 0.8 * np.exp(-c1 * (1 - c1) * dt / theta2)
-    assert out[0, 3] - out[0, 4] == pytest.approx(expected_w, rel=1e-12)
+    for _, system in SYSTEMS.values():
+        out = relax(system, v, dt, None, theta2, ideal_pair)
+        assert out[0, 3] - out[0, 4] == pytest.approx(expected_w, rel=1e-12)
 
 
 def test_pressure_projection_equilibrates(ideal_pair):
     rng = np.random.default_rng(7)
     v = random_state_array(rng, 60, u=(-0.5, 0.5))
-    out = relax(v, 1.0, 1e-30, None, ideal_pair)
-    p1 = out[:, 1] ** 1.4
-    p2 = out[:, 2] ** 2.0
-    assert np.max(np.abs(p1 - p2) / np.maximum(p1, p2)) < 1e-10
-    # partial masses conserved
     m1 = lambda a: a[:, 0] * a[:, 1]
     m2 = lambda a: (1 - a[:, 0]) * a[:, 2]
-    assert np.allclose(m1(out), m1(v), rtol=1e-12)
-    assert np.allclose(m2(out), m2(v), rtol=1e-12)
+    for _, system in SYSTEMS.values():
+        out = relax(system, v, 1.0, 1e-30, None, ideal_pair)
+        p1 = out[:, 1] ** 1.4
+        p2 = out[:, 2] ** 2.0
+        assert np.max(np.abs(p1 - p2) / np.maximum(p1, p2)) < 1e-10
+        # partial masses conserved
+        assert np.allclose(m1(out), m1(v), rtol=1e-12)
+        assert np.allclose(m2(out), m2(v), rtol=1e-12)
 
 
 def test_pressure_projection_matches_bisection_oracle(ideal_pair):
     v = np.array([[0.35, 1.8, 0.7, 0.1, -0.2]])
-    out = relax(v, 1.0, 1e-30, None, ideal_pair)
     m1 = 0.35 * 1.8
     m2 = 0.65 * 0.7
     alpha = brentq(
         lambda a: (m1 / a) ** 1.4 - (m2 / (1 - a)) ** 2.0, 1e-12, 1 - 1e-12, xtol=1e-15
     )
-    assert out[0, 0] == pytest.approx(alpha, abs=1e-12)
+    for _, system in SYSTEMS.values():
+        out = relax(system, v, 1.0, 1e-30, None, ideal_pair)
+        assert out[0, 0] == pytest.approx(alpha, abs=1e-12)
 
 
 def test_implicit_pressure_step_partial(ideal_pair):
     # moderate theta1: alpha moves toward equilibrium but not onto it
     v = np.array([[0.5, 2.0, 1.0, 0.0, 0.0]])
     p1_0, p2_0 = 2.0**1.4, 1.0
-    out = relax(v, 1e-3, 1e-2, None, ideal_pair)
-    a_new = out[0, 0]
-    # implicit Euler balance: (a - a0) = dt/theta1 (p1 - p2) at the new state
-    p1 = out[0, 1] ** 1.4
-    p2 = out[0, 2] ** 2.0
-    assert a_new - 0.5 == pytest.approx(1e-3 / 1e-2 * (p1 - p2), rel=1e-10)
-    assert 0.5 < a_new < 1.0  # p1 > p2 pushes alpha1 up
-    assert abs(p1 - p2) < abs(p1_0 - p2_0)
+    for _, system in SYSTEMS.values():
+        out = relax(system, v, 1e-3, 1e-2, None, ideal_pair)
+        a_new = out[0, 0]
+        # implicit Euler balance: (a - a0) = dt/theta1 (p1 - p2) at the new state
+        p1 = out[0, 1] ** 1.4
+        p2 = out[0, 2] ** 2.0
+        assert a_new - 0.5 == pytest.approx(1e-3 / 1e-2 * (p1 - p2), rel=1e-10)
+        assert 0.5 < a_new < 1.0  # p1 > p2 pushes alpha1 up
+        assert abs(p1 - p2) < abs(p1_0 - p2_0)
 
 
 def test_pressure_relaxation_newton_iteration_count():
@@ -663,9 +672,9 @@ def test_pressure_relaxation_newton_iteration_count():
     ])
     dt = 1e-3
     # implicit step (mu = theta1/dt) and projection (theta1 << dt, mu = 0)
-    for theta1, mu in ((1e-3, 1.0), (1e-12, 0.0)):
+    for (_, system), (theta1, mu) in product(SYSTEMS.values(), ((1e-3, 1.0), (1e-12, 0.0))):
         calls.clear()
-        out = relax(v, dt, theta1, None, pair)
+        out = relax(system, v, dt, theta1, None, pair)
         assert 0 < len(calls) <= 25, theta1
         p1 = out[:, 1] ** 1.4
         p2 = out[:, 2] ** 2.0
@@ -796,14 +805,39 @@ def test_relaxation_counters_in_ledger(ideal_pair):
 
 
 def test_relaxation_step_conserved_view(ideal_pair):
+    # alpha1 rho1, rho, rho u of the conservative cells are conserved
+    # (alpha1 rho and w carry sources), as are the masses and q1 + q2 of
+    # the Baer-Nunziato blocks
     rng = np.random.default_rng(8)
-    u = prim_to_cons_array(random_state_array(rng, 50, u=(-0.5, 0.5)))
-    v = relax(decode(fv._SHTC, u), 1e-2, 1e-3, 1e-8, ideal_pair)
-    out = prim_to_cons_array(v)
-    # alpha1 rho1, rho, rho u conserved; alpha1 rho and w carry sources
-    assert np.allclose(out[:, 1], u[:, 1], rtol=1e-12)
-    assert np.allclose(out[:, 2], u[:, 2], rtol=1e-14)
-    assert np.allclose(out[:, 3], u[:, 3], rtol=1e-12, atol=1e-14)
+    v = random_state_array(rng, 50, u=(-0.5, 0.5))
+    config = SolverConfig(t_end=1.0, theta1=1e-3, theta2=1e-8)
+    conserved = {"shtc": lambda c: c[1:4], "bn": lambda b: (b[1], b[2], b[3] + b[4])}
+    for name, (_, system) in SYSTEMS.items():
+        c = system.encode(v.T)
+        u = conserved[name](c)
+        out = conserved[name](system.relax(c, 1e-2, config, ideal_pair, None))
+        assert np.allclose(out[0], u[0], rtol=1e-12)
+        assert np.allclose(out[1], u[1], rtol=1e-14)
+        assert np.allclose(out[2], u[2], rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("thetas", [(1e-3, 1e-8), (1e-3, None), (None, 1e-8), (1e-30, 1e-30)])
+def test_relax_holds_its_invariant_rows(ideal_pair, thetas):
+    # relaxation changes alpha1 and the slip only: the conservative rows
+    # alpha1 rho1, rho and rho u and the Baer-Nunziato masses come back
+    # bit for bit, and q1 + q2 to round-off
+    rng = np.random.default_rng(16)
+    v = random_state_array(rng, 400, u=(-1.0, 1.0))
+    config = SolverConfig(t_end=1.0, theta1=thetas[0], theta2=thetas[1])
+    c = fv._SHTC.encode(v.T)
+    out = fv._SHTC.relax(c, 1e-2, config, ideal_pair, None)
+    assert out[1:4].tobytes() == c[1:4].tobytes()
+    b = fv._BN.encode(v.T)
+    out = fv._BN.relax(b, 1e-2, config, ideal_pair, None)
+    assert out[1:3].tobytes() == b[1:3].tobytes()
+    q = b[3] + b[4]
+    scale = np.abs(b[3]) + np.abs(b[4])
+    assert np.all(np.abs(out[3] + out[4] - q) <= 4 * np.finfo(float).eps * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -1072,9 +1106,11 @@ def test_ledger_dt_range(ideal_pair):
 
 def test_run_simulation_matches_snapshot():
     # answers frozen by tools/fv_snapshot.py before the driver held its
-    # cells as rows (the RP4 and floor-mode cases) or before the kernel
-    # moved to component-major rows (the rest): equal step counts,
-    # primitives within 1e-12 of each field's scale
+    # cells as rows (the RP4 and floor-mode cases), before relaxation
+    # worked on the cell rows (the theta1-only, theta2-only and relaxed
+    # RP4 cases) or before the kernel moved to component-major rows (the
+    # rest): equal step counts, primitives within 1e-12 of each field's
+    # scale
     tool = snapshot_tool()
     ref = np.load(Path(__file__).resolve().parent / "data" / "fv_snapshot.npz")
     keys = [key for key, _, _ in tool.cases()]
