@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from twophase.eos import BarotropicEos, EosPair
+from twophase.eos import BarotropicEos
 from twophase.errors import ConfigError, EosDomainError
 
 
