@@ -300,28 +300,22 @@ def _post_state(state, x, S):
     return PrimitiveState(state.alpha1, r1, r2, S - Q1 / r1, S - Q2 / r2)
 
 
-def _orient(state, post, post_side, lam_pre, S):
-    if post_side is None:
-        # Lax orientation: the side whose family characteristic runs
-        # faster than the shock sits on the left
-        post_side = "right" if lam_pre > S else "left"
-    return (post, state) if post_side == "left" else (state, post)
-
-
-def shock_connect(state, family, S, eos_pair, post_side=None, initial_guess=None):
+def shock_connect(state, family, S, eos_pair, initial_guess=None):
     """Connect across a shock of `family` with speed S given one side.
 
     Returns (post_state, ShockData).  alpha1 is continuous; both phase
-    densities jump.  When the known side sits on a sonic point of the
-    other phase (|Q_nu| = rho_nu a_nu, as happens for a shock placed
-    inside that phase's fan) the jump system bifurcates; candidate
-    roots are collected from displaced starts and an evolutionary pair
-    is preferred (the branch a continuation from a weak shock tracks).
-    `post_side` ("left"/"right") orients the jump bracket of the
-    entropy production; by default the known side goes left when its
-    family characteristic outruns the shock (the Lax orientation).
-    `initial_guess` pins the first Newton start (branch control), and
-    the first root found is kept.
+    densities jump.  Newton starts from the weak-shock guess, then from
+    that guess with the other phase's density displaced by +-8% and
+    +-20%, and keeps the first new root whose pair is evolutionary (the
+    first root found when none is).  When the known side sits on a
+    sonic point of the other phase (its same-sign characteristic
+    equals S within COINCIDE_TOL, as for a shock placed inside that
+    phase's fan) the jump system bifurcates there and the undisplaced
+    start has a vanishing Jacobian column, so only the displaced starts
+    are tried.  The known side goes left when its family characteristic
+    outruns the shock (the Lax orientation), which orients the entropy
+    bracket.  `initial_guess` pins the first Newton start (branch
+    control), and the first root found is kept.
     """
     if not family.acoustic:
         raise InadmissibleWaveError("shock family must be acoustic")
@@ -342,6 +336,9 @@ def shock_connect(state, family, S, eos_pair, post_side=None, initial_guess=None
     rho_pre = family.rho_of(state)
     roots = []
 
+    def orient(post):
+        return (state, post) if lam_pre > S else (post, state)
+
     def add_root(x):
         if abs(x[family.phase - 1] - rho_pre) < ZERO_STRENGTH_TOL * rho_pre:
             return False  # collapsed onto the unjumped state
@@ -352,19 +349,19 @@ def shock_connect(state, family, S, eos_pair, post_side=None, initial_guess=None
         return True
 
     def is_evolutionary(x):
-        post = _post_state(state, x, S)
-        w_l, w_r = _orient(state, post, post_side, lam_pre, S)
-        return classify_discontinuity(w_l, w_r, S, eos_pair).evolutionary
+        return classify_discontinuity(*orient(_post_state(state, x, S)), S, eos_pair).evolutionary
 
     base = _weak_shock_guess(state, family, S, eos_pair)
     starts = [np.asarray(initial_guess, dtype=float)] if initial_guess is not None else []
-    starts.append(base)
+    nu = WaveFamily(family.other_phase, family.sign)
+    lam_nu = nu.speed_of(state, eos_pair)
+    if abs(lam_nu - S) >= COINCIDE_TOL * max(1.0, abs(lam_nu), abs(S)):
+        starts.append(base)
     # displaced starts along the other phase pick up bifurcated branches
-    nu = family.other_phase
-    rho_nu = state.rho1 if nu == 1 else state.rho2
+    rho_nu = nu.rho_of(state)
     for d in (0.08, -0.08, 0.2, -0.2):
         trial = base.copy()
-        trial[nu - 1] = rho_nu * (1.0 + d)
+        trial[nu.phase - 1] = rho_nu * (1.0 + d)
         starts.append(trial)
 
     x = None
@@ -387,9 +384,8 @@ def shock_connect(state, family, S, eos_pair, post_side=None, initial_guess=None
         x = roots[0]
 
     post = _post_state(state, x, S)
-    w_l, w_r = _orient(state, post, post_side, lam_pre, S)
     Q = state.alpha1 * Q1 + state.alpha2 * Q2
-    production = _entropy_bracket(w_l, w_r, S, eos_pair, Q)
+    production = _entropy_bracket(*orient(post), S, eos_pair, Q)
     return post, ShockData(S, Q, Q1, Q2, production)
 
 
@@ -499,8 +495,9 @@ def contact_connect(state, alpha1_right, eos_pair):
     """State right of the contact given the left state and alpha1 there.
 
     The mixture velocity is the contact invariant; the three unknowns
-    (rho1, rho2, w) solve the contact jump system.  Large volume
-    fraction jumps are reached by continuation in alpha1.
+    (rho1, rho2, w) solve the contact jump system at alpha1_right in one
+    Newton solve started from the left state.  Only when that solve
+    fails is the root reached by 40 steps of continuation in alpha1.
     """
     if not 0.0 < alpha1_right < 1.0:
         raise InadmissibleWaveError(f"alpha1_right outside (0,1): {alpha1_right}")
@@ -515,9 +512,9 @@ def contact_connect(state, alpha1_right, eos_pair):
         return x
 
     try:
-        x = walk(1 if abs(alpha1_right - state.alpha1) < 0.25 else 10)
+        x = walk(1)
     except NumericsError:
-        # a finer continuation path reaches jumps the coarse one misses
+        # continuation in alpha1 reaches jumps the direct solve misses
         x = walk(40)
     return _contact_state(alpha1_right, x, u_mix)
 

@@ -353,8 +353,8 @@ def test_contact_large_alpha_jump_continuation():
 
 
 def test_contact_fine_continuation_retry():
-    # a jump just under 0.25 is tried in one Newton solve, which fails
-    # here; only the 40-step continuation in alpha1 reaches the root
+    # the direct Newton solve at alpha1_right fails here; only the
+    # 40-step continuation in alpha1 reaches the root
     st = PrimitiveState(
         0.6320762574992899, 4.997054781128296, 2.2704365584482193,
         1.5939123971392566, -1.4832896860687574,
@@ -493,7 +493,7 @@ def _left_side_case_iii_pair():
     a1 = IDEAL_PAIR.phase1.sound_speed(1.2)
     a2 = IDEAL_PAIR.phase2.sound_speed(1.8)
     w_plus = PrimitiveState(0.4, 1.2, 1.8, S + a1, S + 0.5 * a2)
-    w_minus, data = shock_connect(w_plus, F2M, S, IDEAL_PAIR, post_side="left")
+    w_minus, data = shock_connect(w_plus, F2M, S, IDEAL_PAIR)
     return w_minus, w_plus, data, S
 
 
@@ -641,7 +641,7 @@ def _traced_newton_solves(monkeypatch):
             shock_connect(st, fam, lam + fam.sign * rng.uniform(0.1, 0.4) * (1 + abs(lam)), IDEAL_PAIR)
         except TwoPhaseError:
             pass
-    for _ in range(150):
+    for _ in range(300):
         st = PrimitiveState(
             rng.uniform(0.15, 0.85), rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0),
             rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
@@ -666,3 +666,31 @@ def test_damped_newton_converges_quadratically(monkeypatch):
                 checked += 1
                 assert err_next <= max(NEWTON_C * err**2, ROUNDOFF), (what, errs)
     assert checked > 1000
+
+
+def test_preset_builds_take_the_direct_path(monkeypatch):
+    # each preset's contact is one direct Newton solve, and no Newton
+    # solve of any build fails: the sonic start of an interior shock,
+    # whose Jacobian is singular, is not tried
+    from twophase.exact import build_solution
+    from twophase.problems import PRESETS, get_problem
+
+    calls = []
+    newton = waves._damped_newton
+
+    def traced(residual, jacobian, x0, scales, what):
+        calls.append((what, "raised"))
+        x = newton(residual, jacobian, x0, scales, what)
+        calls[-1] = (what, "converged")
+        return x
+
+    monkeypatch.setattr(waves, "_damped_newton", traced)
+    for name in sorted(PRESETS):
+        problem = get_problem(name)
+        spec = problem.exact_spec
+        calls.clear()
+        # build_solution itself: build_exact caches its answer
+        build_solution(spec.contact_left, spec.alpha1_right, list(spec.left_waves),
+                       list(spec.right_waves), problem.eos_pair)
+        assert all(outcome == "converged" for _, outcome in calls), (name, calls)
+        assert [what for what, _ in calls].count("contact") == 1, (name, calls)
