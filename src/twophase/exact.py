@@ -17,6 +17,7 @@ phase; alpha1 switches once, at the contact.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,15 +117,16 @@ def _phase_values(state, phase):
     return (state.rho1, state.u1) if phase == 1 else (state.rho2, state.u2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExactSolution:
     """Self-similar solution assembled by the inverse construction.
 
-    Immutable after construction; sampling is pure.  `elements` are
-    x-ordered and include the contact; they are all a solution holds.
-    The constant states between waves are reachable through element
-    bounds; `left_state` and `right_state` are the Riemann data the
-    construction implies.
+    Frozen; sampling is pure.  `elements` are x-ordered and include the
+    contact; they are all a solution holds.  The constant states between
+    waves are reachable through element bounds; `left_state` and
+    `right_state` are the Riemann data the construction implies.  Its
+    validation report is derived on first use and kept outside the
+    fields, so `dataclasses.replace` gives a solution without one.
 
     Sampling walks the elements from `left_state`.  It is
     right-continuous: at the speed of a discontinuity (shock, interior
@@ -136,9 +138,13 @@ class ExactSolution:
     contact_speed: float
     contact_left: PrimitiveState
     contact_right: PrimitiveState
-    elements: list
+    elements: tuple
     left_state: PrimitiveState
     right_state: PrimitiveState
+
+    @cached_property
+    def _report(self):
+        return _derive_report(self)
 
     def sample(self, xi):
         return PrimitiveState.from_array(self.sample_many([xi])[0])
@@ -324,7 +330,8 @@ def build_solution(contact_left, alpha1_right, left_waves, right_waves, eos_pair
     element for resonance (an acoustic speed equal to the contact
     speed u); the ensemble is checked for speed ordering (with the
     sanctioned overlaps) and the single alpha jump.  Failures raise
-    ConstructionError naming the wave unless `validate` is False.
+    ConstructionError naming the wave; the report of a solution that
+    passes is kept for validate_solution.  `validate=False` skips it.
     """
     u_c = contact_left.u
     try:
@@ -338,16 +345,12 @@ def build_solution(contact_left, alpha1_right, left_waves, right_waves, eos_pair
     left_els, left_state = _walk_side(contact_left, left_waves, "left", eos_pair)
     right_els, right_state = _walk_side(contact_right, right_waves, "right", eos_pair)
 
-    elements = sorted(
-        left_els + [contact_el] + right_els, key=lambda e: (e.xi_head, e.xi_tail)
-    )
+    elements = sorted(left_els + [contact_el] + right_els, key=lambda e: (e.xi_head, e.xi_tail))
     sol = ExactSolution(
-        eos_pair, u_c, contact_left, contact_right, elements, left_state, right_state
+        eos_pair, u_c, contact_left, contact_right, tuple(elements), left_state, right_state
     )
-    if validate:
-        report = validate_solution(sol)
-        if not report.passed:
-            raise ConstructionError(report.first_failure, "; ".join(report.failures))
+    if validate and not (report := validate_solution(sol)).passed:
+        raise ConstructionError(report.first_failure, "; ".join(report.failures))
     return sol
 
 
@@ -458,6 +461,13 @@ def _check_interior_coincidence(el, sol, flags):
 
 
 def validate_solution(solution):
+    """The admissibility report of a solution, derived at most once per
+    solution (here or in build_solution); every call returns that one
+    shared report, which callers read and do not change."""
+    return solution._report
+
+
+def _derive_report(solution):
     """Re-derive every admissibility statement from the assembled pieces."""
     eos_pair = solution.eos_pair
     reports = []

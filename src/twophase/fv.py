@@ -147,11 +147,6 @@ def _minmod2(a, b):
     return np.maximum(np.minimum(a, b), 0.0) + np.minimum(np.maximum(a, b), 0.0)
 
 
-def _pad_transmissive(c, layers):
-    """Rows c (5, n) with `layers` copies of each edge cell added."""
-    return np.concatenate([c[:, :1]] * layers + [c] + [c[:, -1:]] * layers, axis=1)
-
-
 # ---------------------------------------------------------------------------
 # cell systems: conservative (SHTC) cells and Baer-Nunziato blocks, as rows
 # (5, ...) with the component first
@@ -294,16 +289,17 @@ def _rusanov(cl, cr, fl, fr, sl, sr):
 
 
 def _force(cl, cr, fl, fr, dx, dt, eos_pair, positivity, t):
-    """FORCE flux rows (Toro & Billett 2000) of face states cl, cr with
-    fluxes fl, fr: the mean of the Lax-Friedrichs flux and the flux at
-    the two-step Lax-Wendroff midpoint.  A face whose midpoint breaks the
-    state invariants raises PositivityError in strict mode and takes the
-    Lax-Friedrichs flux alone in floor mode."""
+    """FORCE flux rows (Toro & Billett 2000) of the interior faces, face
+    j + 1 joining states cl, cr (row j) with fluxes fl, fr: the mean of
+    the Lax-Friedrichs flux and the flux at the two-step Lax-Wendroff
+    midpoint.  A face whose midpoint breaks the state invariants raises
+    PositivityError in strict mode and takes the Lax-Friedrichs flux
+    alone in floor mode."""
     f_lf = 0.5 * (fl + fr) - 0.5 * (dx / dt) * (cr - cl)
     c_lw = 0.5 * (cl + cr) - 0.5 * (dt / dx) * (fr - fl)
     bad = _invalid_cons(c_lw)
     if masked := _fallback(bad, c_lw, positivity, t, "FORCE midpoint", "Lax-Friedrichs flux on",
-                           "face"):
+                           "face", first=1):
         c_lw[:, bad] = cl[:, bad]  # any valid state: its flux is not used
     flux = 0.5 * (f_lf + _flux_rows(_prim_rows(c_lw), eos_pair))
     if masked:
@@ -315,15 +311,16 @@ def _force(cl, cr, fl, fr, dx, dt, eos_pair, positivity, t):
 # steps
 # ---------------------------------------------------------------------------
 
-def _fallback(bad, states, mode, t, where, action, unit="cell", extended=False):
+def _fallback(bad, states, mode, t, where, action, unit="cell", first=0):
     """Whether a stage masked some states.  Strict mode raises
-    PositivityError naming the first; on an `extended` array (one ghost
-    row per side) row i is cell i - 1.  Floor mode logs how many."""
+    PositivityError naming the first; row i is item i + first, with
+    first = -1 for one ghost row per side (a ghost names its edge cell)
+    and 1 without both edge items.  Floor mode logs how many."""
     if not bad.any():
         return False
     if mode == "strict":
         row = int(np.argmax(bad))
-        cell = min(max(row - 1, 0), bad.size - 3) if extended else row
+        cell = min(max(row + first, 0), bad.size + 2 * first - 1)
         raise PositivityError(
             f"state invariants violated in {unit} {cell} ({where}): {states[..., row].T}",
             cell=cell, time=t,
@@ -349,7 +346,7 @@ def _muscl_hancock(system, c, dt, dx, config, eos_pair, t, v=None):
     checked once per stage.  Returns the bracket, which _advance applies,
     and the fluxes.
     """
-    cp = _pad_transmissive(c, 2)
+    cp = np.concatenate([c[:, :1], c[:, :1], c, c[:, -1:], c[:, -1:]], axis=1)  # transmissive
     mid = cp[:, 1:-1]
     slope = limited_slope(mid - cp[:, :-2], cp[:, 2:] - mid, config.limiter)
     faces = mid[:, None] + _FACE_SIGNS * (0.5 * slope)[:, None]
@@ -358,7 +355,7 @@ def _muscl_hancock(system, c, dt, dx, config, eos_pair, t, v=None):
     # mode drops the offending cells to first order
     bad = system.invalid(faces).any(axis=0)
     if _fallback(bad, faces, config.positivity, t, "reconstruction", "first order in",
-                 extended=True):
+                 first=-1):
         faces[:, :, bad] = mid[:, None, bad]
     v = system.decode(faces)
     f = system.flux(faces, v, eos_pair)
@@ -368,7 +365,7 @@ def _muscl_hancock(system, c, dt, dx, config, eos_pair, t, v=None):
     faces_h = faces - (0.5 * (dt / dx) * drift)[:, None]
     bad = system.invalid(faces_h).any(axis=0)
     if _fallback(bad, faces_h, config.positivity, t, "half step", "half step dropped in",
-                 extended=True):
+                 first=-1):
         faces_h[:, :, bad] = faces[:, :, bad]
     # interface i+1/2 joins the right face of cell i to the left face of i+1
     v = system.decode(faces_h)
@@ -398,11 +395,14 @@ def _advance(kernel, system, c, dt, dx, config, eos_pair, t, v=None):
 
 
 def _force_godunov(system, c, dt, dx, config, eos_pair, t, v=None):
-    """First-order Godunov-type update of conservative rows c with the FORCE flux."""
-    cp = _pad_transmissive(c, 1)
-    f = _pad_transmissive(_flux_rows(_prim_rows(c) if v is None else v, eos_pair), 1)
-    flux = _force(cp[:, :-1], cp[:, 1:], f[:, :-1], f[:, 1:], dx, dt, eos_pair,
-                  config.positivity, t)
+    """First-order Godunov-type update of conservative rows c with the
+    FORCE flux.  A transmissive edge face joins two equal states, so its
+    FORCE flux is the edge cell's own flux f (0.5 (f + f) - 0, and the
+    midpoint is the cell); only the interior faces are evaluated."""
+    f = _flux_rows(_prim_rows(c) if v is None else v, eos_pair)
+    inner = _force(c[:, :-1], c[:, 1:], f[:, :-1], f[:, 1:], dx, dt, eos_pair,
+                   config.positivity, t)
+    flux = np.concatenate([f[:, :1], inner, f[:, -1:]], axis=1)
     return flux[:, 1:] - flux[:, :-1], flux
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import coincident_state, snapshot_tool
+from twophase import exact
 from twophase.errors import ConstructionError
 from twophase.exact import (
     build_solution,
@@ -217,6 +218,43 @@ def test_validation_all_presets_green():
         assert rep.passed, (name, rep.failures)
         d = rep.as_dict()
         assert d["passed"] and d["elements"]
+
+
+def _preset_build(name, validate=True):
+    p = get_problem(name)
+    es = p.exact_spec
+    return build_solution(es.contact_left, es.alpha1_right, list(es.left_waves),
+                          list(es.right_waves), p.eos_pair, validate=validate)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_kept_report_equals_a_fresh_derivation(name):
+    # the report build_solution keeps is the one validate_solution would
+    # derive on an unvalidated build: repr compares every float bit for bit
+    kept = validate_solution(_preset_build(name))
+    fresh = validate_solution(_preset_build(name, validate=False))
+    assert kept is not fresh
+    assert repr(kept.as_dict()) == repr(fresh.as_dict())
+
+
+def test_validate_solution_derives_the_report_once(monkeypatch):
+    derived = []
+    derive = exact._derive_report
+    monkeypatch.setattr(exact, "_derive_report", lambda sol: derived.append(sol) or derive(sol))
+    built = _preset_build("RP3")
+    assert derived == [built]
+    report = validate_solution(built)
+    assert validate_solution(built) is report and derived == [built]
+    unvalidated = _preset_build("RP3", validate=False)
+    assert len(derived) == 1
+    assert validate_solution(unvalidated) is validate_solution(unvalidated)
+    assert derived == [built, unvalidated]
+    # the report is kept outside the fields: a replaced solution has none
+    replaced = dataclasses.replace(built, elements=built.elements)
+    assert replaced == built and validate_solution(replaced) is not report
+    assert len(derived) == 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.elements = ()
 
 
 def test_validation_flags_corrupted_state():

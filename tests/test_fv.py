@@ -203,6 +203,29 @@ def test_force_floor_mode_survives_violent_steps(ideal_pair):
             fv.step(u, dt, dx, strict, ideal_pair)
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_force_strict_failure_names_the_face(ideal_pair, k):
+    # six cells diverging at the face left of cell k, the only face whose
+    # Lax-Wendroff midpoint empties: faces count from the left boundary
+    # face (0), so the first and last interior faces are 1 and 5
+    v = np.array([[0.5, 1.0, 1.0, -3.0, -3.0]] * k + [[0.5, 1.0, 1.0, 3.0, 3.0]] * (6 - k))
+    with pytest.raises(PositivityError, match=f"in face {k} \\(FORCE midpoint\\)") as err:
+        fv.step(prim_to_cons_array(v), 0.05, 0.1, SolverConfig(t_end=1.0, scheme="force-godunov"),
+                ideal_pair)
+    assert err.value.cell == k
+
+
+def test_force_boundary_fluxes_are_the_edge_cells_fluxes(ideal_pair):
+    # a transmissive edge face joins two equal states, so its FORCE flux
+    # is the edge cell's physical flux, bit for bit
+    rng = np.random.default_rng(5)
+    u = prim_to_cons_array(random_state_array(rng, 9))
+    _, (f_left, f_right) = fv.step(u, 1e-3, 0.1, SolverConfig(t_end=1.0, scheme="force-godunov"),
+                                   ideal_pair)
+    edge = flux_primitive_array(decode(fv._SHTC, u)[[0, -1]], ideal_pair)
+    assert np.array_equal(f_left, edge[0]) and np.array_equal(f_right, edge[1])
+
+
 def test_muscl_step_preserves_uniform_state(ideal_pair):
     v = np.tile([0.35, 1.4, 0.9, 0.4, -0.2], (32, 1))
     u = prim_to_cons_array(v)

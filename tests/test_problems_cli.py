@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import twophase
-from twophase import cli, fv, problems
+from twophase import cli, exact, fv, problems
 from twophase.errors import ConfigError
 from twophase.problems import (
     GOLDEN_TABLES,
@@ -395,6 +395,32 @@ def test_cli_compare_prints_each_line_once(tmp_path):
 
 def test_cli_validate(tmp_path):
     assert cli.main(["validate", "RP3", "--out", str(tmp_path / "v")]) == 0
+
+
+@pytest.mark.parametrize("command", ["exact", "validate"])
+def test_cli_construction_failing_validation_exits_2(tmp_path, capsys, command):
+    # the 1- shock at S = -1.5 solves its jump conditions but is an
+    # expansion shock: validation fails inside the build, which names it
+    path = tmp_path / "expansion.txt"
+    path.write_text(
+        RIEMANN_FILE.split("left.alpha1")[0] + SEED_LINES + "waves.alpha1_right = 0.3\n"
+        "waves.left = raref:2-:-2.0, shock:1-:-1.5\nwaves.right = sir:1+:1.5:1.0\n"
+    )
+    assert cli.main([command, str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "construction failed: wave shock(1-, S=-1.5): " in err and "expansion shock" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["exact", "validate"])
+def test_cli_derives_the_report_once(tmp_path, monkeypatch, command):
+    # the build validates the solution and keeps the report the command prints
+    derived = []
+    derive = exact._derive_report
+    monkeypatch.setattr(exact, "_derive_report", lambda sol: derived.append(sol) or derive(sol))
+    problems._build_cached.cache_clear()
+    assert cli.main([command, "RP1", "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert len(derived) == 1
 
 
 def test_cli_unknown_problem_exit_code(tmp_path, capsys):
