@@ -2,7 +2,8 @@
 """Freeze finite-volume and exact answers that later changes are held to.
 
 Runs `run_simulation` on a fixed set of cases at 128 cells and writes
-each final primitive array and step count to an npz file:
+each final primitive array, step count and ledger figures (`LEDGER_KEYS`)
+to an npz file:
 
 * RP1, RP5 and RP6 under muscl-rusanov and muscl-pathcons-bn with the
   minmod and superbee limiters, and under force-godunov;
@@ -20,13 +21,18 @@ For every preset it also writes the exact solution's `sample_many` on
 `wave_speeds()` breakpoint and both its float neighbours.
 
 tests/test_fv.py::test_run_simulation_matches_snapshot reruns the FV
-cases and asserts equal step counts and primitives within 1e-12 of each
-field's scale; tests/test_exact.py::test_sample_many_matches_snapshot
-does the same for the sampling points and samples.  Regenerate the file
-only from a commit whose answers are the reference, from the repository
-root:
+cases and asserts equal step counts, primitives within 1e-12 of each
+field's scale and the ledger figures; tests/test_exact.py::
+test_sample_many_matches_snapshot does the same for the sampling points
+and samples.  Regenerate the file only from a commit whose answers are
+the reference, from the repository root:
 
     PYTHONPATH=src python3 tools/fv_snapshot.py [tests/data/fv_snapshot.npz]
+
+With `--ledger` it reruns the FV cases and adds only their ledger figures
+to an existing file, whose other arrays it writes back as they were:
+
+    PYTHONPATH=src python3 tools/fv_snapshot.py --ledger [tests/data/fv_snapshot.npz]
 
 With `--exact` it writes the exact constructions instead, to
 tests/data/exact_snapshot.npz by default: for every preset the element
@@ -56,6 +62,8 @@ INTERFACE = ((1.0 - 1e-6, 10.0, 1.0, 0.0, 0.0), (1e-6, 1.0, 10.0, 0.0, 0.0))
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 DEFAULT_OUT = DATA / "fv_snapshot.npz"
 EXACT_OUT = DATA / "exact_snapshot.npz"
+# ledger entries frozen per FV case, as float arrays
+LEDGER_KEYS = ("worst_step_closure", "boundary_flux_integrals", "totals")
 
 
 def cases():
@@ -92,6 +100,11 @@ def run_case(name, options):
     grid = Grid(problem.x_min, problem.x_max, CELLS)
     config = SolverConfig(t_end=problem.t_end, cfl=problem.cfl, **options)
     return run_simulation(left, right, grid, config, problem.eos_pair, x0=problem.x0)
+
+
+def ledger_arrays(key, result):
+    """The LEDGER_KEYS entries of a run's ledger, keyed `key|entry`."""
+    return {f"{key}|{entry}": np.array(result.ledger[entry]) for entry in LEDGER_KEYS}
 
 
 def exact_points(solution):
@@ -143,12 +156,23 @@ def main(argv):
         np.savez(out, **arrays)
         print(f"wrote {out}")
         return 0
+    if argv[:1] == ["--ledger"]:
+        out = Path(argv[1]) if argv[1:] else DEFAULT_OUT
+        with np.load(out) as old:
+            arrays = {k: old[k] for k in old.files}
+        for key, name, options in cases():
+            arrays.update(ledger_arrays(key, run_case(name, options)))
+            print(f"{key}: ledger")
+        np.savez(out, **arrays)
+        print(f"wrote {out}")
+        return 0
     out = Path(argv[0]) if argv else DEFAULT_OUT
     arrays = {}
     for key, name, options in cases():
         result = run_case(name, options)
         arrays[key + "|prim"] = result.prim
         arrays[key + "|steps"] = np.array(result.steps)
+        arrays.update(ledger_arrays(key, result))
         print(f"{key}: {result.steps} steps")
     for name in sorted(PRESETS):
         solution = get_problem(name).build_exact()
