@@ -49,12 +49,14 @@ class BarotropicEos:
     mode: str = "isentropic"
 
     def __post_init__(self):
-        if self.A <= 0.0:
-            raise ConfigError(f"pressure scale A must be positive, got {self.A}")
-        if self.gamma < 1.0:
-            raise ConfigError(f"adiabatic exponent must be >= 1, got {self.gamma}")
-        if self.rho_ref <= 0.0:
-            raise ConfigError(f"reference density must be positive, got {self.rho_ref}")
+        if not 0.0 < self.A < math.inf:
+            raise ConfigError(f"pressure scale A must be positive and finite, got {self.A}")
+        if not 1.0 <= self.gamma < math.inf:
+            raise ConfigError(f"exponent gamma must be finite and >= 1, got {self.gamma}")
+        if not 0.0 < self.rho_ref < math.inf:
+            raise ConfigError(f"rho_ref must be positive and finite, got {self.rho_ref}")
+        if not math.isfinite(self.B):
+            raise ConfigError(f"pressure shift B must be finite, got {self.B}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         # scale factor A*gamma/rho_ref**gamma reused by every derived
@@ -104,6 +106,12 @@ class BarotropicEos:
         if self.gamma == 1.0:
             return (self.A / self.rho_ref) * np.log(rho)
         return self._k / (self.gamma - 1.0) * rho ** (self.gamma - 1.0)
+
+    def _thermo(self, rho):
+        """p = rho*a**2/gamma + B, a**2 and Psi from the power in a**2, unchecked."""
+        a_sq = self._sound_speed_sq(rho)
+        psi = self._psi(rho) if self.gamma == 1.0 else a_sq / (self.gamma - 1.0)
+        return a_sq * rho / self.gamma + self.B, a_sq, psi
 
     def fundamental_derivative(self, rho):
         """G = 1 + (rho/a) da/drho = (gamma+1)/2 for the power law."""

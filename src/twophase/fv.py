@@ -49,8 +49,8 @@ import numpy as np
 from .errors import ConfigError, NumericsError, PositivityError, RelaxationError, StateDecodeError
 from .models import interface_closure
 from .state import (
-    _cons_rows, _flux_rows, _invalid_cons, _max_wavespeed_rows, _or_nonfinite, _prim_rows,
-    prim_to_cons_array,
+    _cons_flux_rows, _cons_rows, _flux_rows, _invalid_cons, _max_wavespeed_rows, _or_nonfinite,
+    _prim_rows, prim_to_cons_array,
 )
 
 RELAX_PROJECTION_FACTOR = 1e-6  # theta < factor*dt switches to projection
@@ -247,7 +247,7 @@ class _System:
     nonconservative: Optional[Callable]  # (cl, cr, eos_pair): product on the path cl -> cr
     invalid: Callable  # rows -> mask of broken state invariants
     floor: Callable  # (c, bad): floor-mode repair of the masked rows
-    conserved_view: Callable  # the components of a 5-vector the ledger closure balances
+    conserved_view: Callable  # the components of (..., 5) the ledger closure balances
     variables: tuple  # names of the five cell components
 
 
@@ -273,7 +273,7 @@ _BN = _System(
     nonconservative=lambda bl, br, eos_pair: _bn_nonconservative(bl, br, eos_pair),
     invalid=lambda b: _invalid_bn(b),
     floor=lambda b, bad: _floor_bn(b, bad),
-    conserved_view=lambda vec: np.array([vec[1], vec[2], vec[3] + vec[4]]),
+    conserved_view=lambda vec: np.stack([vec[..., 1], vec[..., 2], vec[..., 3] + vec[..., 4]], -1),
     variables=("alpha1", "alpha1*rho1", "alpha2*rho2", "q1", "q2"),
 )
 
@@ -301,7 +301,7 @@ def _force(cl, cr, fl, fr, dx, dt, eos_pair, positivity, t):
     if masked := _fallback(bad, c_lw, positivity, t, "FORCE midpoint", "Lax-Friedrichs flux on",
                            "face", first=1):
         c_lw[:, bad] = cl[:, bad]  # any valid state: its flux is not used
-    flux = 0.5 * (f_lf + _flux_rows(_prim_rows(c_lw), eos_pair))
+    flux = 0.5 * (f_lf + _cons_flux_rows(c_lw, eos_pair))
     if masked:
         flux[:, bad] = f_lf[:, bad]
     return flux
@@ -332,7 +332,7 @@ def _fallback(bad, states, mode, t, where, action, unit="cell", first=0):
 _FACE_SIGNS = np.array([[-1.0], [1.0]])  # faces[:, 0] = mid - slope/2, faces[:, 1] = mid + slope/2
 
 
-def _muscl_hancock(system, c, dt, dx, config, eos_pair, t, v=None):
+def _muscl_hancock(system, c, dt, dx, config, eos_pair, t, reuse=None):
     """One second-order MUSCL-Hancock update of the interior cells
     (Toro, ch. 14) in path-conservative form (Pares 2006):
 
@@ -341,7 +341,7 @@ def _muscl_hancock(system, c, dt, dx, config, eos_pair, t, v=None):
     with Rusanov fluxes F between the half-evolved face states, the
     products P_{i+-1/2} along the segments joining them and the in-cell
     product P_i; the P terms vanish for a conservative system.  Cells c
-    are rows (5, n), v is unused; both face states of every cell, ghosts
+    are rows (5, n), `reuse` is unused; both face states of every cell, ghosts
     included, are held as faces[:, 0] (left) and faces[:, 1] (right) and
     checked once per stage.  Returns the bracket, which _advance applies,
     and the fluxes.
@@ -381,12 +381,12 @@ def _muscl_hancock(system, c, dt, dx, config, eos_pair, t, v=None):
     return div, flux
 
 
-def _advance(kernel, system, c, dt, dx, config, eos_pair, t, v=None):
+def _advance(kernel, system, c, dt, dx, config, eos_pair, t, reuse=None):
     """Update valid cell rows c (5, n) by dt with the flux divergence of a
     row kernel, then check the new rows once and, in floor mode, repair
-    them; v, the decoded c if at hand, spares a kernel that needs it a
-    second decode.  Returns the new rows and the two boundary fluxes."""
-    div, flux = kernel(system, c, dt, dx, config, eos_pair, t, v)
+    them; `reuse`, what the step preparation made of c if at hand, spares
+    the kernel that work.  Returns the new rows and the two boundary fluxes."""
+    div, flux = kernel(system, c, dt, dx, config, eos_pair, t, reuse)
     c_new = c - (dt / dx) * div
     bad = system.invalid(c_new)
     if _fallback(bad, c_new, config.positivity, t, "update", "flooring"):
@@ -394,22 +394,32 @@ def _advance(kernel, system, c, dt, dx, config, eos_pair, t, v=None):
     return c_new, (flux[:, 0], flux[:, -1])
 
 
-def _force_godunov(system, c, dt, dx, config, eos_pair, t, v=None):
-    """First-order Godunov-type update of conservative rows c with the
-    FORCE flux.  A transmissive edge face joins two equal states, so its
-    FORCE flux is the edge cell's own flux f (0.5 (f + f) - 0, and the
-    midpoint is the cell); only the interior faces are evaluated."""
-    f = _flux_rows(_prim_rows(c) if v is None else v, eos_pair)
+def _force_godunov(system, c, dt, dx, config, eos_pair, t, f=None):
+    """First-order FORCE update of conservative rows c, of flux rows f if
+    the step preparation made them.  A transmissive edge face joins two
+    equal states, so its FORCE flux is the edge cell's own flux (0.5 (f + f)
+    - 0, the midpoint is the cell): only the interior faces are evaluated."""
+    f = _cons_flux_rows(c, eos_pair) if f is None else f
     inner = _force(c[:, :-1], c[:, 1:], f[:, :-1], f[:, 1:], dx, dt, eos_pair,
                    config.positivity, t)
     flux = np.concatenate([f[:, :1], inner, f[:, -1:]], axis=1)
     return flux[:, 1:] - flux[:, :-1], flux
 
 
+def _muscl_prepare(system, c, eos_pair):
+    return None, _max_wavespeed_rows(system.decode(c), eos_pair)
+
+
+def _force_prepare(system, c, eos_pair):
+    return _cons_flux_rows(c, eos_pair, speeds=True)
+
+
 def _scheme(config):
-    """The row kernel and the cell system of config.scheme."""
-    kernel = _force_godunov if config.scheme == "force-godunov" else _muscl_hancock
-    return kernel, _BN if config.scheme == "muscl-pathcons-bn" else _SHTC
+    """Row kernel, step preparation (rows at the start of a step -> what the
+    kernel reuses, and their speeds) and cell system of config.scheme."""
+    if config.scheme == "force-godunov":
+        return _force_godunov, _force_prepare, _SHTC
+    return _muscl_hancock, _muscl_prepare, _BN if config.scheme == "muscl-pathcons-bn" else _SHTC
 
 
 def _checked_rows(invalid, c):
@@ -429,7 +439,7 @@ def step(u, dt, dx, config, eos_pair, t=0.0):
     muscl-pathcons-bn.  The input is checked once, and a broken cell
     raises StateDecodeError naming it in either positivity mode.  Returns
     the new cells (n, 5) and the two boundary fluxes."""
-    kernel, system = _scheme(config)
+    kernel, _, system = _scheme(config)
     c = _checked_rows(system.invalid, np.asarray(u, dtype=float).T)
     c, fluxes = _advance(kernel, system, c, dt, dx, config, eos_pair, t)
     return np.ascontiguousarray(c.T), fluxes
@@ -586,7 +596,7 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
     if x0 is None:
         x0 = 0.5 * (grid.x_min + grid.x_max)
     dx = grid.dx
-    kernel, system = _scheme(config)
+    kernel, prepare, system = _scheme(config)
     # cells stay contiguous rows (5, n) until the final decode; they are
     # checked here once, and after that each stage checks what it makes
     cells = _checked_rows(system.invalid, system.encode(_riemann_cells(left, right, grid, x0).T))
@@ -594,7 +604,6 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
     t = 0.0
     steps = 0
     totals0 = total = cells.sum(axis=1) * dx
-    boundary_integral = np.zeros(5)
     relax_delta = np.zeros(5)
     relax_counts = dict.fromkeys(RELAX_COUNTERS, 0)
 
@@ -603,13 +612,14 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
         relaxed = c.sum(axis=1) * dx
         relax_delta[:] += relaxed - total
         return c, relaxed
-    worst_closure = 0.0
+    # one row per step, settled into the ledger at the end: the total before
+    # transport, the sums and absolute sums after it, f_right - f_left, dt
+    book = np.empty((256, 21))
     smax_prev = None
-    dt_min, dt_max = np.inf, 0.0
     t_wall = _time.perf_counter()
     while t < config.t_end - 1e-15 * max(1.0, config.t_end):
-        v = system.decode(cells)
-        smax = float(np.max(_max_wavespeed_rows(v, eos_pair)))
+        reuse, speeds = prepare(system, cells, eos_pair)
+        smax = float(speeds.max())
         if smax_prev is not None and smax > WAVESPEED_GROWTH_GUARD * smax_prev:
             raise PositivityError(
                 f"max wave speed grew from {smax_prev:.6g} to {smax:.6g} in one step "
@@ -618,23 +628,20 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
             )
         smax_prev = smax
         dt = min(config.cfl * dx / smax, config.t_end - t)
-        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
 
         if config.relaxing:
             cells, total = relax(cells, total, 0.5 * dt)
-            v = None  # stale: the kernel decodes the relaxed cells if it needs them
+            reuse = None  # stale: made of the cells before relaxation
 
-        cells, (f_left, f_right) = _advance(kernel, system, cells, dt, dx, config, eos_pair, t, v)
-        after = cells.sum(axis=1) * dx
-        boundary_integral += dt * (f_right - f_left)
-        view = system.conserved_view
-        closure = view(after - total) + dt * view(f_right - f_left)
-        # totals of signed fields can cancel to zero; scale by the L1 mass
-        abs_mass = view(np.abs(cells).sum(axis=1) * dx)
-        scale = np.maximum(np.abs(view(after)), abs_mass)
-        scale = np.maximum(scale, 1e-30)
-        worst_closure = max(worst_closure, float(np.max(np.abs(closure) / scale)))
-        total = after
+        if steps == len(book):
+            book = np.concatenate([book, np.empty_like(book)])
+        row = book[steps]
+        row[:5], row[20] = total, dt
+        cells, fluxes = _advance(kernel, system, cells, dt, dx, config, eos_pair, t, reuse)
+        cells.sum(axis=1, out=row[5:10])
+        np.abs(cells).sum(axis=1, out=row[10:15])
+        np.subtract(fluxes[1], fluxes[0], out=row[15:20])
+        total = row[5:10] * dx
 
         if config.relaxing:
             cells, total = relax(cells, total, 0.5 * dt)
@@ -642,19 +649,27 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
         t += dt
         steps += 1
 
+    # totals of signed fields can cancel to zero, so each closure is scaled
+    # by the L1 mass; the boundary integral accumulates in step order
+    book, view = book[:steps], system.conserved_view
+    after, dt = book[:, 5:10] * dx, book[:, 20:]
+    closure = view(after - book[:, :5]) + dt * view(book[:, 15:20])
+    scale = np.maximum(np.abs(view(after)), view(book[:, 10:15] * dx))
+    closure = np.abs(closure) / np.maximum(scale, 1e-30)
+    boundary = np.add.accumulate(np.concatenate([np.zeros((1, 5)), dt * book[:, 15:20]]))
     ledger = {
         "time": t,
         "totals": total.tolist(),
         "totals_initial": totals0.tolist(),
-        "boundary_flux_integrals": boundary_integral.tolist(),
+        "boundary_flux_integrals": boundary[-1].tolist(),
         "relaxation_source_integrals": relax_delta.tolist(),
-        "worst_step_closure": worst_closure,
+        "worst_step_closure": float(np.max(closure, initial=0.0)),
         "variables": list(system.variables),
         "wall_seconds": _time.perf_counter() - t_wall,
         "steps": steps,
         # the last step is cut to reach t_end; None when no step was taken
-        "dt_min": dt_min if steps else None,
-        "dt_max": dt_max if steps else None,
+        "dt_min": float(np.min(dt)) if steps else None,
+        "dt_max": float(np.max(dt)) if steps else None,
         # counters of the run's pressure relaxation solves (all 0 without theta1)
         "telemetry": {"relax": relax_counts},
     }

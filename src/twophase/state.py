@@ -137,33 +137,30 @@ def _prim_rows(w):
 # ---------------------------------------------------------------------------
 
 def flux_conserved_array(u, eos_pair):
-    """Conservative flux evaluated directly from the conserved vector.
+    """Conservative flux of conserved cells u (..., 5) (see _cons_flux_rows)."""
+    return np.moveaxis(_cons_flux_rows(np.moveaxis(np.asarray(u, float), -1, 0), eos_pair), 0, -1)
 
-    Row by row, with u1 = ((w3-w2)*w5 + w4)/w3 and u2 = (w4 - w2*w5)/w3:
 
-        F1 = w1*w4/w3
-        F2 = w2*u1
-        F3 = w4
-        F4 = w2*u1^2 + (w3-w2)*u2^2 + (w1/w3)*p1 + ((w3-w1)/w3)*p2
-        F5 = 0.5*w5*(2*u1 - w5) + Psi1 - Psi2
-    """
-    u = np.asarray(u, dtype=float)
-    w1, w2, w3, w4, w5 = (u[..., i] for i in range(5))
-    alpha1 = w1 / w3
-    rho1 = w2 / alpha1
-    rho2 = (w3 - w2) / (1.0 - alpha1)
-    u1 = ((w3 - w2) * w5 + w4) / w3
-    u2 = (w4 - w2 * w5) / w3
-    p1 = eos_pair.phase1.pressure(rho1)
-    p2 = eos_pair.phase2.pressure(rho2)
-    psi1 = eos_pair.phase1.psi(rho1)
-    psi2 = eos_pair.phase2.psi(rho2)
-    f1 = w1 * w4 / w3
-    f2 = w2 * u1
-    f3 = w4
-    f4 = w2 * u1**2 + (w3 - w2) * u2**2 + alpha1 * p1 + (w3 - w1) / w3 * p2
-    f5 = 0.5 * w5 * (2.0 * u1 - w5) + psi1 - psi2
-    return np.stack([f1, f2, f3, f4, f5], axis=-1)
+def _cons_flux_rows(w, eos_pair, speeds=False):
+    """Flux rows of conserved rows w, densities unchecked, each term taken
+    from the component that holds it: with alpha1 = w1/w3, rho1 =
+    w2/alpha1, rho2 = (w3-w2)/(1-alpha1), u2 = w4/w3 - (w2/w3)*w5 and
+    u1 = u2 + w5, (w1*(w4/w3), w2*u1, w4, w2*u1^2 + (w3-w2)*u2^2 +
+    alpha1*p1 + (1-alpha1)*p2, 0.5*w5*(u1 + u2) + Psi1 - Psi2).  With
+    speeds=True it also returns max |lambda| per cell."""
+    w1, w2, w3, w4, w5 = w
+    alpha1, m2, um = w1 / w3, w3 - w2, w4 / w3
+    alpha2, u2 = 1.0 - alpha1, um - (w2 / w3) * w5
+    u1 = u2 + w5
+    p1, a1sq, psi1 = eos_pair.phase1._thermo(w2 / alpha1)
+    p2, a2sq, psi2 = eos_pair.phase2._thermo(m2 / alpha2)
+    f = np.empty(np.shape(w))  # rows written in place: f[i, ...]
+    np.multiply(w1, um, out=f[0, ...])
+    q1 = np.multiply(w2, u1, out=f[1, ...])
+    f[2] = w4
+    np.add(q1 * u1 + m2 * (u2 * u2) + alpha1 * p1, alpha2 * p2, out=f[3, ...])
+    np.subtract((0.5 * w5) * (u1 + u2) + psi1, psi2, out=f[4, ...])
+    return (f, np.maximum(np.abs(u1) + np.sqrt(a1sq), np.abs(u2) + np.sqrt(a2sq))) if speeds else f
 
 
 def flux_primitive_array(v, eos_pair):
@@ -176,7 +173,7 @@ def flux_primitive_array(v, eos_pair):
 
 def _flux_rows(v, eos_pair):
     """Flux rows of primitive rows v by an algebra independent of
-    flux_conserved_array, densities unchecked:
+    _cons_flux_rows, densities unchecked:
 
         ( alpha1*rho*u,
           alpha1*rho1*u1,

@@ -45,6 +45,15 @@ def test_invalid_parameters_rejected():
         BarotropicEos(1.0, 1.4, mode="adiabatic")
 
 
+@pytest.mark.parametrize("value", (float("nan"), float("inf"), float("-inf")))
+@pytest.mark.parametrize("name", ("A", "gamma", "rho_ref", "B"))
+def test_non_finite_parameters_rejected(name, value):
+    # NaN passes no sign check by itself; each parameter is named
+    params = {"A": 1.0, "gamma": 1.4, "rho_ref": 1.0, "B": 0.0, name: value}
+    with pytest.raises(ConfigError, match=rf"\b{name} must be"):
+        BarotropicEos(**params)
+
+
 def test_sound_speed_values():
     # finite differences of p agree with the closed form to 1e-8
     for gamma, expected in ((2.0, np.sqrt(2.0)), (1.4, np.sqrt(1.4))):

@@ -27,6 +27,7 @@ from twophase.fv import (
 from twophase.problems import get_problem
 from twophase.state import (
     PrimitiveState,
+    _cons_flux_rows,
     _flux_rows,
     _invalid_cons,
     _max_wavespeed_rows,
@@ -71,7 +72,7 @@ def force_face_flux(ul, ur, dx, dt, eos_pair):
     """FORCE flux between conservative cells ul and ur (n, 5), built from
     the row helpers the FORCE kernel uses."""
     cl, cr = np.asarray(ul, dtype=float).T, np.asarray(ur, dtype=float).T
-    fl, fr = _flux_rows(_prim_rows(cl), eos_pair), _flux_rows(_prim_rows(cr), eos_pair)
+    fl, fr = _cons_flux_rows(cl, eos_pair), _cons_flux_rows(cr, eos_pair)
     return fv._force(cl, cr, fl, fr, dx, dt, eos_pair, "strict", 0.0).T
 
 
@@ -217,12 +218,12 @@ def test_force_strict_failure_names_the_face(ideal_pair, k):
 
 def test_force_boundary_fluxes_are_the_edge_cells_fluxes(ideal_pair):
     # a transmissive edge face joins two equal states, so its FORCE flux
-    # is the edge cell's physical flux, bit for bit
+    # is the edge cell's physical flux from its conserved row, bit for bit
     rng = np.random.default_rng(5)
     u = prim_to_cons_array(random_state_array(rng, 9))
     _, (f_left, f_right) = fv.step(u, 1e-3, 0.1, SolverConfig(t_end=1.0, scheme="force-godunov"),
                                    ideal_pair)
-    edge = flux_primitive_array(decode(fv._SHTC, u)[[0, -1]], ideal_pair)
+    edge = flux_conserved_array(u[[0, -1]], ideal_pair)
     assert np.array_equal(f_left, edge[0]) and np.array_equal(f_right, edge[1])
 
 
@@ -391,7 +392,7 @@ def test_bn_mask_implies_decodable(ideal_pair, b):
 
 
 def _check_mask_implies_decodable(eos_pair, scheme, row):
-    _, system = fv._scheme(SolverConfig(t_end=1.0, scheme=scheme))
+    system = fv._scheme(SolverConfig(t_end=1.0, scheme=scheme))[-1]
     if system.invalid(row):
         with pytest.raises(StateDecodeError, match="input cell 0 "):
             fv.step(row[None], 1e-4, 0.01, SolverConfig(t_end=1.0, scheme=scheme), eos_pair)
@@ -929,7 +930,7 @@ def test_wavespeed_guard_trips(ideal_pair, monkeypatch):
 @pytest.mark.parametrize(
     "problem, scheme, mask, decode, stages",
     [
-        ("RP4", "force-godunov", "_invalid_cons", "_prim_rows", 2),
+        ("RP4", "force-godunov", "_invalid_cons", "_cons_flux_rows", 2),
         ("RP6", "muscl-rusanov", "_invalid_cons", "_prim_rows", 3),
         ("RP6", "muscl-pathcons-bn", "_invalid_bn", "_bn_prim_rows", 3),
     ],
@@ -940,12 +941,14 @@ def test_driver_checks_and_decodes_once_per_stage(monkeypatch, problem, scheme, 
     # what it makes, once, and no step re-checks its input.  FORCE has 2
     # stages (Lax-Wendroff midpoint, update), MUSCL-Hancock 3
     # (reconstruction, half step, update): 1 + stages*steps masks, of which
-    # 1 + steps see the cells (input and update checks).  A step decodes
-    # the cells once, for the wave speed, and FORCE takes those rows
-    # instead of decoding them again; the run decodes them once more at the
-    # end.  With one decode per later stage (FORCE midpoint, MUSCL faces
-    # before and after the half step) that is 1 + stages*steps decodes, of
-    # which 1 + steps see the cells.
+    # 1 + steps see the cells (input and update checks).  MUSCL-Hancock
+    # decodes the cells once per step, for the wave speed, and once more
+    # at the end; with one decode per later stage (faces before and after
+    # the half step) that is 1 + stages*steps decodes, of which 1 + steps
+    # see the cells.  FORCE takes its cells' flux rows and wave speeds in
+    # one conservative-row pass per step, which its update reuses, and one
+    # more pass per step at the Lax-Wendroff midpoints: stages*steps
+    # passes, of which steps see the cells; it decodes only at the end.
     calls = _count_masks_and_decodes(monkeypatch)
     p = get_problem(problem)
     left, right = p.riemann_data()
@@ -953,18 +956,22 @@ def test_driver_checks_and_decodes_once_per_stage(monkeypatch, problem, scheme, 
     cfg = SolverConfig(t_end=p.t_end, cfl=p.cfl, scheme=scheme)
     res = run_simulation(left, right, Grid(p.x_min, p.x_max, n), cfg, p.eos_pair, x0=p.x0)
     assert res.steps > 0
-    assert set(calls) == {mask, decode}
-    for name in (mask, decode):
-        assert len(calls[name]) == 1 + stages * res.steps, name
-        assert calls[name].count((n,)) == 1 + res.steps, name
+    final = 1 if decode != "_cons_flux_rows" else 0  # the end decode, if by `decode`
+    assert set(calls) == {mask, decode} | ({"_prim_rows"} if not final else set())
+    assert len(calls[mask]) == 1 + stages * res.steps
+    assert calls[mask].count((n,)) == 1 + res.steps
+    assert len(calls[decode]) == final + stages * res.steps
+    assert calls[decode].count((n,)) == final + res.steps
+    if not final:
+        assert calls["_prim_rows"] == [(n,)]
 
 
 def _count_masks_and_decodes(monkeypatch):
     calls = {}
-    for name in ("_invalid_cons", "_invalid_bn", "_prim_rows", "_bn_prim_rows"):
-        def counted(x, real=getattr(fv, name), name=name):
+    for name in ("_invalid_cons", "_invalid_bn", "_prim_rows", "_bn_prim_rows", "_cons_flux_rows"):
+        def counted(x, *args, real=getattr(fv, name), name=name, **kwargs):
             calls.setdefault(name, []).append(np.shape(x)[1:])
-            return real(x)
+            return real(x, *args, **kwargs)
         monkeypatch.setattr(fv, name, counted)
     return calls
 
@@ -975,7 +982,7 @@ def _riemann_step(problem, scheme, n=64):
     grid = Grid(p.x_min, p.x_max, n)
     v = fv._riemann_cells(*p.riemann_data(), grid, p.x0)
     dt = 0.5 * p.cfl * grid.dx / float(np.max(_max_wavespeed_rows(v.T, p.eos_pair)))
-    return p, grid, encode(fv._scheme(SolverConfig(t_end=1.0, scheme=scheme))[1], v), dt
+    return p, grid, encode(fv._scheme(SolverConfig(t_end=1.0, scheme=scheme))[-1], v), dt
 
 
 @pytest.mark.parametrize(
@@ -989,13 +996,13 @@ def test_step_equals_one_driver_step(problem, scheme):
     res = run_simulation(*p.riemann_data(), grid, cfg, p.eos_pair, x0=p.x0)
     assert res.steps == 1
     out, _ = fv.step(u, dt, grid.dx, cfg, p.eos_pair)
-    assert decode(fv._scheme(cfg)[1], out).tobytes() == res.prim.tobytes()
+    assert decode(fv._scheme(cfg)[-1], out).tobytes() == res.prim.tobytes()
 
 
 @pytest.mark.parametrize(
     "problem, scheme, mask, decoder, stages, decodes, cell_decodes",
     [
-        ("RP4", "force-godunov", "_invalid_cons", "_prim_rows", 2, 2, 1),
+        ("RP4", "force-godunov", "_invalid_cons", "_cons_flux_rows", 2, 2, 1),
         ("RP6", "muscl-rusanov", "_invalid_cons", "_prim_rows", 3, 2, 0),
         ("RP6", "muscl-pathcons-bn", "_invalid_bn", "_bn_prim_rows", 3, 2, 0),
     ],
@@ -1004,9 +1011,9 @@ def test_step_checks_its_input_once(monkeypatch, problem, scheme, mask, decoder,
                                     decodes, cell_decodes):
     # fv.step masks its (n,) input once, then each stage masks what it
     # makes once (the update check is the other mask of shape (n,)).  No
-    # wave speed is taken, so the cells are decoded only where a kernel
-    # needs their flux (FORCE); MUSCL decodes its faces before and after
-    # the half step, FORCE its Lax-Wendroff midpoints.
+    # wave speed is taken, so MUSCL decodes only its faces, before and
+    # after the half step; FORCE takes the flux rows of its cells and of
+    # its Lax-Wendroff midpoints straight from the conserved rows.
     p, grid, u, dt = _riemann_step(problem, scheme)
     calls = _count_masks_and_decodes(monkeypatch)
     fv.step(u, dt, grid.dx, SolverConfig(t_end=1.0, scheme=scheme), p.eos_pair)
@@ -1034,7 +1041,7 @@ def test_step_raises_or_returns_valid_cells(ideal_pair, scheme, limiter, positiv
     # returns such cells.  dt/dx runs from well below to far above the CFL
     # limit.
     cfg = SolverConfig(t_end=1.0, scheme=scheme, limiter=limiter, positivity=positivity)
-    system = fv._scheme(cfg)[1]
+    system = fv._scheme(cfg)[-1]
     u = encode(system, random_state_array(np.random.default_rng(seed), n, u=(-speed, speed)))
     try:
         out, _ = fv.step(u, ratio * 0.01, 0.01, cfg, ideal_pair)
@@ -1133,7 +1140,12 @@ def test_run_simulation_matches_snapshot():
     # worked on the cell rows (the theta1-only, theta2-only and relaxed
     # RP4 cases) or before the kernel moved to component-major rows (the
     # rest): equal step counts, primitives within 1e-12 of each field's
-    # scale
+    # scale.  The ledger figures, frozen before the ledger was settled once
+    # per run, are equal byte for byte on the MUSCL-Hancock cases; the
+    # FORCE cases, whose flux rows moved to the conserved-row algebra, hold
+    # them within 1e-12 of each component's ledger scale (the larger of the
+    # figure and the component's L1 mass), and worst_step_closure, itself
+    # relative to that scale, within 1e-12
     tool = snapshot_tool()
     ref = np.load(Path(__file__).resolve().parent / "data" / "fv_snapshot.npz")
     keys = [key for key, _, _ in tool.cases()]
@@ -1144,6 +1156,56 @@ def test_run_simulation_matches_snapshot():
         want = ref[key + "|prim"]
         scale = np.max(np.abs(want), axis=0)
         assert np.all(np.abs(res.prim - want) <= 1e-12 * scale), key
+        abs_mass = np.abs(res.cons).sum(axis=0) * res.grid.dx
+        for entry, got in tool.ledger_arrays(key, res).items():
+            want = ref[entry]
+            if "force-godunov" not in key:
+                assert got.tobytes() == want.tobytes(), entry
+            elif entry.endswith("worst_step_closure"):
+                assert abs(got - want) <= 1e-12, entry
+            else:
+                scale = np.maximum(np.abs(want), abs_mass)
+                assert np.all(np.abs(got - want) <= 1e-12 * scale), entry
+
+
+@pytest.mark.parametrize(
+    "scheme, thetas",
+    [("muscl-rusanov", {}), ("muscl-pathcons-bn", {}), ("force-godunov", {}),
+     ("muscl-rusanov", {"theta1": 1e-3, "theta2": 1e-8}),
+     ("muscl-pathcons-bn", {"theta1": 1e-3, "theta2": 1e-8})],
+)
+def test_ledger_equals_a_per_step_settlement(monkeypatch, scheme, thetas):
+    # the ledger settled once per run equals, byte for byte, a settlement
+    # step by step on the same cells: each transport step's input and
+    # output rows, boundary fluxes and dt, recorded around fv._advance
+    steps = []
+
+    def recorded(kernel, system, c, dt, *args, real=fv._advance):
+        c_new, fluxes = real(kernel, system, c, dt, *args)
+        steps.append((c, c_new, fluxes, dt))
+        return c_new, fluxes
+
+    monkeypatch.setattr(fv, "_advance", recorded)
+    p = get_problem("RP6")
+    grid = Grid(p.x_min, p.x_max, 64)
+    cfg = SolverConfig(t_end=p.t_end, cfl=p.cfl, scheme=scheme, **thetas)
+    res = run_simulation(*p.riemann_data(), grid, cfg, p.eos_pair, x0=p.x0)
+    view, dx = fv._scheme(cfg)[-1].conserved_view, grid.dx
+    worst, boundary = 0.0, np.zeros(5)
+    for c, c_new, (f_left, f_right), dt in steps:
+        total, after = c.sum(axis=1) * dx, c_new.sum(axis=1) * dx
+        boundary += dt * (f_right - f_left)
+        closure = view(after - total) + dt * view(f_right - f_left)
+        scale = np.maximum(np.abs(view(after)), view(np.abs(c_new).sum(axis=1) * dx))
+        worst = max(worst, float(np.max(np.abs(closure) / np.maximum(scale, 1e-30))))
+    ledger = res.ledger
+    assert res.steps == len(steps) > 0
+    assert np.array(ledger["worst_step_closure"]).tobytes() == np.array(worst).tobytes()
+    assert np.array(ledger["boundary_flux_integrals"]).tobytes() == boundary.tobytes()
+    dts = [dt for *_, dt in steps]
+    assert (ledger["dt_min"], ledger["dt_max"]) == (min(dts), max(dts))
+    if not thetas:  # relaxation moves the totals after the last transport
+        assert np.array(ledger["totals"]).tobytes() == after.tobytes()
 
 
 def _same_run(a, b):

@@ -12,13 +12,17 @@ from conftest import (
     round_trip_error,
 )
 from twophase import fv
+from twophase.eos import BarotropicEos, EosPair
 from twophase.errors import StateDecodeError
+from twophase.problems import IDEAL_PAIR, STIFF_PAIR
 from twophase.state import (
     ACOUSTIC_KEYS,
     FAMILY_KEYS,
     PrimitiveState,
+    _cons_flux_rows,
     _cons_rows,
     _invalid_cons,
+    _max_wavespeed_rows,
     _prim_rows,
     check_resonance,
     eigenstructure,
@@ -96,13 +100,30 @@ def test_flux_identity_row(ideal_pair):
     assert f[2] == pytest.approx(w[3], rel=1e-14)
 
 
-def test_flux_two_assembly_paths(ideal_pair):
+ISOTHERMAL_PAIR = EosPair(BarotropicEos(1.0, 1.0, mode="isothermal"),
+                          BarotropicEos(2.0, 1.0, mode="isothermal"))
+
+
+@pytest.mark.parametrize(
+    "pair, rho",
+    [(IDEAL_PAIR, (0.1, 5.0)), (STIFF_PAIR, (0.5, 1500.0)), (ISOTHERMAL_PAIR, (0.1, 5.0))],
+    ids=("ideal", "stiff", "isothermal"),
+)
+def test_flux_two_assembly_paths(pair, rho):
+    # the conserved-row algebra against the independent primitive one, and
+    # its wave speeds against those of the decoded rows; the stiff pair
+    # (B != 0) is sampled over gas and liquid densities
     rng = np.random.default_rng(1)
-    v = random_state_array(rng, 500)
-    f_cons = flux_conserved_array(prim_to_cons_array(v), ideal_pair)
-    f_prim = flux_primitive_array(v, ideal_pair)
+    v = random_state_array(rng, 500, rho=rho)
+    w = prim_to_cons_array(v)
+    f_cons = flux_conserved_array(w, pair)
+    f_prim = flux_primitive_array(v, pair)
     scale = np.maximum(np.abs(f_cons), 1.0)
     assert np.max(np.abs(f_cons - f_prim) / scale) < 1e-12
+    f_rows, speeds = _cons_flux_rows(w.T, pair, speeds=True)
+    assert f_rows.tobytes() == f_cons.T.tobytes()
+    want = _max_wavespeed_rows(_prim_rows(w.T), pair)
+    assert np.max(np.abs(speeds - want) / want) < 1e-13
 
 
 def test_jacobian_first_column_degenerate(ideal_pair):

@@ -16,8 +16,11 @@ BENCHMARK.json each side's median and quartiles, the pairs the change won
 better than the parent's by more than the parent's interquartile range.
 A claim of a gain holds when the change wins at least 9 of 10 pairs and
 that gap holds.  With --json it also writes the pairs and the summary in
-the layout of the BENCH_*.json records.  The benchmark itself is only run,
-never changed.
+the layout of the BENCH_*.json records, with each checkout's `git
+rev-parse HEAD` and whether its tree differs from that commit.  A run
+that reports `correct: false` or `failed > 0` is named in the summary,
+and the tool then exits 1.  The benchmark itself is only run, never
+changed.
 
 The tool refuses checkouts whose absolute paths differ in length:
 `peak_rss_mb` follows the heap layout, and one more character in the
@@ -66,6 +69,30 @@ def run_once(checkout, workload, seed, seconds):
     return row
 
 
+def revision(checkout):
+    """The checkout's HEAD commit and whether `git status` lists any change
+    in its tree; both None where the checkout is not the top of a git
+    work tree."""
+    def git(*args):
+        proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    if git("rev-parse", "--show-toplevel") != str(checkout):
+        return {"path": str(checkout), "head": None, "dirty": None}
+    return {"path": str(checkout), "head": git("rev-parse", "HEAD"),
+            "dirty": bool(git("status", "--porcelain"))}
+
+
+def failed_runs(pairs):
+    """(pair number, seed, side, correct, failed) of every run whose answer
+    checks failed or that failed an operation."""
+    return [
+        (i + 1, pair["seed"], side, pair[side]["correct"], pair[side]["failed"])
+        for i, pair in enumerate(pairs) for side in ("parent", "change")
+        if not pair[side]["correct"] or pair[side]["failed"] > 0
+    ]
+
+
 def quartiles(values):
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
@@ -102,6 +129,7 @@ def main(argv):
             "checkouts to paths of equal length"
         )
     metrics = end_to_end(args.parent)
+    checkouts = {"parent": revision(parent), "change": revision(change)}
     pairs = []
     for i in range(args.pairs):
         seed = args.seed0 + i
@@ -124,9 +152,15 @@ def main(argv):
             f"  x{s['change_over_parent']:.3f}  won {s['change_wins']}/{s['pairs']}"
             f" (ties {s['ties']})  gap > parent IQR: {'yes' if s['gap_exceeds_parent_iqr'] else 'no'}"
         )
+    bad = failed_runs(pairs)
+    for number, seed, side, correct, failed in bad:
+        print(f"  FAILED: pair {number} seed {seed} {side}: correct={correct} failed={failed}")
     if args.json:
-        args.json.write_text(json.dumps({"summary": summary, "pairs": pairs}, indent=1) + "\n")
-    return 0
+        record = {"checkouts": checkouts, "summary": summary, "pairs": pairs,
+                  "failed_runs": [dict(zip(("pair", "seed", "side", "correct", "failed"), run))
+                                  for run in bad]}
+        args.json.write_text(json.dumps(record, indent=1) + "\n")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
