@@ -956,7 +956,7 @@ def test_driver_checks_and_decodes_once_per_stage(monkeypatch, problem, scheme, 
     cfg = SolverConfig(t_end=p.t_end, cfl=p.cfl, scheme=scheme)
     res = run_simulation(left, right, Grid(p.x_min, p.x_max, n), cfg, p.eos_pair, x0=p.x0)
     assert res.steps > 0
-    final = 1 if decode != "_cons_flux_rows" else 0  # the end decode, if by `decode`
+    final = int(decode != "_cons_flux_rows")  # the end decode, if by `decode`
     assert set(calls) == {mask, decode} | ({"_prim_rows"} if not final else set())
     assert len(calls[mask]) == 1 + stages * res.steps
     assert calls[mask].count((n,)) == 1 + res.steps
@@ -1173,6 +1173,8 @@ def test_run_simulation_matches_snapshot():
     [("muscl-rusanov", {}), ("muscl-pathcons-bn", {}), ("force-godunov", {}),
      ("muscl-rusanov", {"theta1": 1e-3, "theta2": 1e-8}),
      ("muscl-pathcons-bn", {"theta1": 1e-3, "theta2": 1e-8})],
+    ids=("muscl-rusanov", "muscl-pathcons-bn", "force-godunov", "muscl-rusanov-relaxed",
+         "muscl-pathcons-bn-relaxed"),
 )
 def test_ledger_equals_a_per_step_settlement(monkeypatch, scheme, thetas):
     # the ledger settled once per run equals, byte for byte, a settlement
