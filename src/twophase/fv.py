@@ -406,7 +406,7 @@ def _force_godunov(system, c, dt, dx, config, eos_pair, t, f=None):
     return flux[:, 1:] - flux[:, :-1], flux
 
 
-def _muscl_prepare(system, c, eos_pair):
+def _decode_prepare(system, c, eos_pair):
     return None, _max_wavespeed_rows(system.decode(c), eos_pair)
 
 
@@ -419,7 +419,7 @@ def _scheme(config):
     kernel reuses, and their speeds) and cell system of config.scheme."""
     if config.scheme == "force-godunov":
         return _force_godunov, _force_prepare, _SHTC
-    return _muscl_hancock, _muscl_prepare, _BN if config.scheme == "muscl-pathcons-bn" else _SHTC
+    return _muscl_hancock, _decode_prepare, _BN if config.scheme == "muscl-pathcons-bn" else _SHTC
 
 
 def _checked_rows(invalid, c):
@@ -597,6 +597,7 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
         x0 = 0.5 * (grid.x_min + grid.x_max)
     dx = grid.dx
     kernel, prepare, system = _scheme(config)
+    prepare = _decode_prepare if config.relaxing else prepare  # a half step stales reuse
     # cells stay contiguous rows (5, n) until the final decode; they are
     # checked here once, and after that each stage checks what it makes
     cells = _checked_rows(system.invalid, system.encode(_riemann_cells(left, right, grid, x0).T))
@@ -631,7 +632,6 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
 
         if config.relaxing:
             cells, total = relax(cells, total, 0.5 * dt)
-            reuse = None  # stale: made of the cells before relaxation
 
         if steps == len(book):
             book = np.concatenate([book, np.empty_like(book)])

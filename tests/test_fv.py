@@ -966,6 +966,22 @@ def test_driver_checks_and_decodes_once_per_stage(monkeypatch, problem, scheme, 
         assert calls["_prim_rows"] == [(n,)]
 
 
+def test_relaxed_force_passes_once_per_stage(monkeypatch):
+    # a relaxation half step would make FORCE's cell flux rows stale, so a
+    # relaxed run's step preparation only decodes the cells for the wave
+    # speed; the kernel takes one conservative-row pass on the relaxed
+    # cells and one at the Lax-Wendroff midpoints
+    calls = _count_masks_and_decodes(monkeypatch)
+    p = get_problem("RP4")
+    n = 64
+    cfg = SolverConfig(t_end=p.t_end, cfl=p.cfl, scheme="force-godunov", theta1=1e-3, theta2=1e-8)
+    res = run_simulation(*p.riemann_data(), Grid(p.x_min, p.x_max, n), cfg, p.eos_pair, x0=p.x0)
+    assert res.steps > 0
+    assert len(calls["_cons_flux_rows"]) == 2 * res.steps
+    assert calls["_cons_flux_rows"].count((n,)) == res.steps
+    assert calls["_prim_rows"] == [(n,)] * (res.steps + 1)
+
+
 def _count_masks_and_decodes(monkeypatch):
     calls = {}
     for name in ("_invalid_cons", "_invalid_bn", "_prim_rows", "_bn_prim_rows", "_cons_flux_rows"):
