@@ -33,13 +33,12 @@ def test_revision_records_head_and_dirty_tree(bench_pairs, tmp_path):
     _git(repo, "commit", "-q", "-m", "one")
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True,
                           text=True, check=True).stdout.strip()
-    assert bench_pairs.revision(repo) == {"path": str(repo), "head": head, "dirty": False}
+    assert bench_pairs.revision(repo) == {"head": head, "dirty": False}
     (repo / "f.txt").write_text("b\n")
     assert bench_pairs.revision(repo)["dirty"] is True
     # a directory below the top of a work tree is no checkout of its own
     (repo / "sub").mkdir()
-    assert bench_pairs.revision(repo / "sub") == {"path": str(repo / "sub"), "head": None,
-                                                  "dirty": None}
+    assert bench_pairs.revision(repo / "sub") == {"head": None, "dirty": None}
 
 
 @pytest.mark.parametrize("failing", [None, ("change", "correct"), ("parent", "failed")])
@@ -66,7 +65,8 @@ def test_failed_runs_are_named_and_exit_nonzero(bench_pairs, tmp_path, monkeypat
     rc = bench_pairs.main([str(sides["pa"]), str(sides["ch"]), "--workload", "w", "--pairs", "4",
                            "--seed0", "1", "--json", str(out)])
     record = json.loads(out.read_text())
-    assert record["checkouts"]["parent"]["path"] == str(sides["pa"])
+    assert record["checkouts"] == {"parent": {"head": None, "dirty": None},
+                                   "change": {"head": None, "dirty": None}}
     assert len(record["pairs"]) == 4
     if failing is None:
         assert rc == 0 and record["failed_runs"] == []

@@ -78,9 +78,8 @@ def revision(checkout):
         return proc.stdout.strip() if proc.returncode == 0 else None
 
     if git("rev-parse", "--show-toplevel") != str(checkout):
-        return {"path": str(checkout), "head": None, "dirty": None}
-    return {"path": str(checkout), "head": git("rev-parse", "HEAD"),
-            "dirty": bool(git("status", "--porcelain"))}
+        return {"head": None, "dirty": None}
+    return {"head": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
 
 
 def failed_runs(pairs):
