@@ -97,7 +97,7 @@ def _print_header(problem):
     for tag, eos in (("phase1", problem.eos_pair.phase1), ("phase2", problem.eos_pair.phase2)):
         print(
             f"  {tag}: p(rho) = {eos.A:g}*(rho/{eos.rho_ref:g})^{eos.gamma:g} "
-            f"+ {eos.B:g}  [{eos.mode}]"
+            f"+ {eos.B:g}  [{'isothermal' if eos.gamma == 1.0 else 'isentropic'}]"
         )
     if problem.notes:
         print(f"  note: {problem.notes}")
@@ -160,6 +160,8 @@ def _cells_for(problem, args):
 
 
 def cmd_simulate(args):
+    if args.model == "bn" and args.scheme:
+        raise ConfigError("--scheme picks the shtc scheme; --model bn runs muscl-pathcons-bn")
     problem = get_problem(args.problem)
     _print_header(problem)
     scheme = _scheme_for(problem, args, args.model)

@@ -29,24 +29,21 @@ import numpy as np
 
 from .errors import ConfigError, EosDomainError
 
-MODES = ("isentropic", "isothermal")
-
 
 @dataclass(frozen=True)
 class BarotropicEos:
     """Power-law pressure closure of a single phase.
 
     Immutable after construction; safe to share between threads.
-    The `mode` tag records the thermodynamic regime; both regimes share
-    a**2 = dp/drho and dPsi/drho = a**2/rho, so it never changes the
-    numerics.  Its underscored formulas skip the density check.
+    gamma == 1 is the isothermal regime, any other gamma the isentropic
+    one; both share a**2 = dp/drho and dPsi/drho = a**2/rho.  Its
+    underscored formulas skip the density check.
     """
 
     A: float
     gamma: float
     rho_ref: float = 1.0
     B: float = 0.0
-    mode: str = "isentropic"
 
     def __post_init__(self):
         if not 0.0 < self.A < math.inf:
@@ -57,8 +54,6 @@ class BarotropicEos:
             raise ConfigError(f"rho_ref must be positive and finite, got {self.rho_ref}")
         if not math.isfinite(self.B):
             raise ConfigError(f"pressure shift B must be finite, got {self.B}")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         # scale factor A*gamma/rho_ref**gamma reused by every derived
         # quantity; positive by the checks above, so dp/drho > 0 holds
         # for every positive density

@@ -33,7 +33,6 @@ from .waves import (
     family_from_key,
     lax_check,
     rarefaction_connect,
-    rarefaction_sample,
     rhc_residuals,
     shock_connect,
 )
@@ -259,7 +258,7 @@ def _walk_side(contact_state, specs, side, eos_pair):
                 outer = rarefaction_connect(current, fam, spec.speed, eos_pair)
                 new = [_element(side, fam, RAREFACTION, current, outer, head, spec.speed)]
             elif spec.kind == SHOCK:
-                outer, _ = shock_connect(current, fam, spec.speed, eos_pair)
+                outer = shock_connect(current, fam, spec.speed, eos_pair)
                 new = [_element(side, fam, SHOCK, current, outer, spec.speed, spec.speed)]
             elif spec.kind == SHOCK_IN_RAREFACTION:
                 new, outer = _interior_shock(current, fam, spec, side, eos_pair)
@@ -302,9 +301,9 @@ def _interior_shock(current, host, spec, side, eos_pair):
         raise InadmissibleWaveError(
             f"interior shock speed {S:.6g} outside the host fan ({head:.6g}..{tail:.6g})"
         )
-    pre = rarefaction_sample(current, host, S, eos_pair)
+    pre = rarefaction_connect(current, host, S, eos_pair)
     interior_family = WaveFamily(host.other_phase, host.sign)
-    post, _ = shock_connect(pre, interior_family, S, eos_pair)
+    post = shock_connect(pre, interior_family, S, eos_pair)
     resume = host.speed_of(post, eos_pair)
     # the fan can only resume outward of the shock
     lo, hi = sorted((S, tail))

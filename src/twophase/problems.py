@@ -337,7 +337,7 @@ _STATE_FIELDS = ("alpha1", "rho1", "rho2", "u1", "u2")
 # every key a problem file may set; relaxation times are run options
 # (--theta1/--theta2), not part of a problem
 _KNOWN_KEYS = frozenset(
-    [f"{ph}.{k}" for ph in ("phase1", "phase2") for k in ("A", "gamma", "rho_ref", "B", "mode")]
+    [f"{ph}.{k}" for ph in ("phase1", "phase2") for k in ("A", "gamma", "rho_ref", "B")]
     + [f"{sec}.{k}" for sec in ("left", "right", "waves.seed") for k in _STATE_FIELDS]
     + [f"grid.{k}" for k in ("x_min", "x_max", "x0", "t_end", "cfl", "paper_cells", "cells",
                              "scheme")]
@@ -369,7 +369,6 @@ def _eos_from(entries, section):
             gamma=_get(entries, f"{section}.gamma"),
             rho_ref=_get(entries, f"{section}.rho_ref", 1.0),
             B=_get(entries, f"{section}.B", 0.0),
-            mode=_get(entries, f"{section}.mode", "isentropic", cast=str),
         )
     except ArithmeticError:  # overflow or underflow to zero
         raise ConfigError(f"{section}.rho_ref**{section}.gamma is out of float range") from None
@@ -422,6 +421,10 @@ def load_problem_file(path):
     left = _state_from(entries, "left")
     right = _state_from(entries, "right")
 
+    scheme = entries.get("grid.scheme", "muscl-rusanov")
+    if scheme not in ("muscl-rusanov", "force-godunov"):
+        # the scheme of the shtc model; --model bn always runs muscl-pathcons-bn
+        raise ConfigError(f"grid.scheme = {scheme!r}: choose muscl-rusanov or force-godunov")
     x_min = _get(entries, "grid.x_min")
     x_max = _get(entries, "grid.x_max")
     exact_spec = None
@@ -452,7 +455,7 @@ def load_problem_file(path):
         cfl=_get(entries, "grid.cfl", 0.25),
         paper_cells=_get(entries, "grid.paper_cells", 10000, cast=int),
         desk_cells=_get(entries, "grid.cells", 2000, cast=int),
-        default_scheme=entries.get("grid.scheme", "muscl-rusanov"),
+        default_scheme=scheme,
         left=left,
         right=right,
         exact_spec=exact_spec,

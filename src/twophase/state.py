@@ -267,21 +267,6 @@ def _coincide(la, lb):
     return abs(la - lb) < COINCIDENCE_TOL * max(1.0, abs(la), abs(lb))
 
 
-@dataclass(frozen=True)
-class Eigenstructure:
-    """Five (speed, right eigenvector) pairs keyed by family.
-
-    No speed ordering is assumed: the system is not strictly hyperbolic
-    and the family order changes across waves.  Where the contact speed
-    coincides with an acoustic speed the contact eigenvector collapses
-    into that family's span; at the triple coincidence it is the null
-    vector.
-    """
-
-    speeds: dict
-    vectors: dict
-
-
 def _eigenvectors(state, eos_pair, rc):
     """Right eigenvectors with the raw contact vector rc normalized."""
     a1 = eos_pair.phase1.sound_speed(state.rho1)
@@ -297,8 +282,16 @@ def _eigenvectors(state, eos_pair, rc):
 
 
 def eigenstructure(state, eos_pair):
+    """(speeds, right eigenvectors), two dicts keyed by family.
+
+    No speed ordering is assumed: the system is not strictly hyperbolic
+    and the family order changes across waves.  Where the contact speed
+    coincides with an acoustic speed the contact eigenvector collapses
+    into that family's span; at the triple coincidence it is the null
+    vector.
+    """
     rc = _contact_eigenvector_raw(state, eos_pair)
-    return Eigenstructure(eigenvalues(state, eos_pair), _eigenvectors(state, eos_pair, rc))
+    return eigenvalues(state, eos_pair), _eigenvectors(state, eos_pair, rc)
 
 
 def field_characterization(state, eos_pair):

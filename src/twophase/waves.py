@@ -180,41 +180,9 @@ def rarefaction_connect(state, family, target, eos_pair):
     return _with_phase(state, family.phase, rho, u)
 
 
-def rarefaction_sample(state, family, xi, eos_pair):
-    """In-fan state at similarity coordinate xi.
-
-    `state` is either edge of the fan.  The sampled state satisfies
-    lambda_family = xi, i.e. u_mu = xi + a_mu (minus) or xi - a_mu
-    (plus).
-    """
-    if not family.acoustic:
-        raise InadmissibleWaveError("only acoustic families carry fans")
-    rho, u = _fan_state(
-        family, family.eos_of(eos_pair), family.rho_of(state), family.u_of(state), xi
-    )
-    return _with_phase(state, family.phase, rho, u)
-
-
 # ---------------------------------------------------------------------------
 # shocks
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShockData:
-    """Mass fluxes and entropy production of a connected shock.
-
-    Q, Q1, Q2 are continuous across the jump; Q never vanishes for a
-    shock (u = S would make it a contact).  `entropy_production` is
-    -Q [[Psi1 + (u1-S)^2/2]] with the bracket oriented right minus
-    left; admissible shocks give values <= 0.
-    """
-
-    speed: float
-    Q: float
-    Q1: float
-    Q2: float
-    entropy_production: float
-
 
 def _shock_system(pre, alpha1, Q1, Q2, eos_pair):
     """Residual, Jacobian and scales of the reduced jump pair in the post
@@ -303,9 +271,9 @@ def _post_state(state, x, S):
 def shock_connect(state, family, S, eos_pair, initial_guess=None):
     """Connect across a shock of `family` with speed S given one side.
 
-    Returns (post_state, ShockData).  alpha1 is continuous; both phase
-    densities jump.  Newton starts from the weak-shock guess, then from
-    that guess with the other phase's density displaced by +-8% and
+    Returns the state across the shock.  alpha1 is continuous; both
+    phase densities jump.  Newton starts from the weak-shock guess, then
+    from that guess with the other phase's density displaced by +-8% and
     +-20%, and keeps the first new root whose pair is evolutionary (the
     first root found when none is).  When the known side sits on a
     sonic point of the other phase (its same-sign characteristic
@@ -313,9 +281,9 @@ def shock_connect(state, family, S, eos_pair, initial_guess=None):
     phase's fan) the jump system bifurcates there and the undisplaced
     start has a vanishing Jacobian column, so only the displaced starts
     are tried.  The known side goes left when its family characteristic
-    outruns the shock (the Lax orientation), which orients the entropy
-    bracket.  `initial_guess` pins the first Newton start (branch
-    control), and the first root found is kept.
+    outruns the shock (the Lax orientation), which orients the census.
+    `initial_guess` pins the first Newton start (branch control), and
+    the first root found is kept.
     """
     if not family.acoustic:
         raise InadmissibleWaveError("shock family must be acoustic")
@@ -336,9 +304,6 @@ def shock_connect(state, family, S, eos_pair, initial_guess=None):
     rho_pre = family.rho_of(state)
     roots = []
 
-    def orient(post):
-        return (state, post) if lam_pre > S else (post, state)
-
     def add_root(x):
         if abs(x[family.phase - 1] - rho_pre) < ZERO_STRENGTH_TOL * rho_pre:
             return False  # collapsed onto the unjumped state
@@ -349,7 +314,9 @@ def shock_connect(state, family, S, eos_pair, initial_guess=None):
         return True
 
     def is_evolutionary(x):
-        return classify_discontinuity(*orient(_post_state(state, x, S)), S, eos_pair).evolutionary
+        post = _post_state(state, x, S)
+        pair = (state, post) if lam_pre > S else (post, state)
+        return classify_discontinuity(*pair, S, eos_pair).evolutionary
 
     base = _weak_shock_guess(state, family, S, eos_pair)
     starts = [np.asarray(initial_guess, dtype=float)] if initial_guess is not None else []
@@ -380,13 +347,7 @@ def shock_connect(state, family, S, eos_pair, initial_guess=None):
             break
     if not roots:
         raise DegenerateShockError("shock solve collapses onto the unjumped state")
-    if x is None:
-        x = roots[0]
-
-    post = _post_state(state, x, S)
-    Q = state.alpha1 * Q1 + state.alpha2 * Q2
-    production = _entropy_bracket(*orient(post), S, eos_pair, Q)
-    return post, ShockData(S, Q, Q1, Q2, production)
+    return _post_state(state, roots[0] if x is None else x, S)
 
 
 def shock_mass_flux_system(w_minus, w_plus, alpha1, eos_pair):
@@ -552,14 +513,6 @@ def contact_residuals(w_left, w_right, eos_pair):
     return np.concatenate([[ru], np.abs(tr - tl) / scales])
 
 
-def _entropy_bracket(w_left, w_right, S, eos_pair, Q):
-    e1 = eos_pair.phase1
-    bracket = (e1.psi(w_right.rho1) + 0.5 * (w_right.u1 - S) ** 2) - (
-        e1.psi(w_left.rho1) + 0.5 * (w_left.u1 - S) ** 2
-    )
-    return -Q * bracket
-
-
 def entropy_production(w_left, w_right, S, eos_pair, check=True):
     """-Q [[Psi1 + (u1-S)^2/2]], the dissipation of a discontinuity.
 
@@ -575,7 +528,11 @@ def entropy_production(w_left, w_right, S, eos_pair, check=True):
                 f"(max scaled residual {np.max(resid):.3e})"
             )
     Q = -w_left.rho * (w_left.u - S)
-    return _entropy_bracket(w_left, w_right, S, eos_pair, Q)
+    e1 = eos_pair.phase1
+    bracket = (e1.psi(w_right.rho1) + 0.5 * (w_right.u1 - S) ** 2) - (
+        e1.psi(w_left.rho1) + 0.5 * (w_left.u1 - S) ** 2
+    )
+    return -Q * bracket
 
 
 def lax_check(w_left, w_right, S, family, eos_pair, speeds=None):

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: the commits it records and the runs it names as failed."""
+"""tools/bench_pairs.py: the commits it records, the runs it names as failed and
+its no-regression verdict."""
 
 import importlib.util
 import json
@@ -79,3 +80,42 @@ def test_failed_runs_are_named_and_exit_nonzero(bench_pairs, tmp_path, monkeypat
         "failed": 3 if failing[1] == "failed" else 0,
     }]
     assert f"FAILED: pair 2 seed 2 {side}" in capsys.readouterr().out
+
+
+# parent and change wall_s over four pairs (bound 0.2, lower is better)
+REGRESSION_ROWS = {
+    "holds": ([1.0, 1.0, 1.0, 1.0], [1.1, 0.9, 1.1, 1.0]),
+    "regressed": ([1.0, 1.0, 1.0, 1.0], [1.3, 1.2, 1.25, 1.3]),
+    "unresolved": ([0.5, 1.0, 1.5, 2.0], [1.0, 1.5, 0.5, 2.0]),
+    # a wide parent spread is resolved when every change run beats every parent run
+    "holds-beats-all": ([0.5, 1.0, 1.5, 2.0], [0.3, 0.2, 0.4, 0.1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REGRESSION_ROWS))
+def test_regression_verdict(bench_pairs, tmp_path, monkeypatch, capsys, case):
+    sides = {}
+    for side in ("pa", "ch"):
+        sides[side] = tmp_path / side
+        sides[side].mkdir()
+        shutil.copy(ROOT / "BENCHMARK.json", sides[side])
+    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    walls = dict(zip(("pa", "ch"), REGRESSION_ROWS[case]))
+
+    def run_once(checkout, workload, seed, seconds):
+        side = "pa" if checkout == sides["pa"] else "ch"
+        row = {"correct": True, "failed": 0, "attempted": 10, **dict.fromkeys(metrics, 1.0)}
+        row["wall_s"] = walls[side][seed - 1]
+        return row
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "pairs.json"
+    rc = bench_pairs.main([str(sides["pa"]), str(sides["ch"]), "--workload", "w", "--pairs", "4",
+                           "--seed0", "1", "--json", str(out)])
+    assert rc == 0
+    summary = json.loads(out.read_text())["summary"]
+    verdict = case.split("-")[0]
+    assert summary["wall_s"]["regression"] == verdict
+    assert {s["regression"] for name, s in summary.items() if name != "wall_s"} == {"holds"}
+    line = [ln for ln in capsys.readouterr().out.splitlines() if ln.lstrip().startswith("wall_s")]
+    assert line[0].endswith(f"regression: {verdict}")

@@ -41,8 +41,6 @@ def test_invalid_parameters_rejected():
         BarotropicEos(-1.0, 1.4)
     with pytest.raises(ConfigError):
         BarotropicEos(1.0, 0.5)
-    with pytest.raises(ConfigError):
-        BarotropicEos(1.0, 1.4, mode="adiabatic")
 
 
 @pytest.mark.parametrize("value", (float("nan"), float("inf"), float("-inf")))
@@ -128,7 +126,7 @@ def test_psi_rho_derivative_property():
 def test_fundamental_derivative_values():
     assert BarotropicEos(1.0, 1.4).fundamental_derivative(2.0) == pytest.approx(1.2)
     # isothermal ideal gas: gamma = 1 law
-    assert BarotropicEos(1.0, 1.0, mode="isothermal").fundamental_derivative(5.0) == pytest.approx(1.0)
+    assert BarotropicEos(1.0, 1.0).fundamental_derivative(5.0) == pytest.approx(1.0)
     assert BarotropicEos(1.0, 2.0).fundamental_derivative(0.3) == pytest.approx(1.5)
 
 
@@ -177,7 +175,7 @@ def test_riemann_integral_log_branch():
 PARITY_EOS = (
     BarotropicEos(1.0, 1.4),
     BarotropicEos(8.5e8, 2.8, 1e3, 8.4999e8),
-    BarotropicEos(2.0, 1.0, mode="isothermal"),
+    BarotropicEos(2.0, 1.0),
 )
 METHODS = ("pressure", "sound_speed_sq", "sound_speed", "psi", "fundamental_derivative")
 

@@ -153,6 +153,9 @@ BAD_FILE_CASES = [
     ("waves.right", "raref:1+:-inf", SEED_LINES),
     ("phase1.gamma", "1e300", "phase1.rho_ref = 2.0\n"),  # rho_ref**gamma overflows
     ("phase2.gamma", "1e300", "phase2.rho_ref = 0.5\n"),  # ... or underflows to 0
+    # the file picks the shtc scheme only; it must not swap in BN
+    ("grid.scheme", "muscl-pathcons-bn", ""),
+    ("phase1.mode", "isothermal", ""),  # gamma alone selects the regime
 ]
 
 
@@ -331,6 +334,30 @@ def test_cli_simulate_bn_model(tmp_path):
     out = tmp_path / "bn"
     rc = cli.main(["simulate", "RP6", "--model", "bn", "--cells", "100", "--out", str(out)])
     assert rc == 0
+
+
+def test_cli_simulate_bn_rejects_scheme(tmp_path, capsys, monkeypatch):
+    # --model bn has one scheme; a --scheme beside it is an error, not dropped
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a backend ran")
+
+    monkeypatch.setattr(cli, "run_simulation", no_runs)
+    rc = cli.main(["simulate", "RP4", "--model", "bn", "--scheme", "force-godunov",
+                   "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_VALIDATION
+    assert "--scheme" in capsys.readouterr().err
+
+
+def test_cli_header_labels_the_regime_by_gamma(tmp_path, capsys):
+    # gamma = 1 is the isothermal law, any other gamma the isentropic one
+    path = tmp_path / "iso.txt"
+    path.write_text(RIEMANN_FILE.replace("phase1.gamma = 1.4", "phase1.gamma = 1.0"))
+    assert cli.main(["validate", "RP1", "--out", str(tmp_path / "v")]) == 0
+    assert cli.main(["simulate", str(path), "--cells", "8", "--t-end", "1e-3",
+                     "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[isentropic]") == 3 and out.count("[isothermal]") == 1
+    assert "phase1: p(rho) = 1*(rho/1)^1 + 0  [isothermal]" in out
 
 
 def test_cli_compare(tmp_path):

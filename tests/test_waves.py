@@ -26,13 +26,14 @@ from twophase.waves import (
     F2M,
     F2P,
     NEWTON_TOL,
+    _fan_state,
+    _with_phase,
     classify_discontinuity,
     contact_connect,
     contact_residuals,
     entropy_production,
     lax_check,
     rarefaction_connect,
-    rarefaction_sample,
     rhc_residuals,
     shock_connect,
     shock_mass_flux_system,
@@ -44,6 +45,13 @@ RP4 = dict(table_states("RP4"))
 
 def mirror(state):
     return PrimitiveState(state.alpha1, state.rho1, state.rho2, -state.u1, -state.u2)
+
+
+def fan(state, family, xi, pair):
+    """State at speed xi of the fan through `state`, which may be either
+    edge; rarefaction_connect only walks outward from the near edge."""
+    rho, u = _fan_state(family, family.eos_of(pair), family.rho_of(state), family.u_of(state), xi)
+    return _with_phase(state, family.phase, rho, u)
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +97,14 @@ def test_rarefaction_compression_rejected():
 def test_rarefaction_sample_head_is_edge():
     st = RP1["U**_R"]
     head = F1P.speed_of(st, IDEAL_PAIR)
-    s = rarefaction_sample(st, F1P, head, IDEAL_PAIR)
+    s = fan(st, F1P, head, IDEAL_PAIR)
     assert np.allclose(s.as_array(), st.as_array(), rtol=1e-12)
 
 
 def test_rarefaction_sample_defining_property():
     st = RP1["U**_R"]
     for xi in (0.7, 0.85, 0.99):
-        s = rarefaction_sample(st, F1P, xi, IDEAL_PAIR)
+        s = rarefaction_connect(st, F1P, xi, IDEAL_PAIR)
         assert F1P.speed_of(s, IDEAL_PAIR) == pytest.approx(xi, abs=1e-10)
 
 
@@ -105,22 +113,23 @@ ISOTHERMAL_STATE = PrimitiveState(0.5, 1.0, 1.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize(
-    "pair, state, family, xi, bracket",
+    "connect, pair, state, family, xi, bracket",
     [
         # ideal gamma = 1.4, density rising from the head of a 1+ fan
-        (IDEAL_PAIR, RP1["U**_R"], F1P, 0.9, (RP1["U**_R"].rho1, 2.0)),
+        (rarefaction_connect, IDEAL_PAIR, RP1["U**_R"], F1P, 0.9, (RP1["U**_R"].rho1, 2.0)),
         # stiff closure (gamma = 2.8, B != 0) on RP3's 2- fan
-        (STIFF_PAIR, dict(table_states("RP3"))["U**_L"], F2M, -2000.0, (200.0, 2000.0)),
+        (rarefaction_connect, STIFF_PAIR, dict(table_states("RP3"))["U**_L"], F2M, -2000.0,
+         (200.0, 2000.0)),
         # isothermal (gamma = 1): a minus fan from its head, a plus fan
         # from its dense far edge
-        (ISOTHERMAL_PAIR, ISOTHERMAL_STATE, F1M, -1.5, (1.0, 10.0)),
-        (ISOTHERMAL_PAIR, ISOTHERMAL_STATE, F2P, 0.4, (0.01, 1.0)),
+        (fan, ISOTHERMAL_PAIR, ISOTHERMAL_STATE, F1M, -1.5, (1.0, 10.0)),
+        (fan, ISOTHERMAL_PAIR, ISOTHERMAL_STATE, F2P, 0.4, (0.01, 1.0)),
     ],
     ids=["ideal-1+", "stiff-2-", "isothermal-1-", "isothermal-2+"],
 )
-def test_rarefaction_sample_bisection_oracle(pair, state, family, xi, bracket):
+def test_rarefaction_sample_bisection_oracle(connect, pair, state, family, xi, bracket):
     # independent bisection on the fan relation finds the same density
-    s = rarefaction_sample(state, family, xi, pair)
+    s = connect(state, family, xi, pair)
     eos = family.eos_of(pair)
     rho_e, u_e = family.rho_of(state), family.u_of(state)
 
@@ -144,14 +153,14 @@ def test_rarefaction_sample_out_of_fan():
     st = RP1["U**_R"]
     # beyond the vacuum front of the fan (low-density side of a plus fan)
     with pytest.raises(OutOfFanError):
-        rarefaction_sample(st, F1P, -100.0, IDEAL_PAIR)
+        fan(st, F1P, -100.0, IDEAL_PAIR)
     # gamma = 1 has no finite vacuum front; far enough out the density
     # underflows to zero
     with pytest.raises(OutOfFanError):
-        rarefaction_sample(ISOTHERMAL_STATE, F1P, -1000.0, ISOTHERMAL_PAIR)
+        fan(ISOTHERMAL_STATE, F1P, -1000.0, ISOTHERMAL_PAIR)
     # on the dense side the density overflows instead
     with pytest.raises(NumericsError):
-        rarefaction_sample(ISOTHERMAL_STATE, F1P, 1000.0, ISOTHERMAL_PAIR)
+        fan(ISOTHERMAL_STATE, F1P, 1000.0, ISOTHERMAL_PAIR)
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +188,18 @@ def test_rp4_table_pair_residuals():
 
 def test_shock_connect_reproduces_rp4():
     pre, post_tab, S = rp4_left_inner()
-    post, data = shock_connect(pre, F1M, S, STIFF_PAIR)
+    post = shock_connect(pre, F1M, S, STIFF_PAIR)
     err = np.abs(post.as_array() - post_tab.as_array()) / np.abs(post_tab.as_array())
     assert np.max(err) < 1e-4
-    assert data.Q < 0 and data.Q1 < 0  # left shock mass fluxes
-    assert data.entropy_production < 0
+    Q, Q1 = -pre.rho * (pre.u - S), -pre.rho1 * (pre.u1 - S)
+    assert Q < 0 and Q1 < 0  # left shock mass fluxes
+    assert entropy_production(post, pre, S, STIFF_PAIR) < 0
 
 
 def test_shock_connect_mirror_symmetry():
     pre, _, S = rp4_left_inner()
-    post, _ = shock_connect(pre, F1M, S, STIFF_PAIR)
-    post_m, _ = shock_connect(mirror(pre), F1P, -S, STIFF_PAIR)
+    post = shock_connect(pre, F1M, S, STIFF_PAIR)
+    post_m = shock_connect(mirror(pre), F1P, -S, STIFF_PAIR)
     assert np.allclose(post_m.as_array(), mirror(post).as_array(), rtol=1e-12)
 
 
@@ -227,35 +237,37 @@ def test_random_shock_linear_system_consistency():
         if abs(S - st.u) < 1e-6:
             continue
         try:
-            post, data = shock_connect(st, fam, S, IDEAL_PAIR)
+            post = shock_connect(st, fam, S, IDEAL_PAIR)
         except DegenerateShockError:
             continue
+        # mass fluxes of the known side
+        Q, Q1, Q2 = -st.rho * (st.u - S), -st.rho1 * (st.u1 - S), -st.rho2 * (st.u2 - S)
         w_l, w_r = (st, post) if lam > S else (post, st)
         if lax_check(w_l, w_r, S, fam, IDEAL_PAIR) != "compressive":
             continue
         q1sq, q2sq, det = shock_mass_flux_system(w_l, w_r, st.alpha1, IDEAL_PAIR)
-        assert q1sq == pytest.approx(data.Q1**2, rel=1e-8)
-        assert q2sq == pytest.approx(data.Q2**2, rel=1e-8)
+        assert q1sq == pytest.approx(Q1**2, rel=1e-8)
+        assert q2sq == pytest.approx(Q2**2, rel=1e-8)
         # mass fluxes continuous across the returned shock
         for s_, sign in ((w_l, 1), (w_r, 1)):
-            assert -s_.rho1 * (s_.u1 - S) == pytest.approx(data.Q1, rel=1e-9)
-            assert -s_.rho2 * (s_.u2 - S) == pytest.approx(data.Q2, rel=1e-9)
+            assert -s_.rho1 * (s_.u1 - S) == pytest.approx(Q1, rel=1e-9)
+            assert -s_.rho2 * (s_.u2 - S) == pytest.approx(Q2, rel=1e-9)
             q_mix = -s_.rho * (s_.u - S)
-            assert q_mix == pytest.approx(data.Q, rel=1e-9)
+            assert q_mix == pytest.approx(Q, rel=1e-9)
         # coupling Q2 = rho2 (Q1/rho1 + w) on both sides
         for s_ in (w_l, w_r):
-            assert s_.rho2 * (data.Q1 / s_.rho1 + s_.w) == pytest.approx(data.Q2, rel=1e-9)
+            assert s_.rho2 * (Q1 / s_.rho1 + s_.w) == pytest.approx(Q2, rel=1e-9)
         # redundant forms: mixture momentum and relative-velocity brackets
         def jump(f):
             return f(w_r) - f(w_l)
 
         (p_l, pbar_l), (p_r, pbar_r) = (mixture_pressures(s_, IDEAL_PAIR) for s_ in (w_l, w_r))
-        r_mom = -data.Q * (w_r.u - w_l.u) + (pbar_r - pbar_l)
+        r_mom = -Q * (w_r.u - w_l.u) + (pbar_r - pbar_l)
         assert abs(r_mom) < 1e-8 * max(1.0, abs(p_l), abs(p_r))
         e1, e2 = IDEAL_PAIR.phase1, IDEAL_PAIR.phase2
         r_w = (
-            0.5 * (data.Q1 / w_r.rho1) ** 2 - 0.5 * (data.Q1 / w_l.rho1) ** 2
-            - 0.5 * (data.Q2 / w_r.rho2) ** 2 + 0.5 * (data.Q2 / w_l.rho2) ** 2
+            0.5 * (Q1 / w_r.rho1) ** 2 - 0.5 * (Q1 / w_l.rho1) ** 2
+            - 0.5 * (Q2 / w_r.rho2) ** 2 + 0.5 * (Q2 / w_l.rho2) ** 2
             + jump(lambda s: e1.psi(s.rho1) - e2.psi(s.rho2))
         )
         assert abs(r_w) < 1e-8 * max(1.0, e1.sound_speed_sq(w_l.rho1))
@@ -265,11 +277,12 @@ def test_random_shock_linear_system_consistency():
 def test_lax_sign_chain_left_shock():
     # left shock: -rho_R a_R < Q_mu < -rho_L a_L < 0 in the shock phase
     pre, post, S = rp4_left_inner()
-    post_c, data = shock_connect(pre, F1M, S, STIFF_PAIR)
+    post_c = shock_connect(pre, F1M, S, STIFF_PAIR)
     w_l, w_r = post_c, pre
+    Q1 = -pre.rho1 * (pre.u1 - S)
     a_l = STIFF_PAIR.phase1.sound_speed(w_l.rho1)
     a_r = STIFF_PAIR.phase1.sound_speed(w_r.rho1)
-    assert -w_r.rho1 * a_r < data.Q1 < -w_l.rho1 * a_l < 0
+    assert -w_r.rho1 * a_r < Q1 < -w_l.rho1 * a_l < 0
 
 
 def test_shock_mass_flux_system_degenerate():
@@ -375,7 +388,7 @@ def test_entropy_contact_zero():
 
 def test_entropy_lax_shock_negative_reversed_positive():
     pre, _, S = rp4_left_inner()
-    post, _ = shock_connect(pre, F1M, S, STIFF_PAIR)
+    post = shock_connect(pre, F1M, S, STIFF_PAIR)
     prod = entropy_production(post, pre, S, STIFF_PAIR)
     assert prod < 0
     assert entropy_production(pre, post, S, STIFF_PAIR) > 0  # expansion shock
@@ -472,10 +485,10 @@ def test_case_ii_shock_strictly_inside_fan_rejected():
 
     sol = get_problem("RP1").build_exact()
     host_edge = sol.contact_right
-    pre = rarefaction_sample(host_edge, F1P, 0.95, IDEAL_PAIR)
+    pre = rarefaction_connect(host_edge, F1P, 0.95, IDEAL_PAIR)
     # branch with the host characteristic crossing (lambda_{1+} rises
     # above S behind the shock); the preferred branch would dodge it
-    post, _ = shock_connect(
+    post = shock_connect(
         pre, F2P, 1.0, IDEAL_PAIR,
         initial_guess=[pre.rho1 * 1.15, pre.rho2 * 0.82],
     )
@@ -493,13 +506,13 @@ def _left_side_case_iii_pair():
     a1 = IDEAL_PAIR.phase1.sound_speed(1.2)
     a2 = IDEAL_PAIR.phase2.sound_speed(1.8)
     w_plus = PrimitiveState(0.4, 1.2, 1.8, S + a1, S + 0.5 * a2)
-    w_minus, data = shock_connect(w_plus, F2M, S, IDEAL_PAIR)
-    return w_minus, w_plus, data, S
+    w_minus = shock_connect(w_plus, F2M, S, IDEAL_PAIR)
+    return w_minus, w_plus, S
 
 
 def test_census_case_iii_left_side_printed_listing():
     # original (minus-host) shock-in-rarefaction census: mu = 2, nu = 1
-    w_minus, w_plus, data, S = _left_side_case_iii_pair()
+    w_minus, w_plus, S = _left_side_case_iii_pair()
     assert F1M.speed_of(w_plus, IDEAL_PAIR) == pytest.approx(S, abs=1e-7)
     c = classify_discontinuity(w_minus, w_plus, S, IDEAL_PAIR)
     assert c.evolutionary
@@ -510,7 +523,8 @@ def test_census_case_iii_left_side_printed_listing():
     assert set(c.outgoing) == {
         ("2+", "right"), ("1-", "left"), ("1+", "right"), ("C", "right"),
     }
-    assert data.Q < 0  # minus-family host carries negative mixture mass flux
+    # minus-family host carries negative mixture mass flux
+    assert -w_plus.rho * (w_plus.u - S) < 0
     assert entropy_production(w_minus, w_plus, S, IDEAL_PAIR) < 0
 
 
@@ -551,7 +565,7 @@ def test_case_iv_rejected_by_entropy_sign():
 
     # operationally: a reversed admissible pair (tangency flipped to the
     # upstream side) is flagged by positive entropy production
-    w_minus, w_plus, data, S = _left_side_case_iii_pair()
+    w_minus, w_plus, S = _left_side_case_iii_pair()
     swapped = entropy_production(w_plus, w_minus, S, IDEAL_PAIR)
     assert swapped > 0
 

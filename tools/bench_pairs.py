@@ -15,12 +15,16 @@ BENCHMARK.json each side's median and quartiles, the pairs the change won
 (better in the metric's direction), and whether the change's median is
 better than the parent's by more than the parent's interquartile range.
 A claim of a gain holds when the change wins at least 9 of 10 pairs and
-that gap holds.  With --json it also writes the pairs and the summary in
-the layout of the BENCH_*.json records, with each checkout's `git
-rev-parse HEAD` and whether its tree differs from that commit.  A run
-that reports `correct: false` or `failed > 0` is named in the summary,
-and the tool then exits 1.  The benchmark itself is only run, never
-changed.
+that gap holds.  Each metric also gets the verdict a change that claims
+no gain is judged by: `regressed` when the change's median is worse than
+the parent's by more than the metric's relative `bound`, `unresolved`
+when the parent's interquartile range exceeds that bound of its median
+(unless every change run beats every parent run), and `holds` otherwise.
+With --json it also writes the pairs and the summary in the layout of
+the BENCH_*.json records, with each checkout's `git rev-parse HEAD` and
+whether its tree differs from that commit.  A run that reports `correct:
+false` or `failed > 0` is named in the summary, and the tool then exits
+1.  The benchmark itself is only run, never changed.
 
 The tool refuses checkouts whose absolute paths differ in length:
 `peak_rss_mb` follows the heap layout, and one more character in the
@@ -48,9 +52,9 @@ def parse_args(argv):
 
 
 def end_to_end(checkout):
-    """(name, better) of every end-to-end metric the checkout declares."""
+    """(name, better, bound) of every end-to-end metric the checkout declares."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    return [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -97,10 +101,23 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def regression(par, chg, sign, bound):
+    """`regressed`, `unresolved` or `holds` (see the module docstring);
+    sign is +1 where higher is better and -1 where lower is."""
+    pq1, pmed, pq3 = quartiles(par)
+    scale = bound * abs(pmed)
+    if -sign * (statistics.median(chg) - pmed) > scale:
+        return "regressed"
+    beats_all = min(chg) > max(par) if sign > 0 else max(chg) < min(par)
+    if pq3 - pq1 > scale and not beats_all:
+        return "unresolved"
+    return "holds"
+
+
 def summarize(pairs, metrics):
-    """Per metric: medians, quartiles, wins and the evidence verdict."""
+    """Per metric: medians, quartiles, wins and the evidence verdicts."""
     out = {}
-    for name, better in metrics:
+    for name, better, bound in metrics:
         par = [p["parent"][name] for p in pairs]
         chg = [p["change"][name] for p in pairs]
         sign = -1.0 if better == "lower" else 1.0
@@ -114,6 +131,7 @@ def summarize(pairs, metrics):
             "change_over_parent": cmed / pmed if pmed else float("nan"),
             "change_wins": wins, "ties": ties, "pairs": len(pairs),
             "gap_exceeds_parent_iqr": sign * (cmed - pmed) > pq3 - pq1,
+            "regression": regression(par, chg, sign, bound),
         }
     return out
 
@@ -138,7 +156,7 @@ def main(argv):
             pair[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)
         pairs.append(pair)
         cells = "  ".join(
-            f"{name} {pair['parent'][name]:.6g} -> {pair['change'][name]:.6g}" for name, _ in metrics
+            f"{name} {pair['parent'][name]:.6g} -> {pair['change'][name]:.6g}" for name, _, _ in metrics
         )
         checks = " ".join(f"{side} correct={pair[side]['correct']} failed={pair[side]['failed']}" for side in order)
         print(f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): {cells}  [{checks}]", flush=True)
@@ -150,6 +168,7 @@ def main(argv):
             f"  change {s['change_median']:.6g} [{s['change_q1']:.6g}, {s['change_q3']:.6g}]"
             f"  x{s['change_over_parent']:.3f}  won {s['change_wins']}/{s['pairs']}"
             f" (ties {s['ties']})  gap > parent IQR: {'yes' if s['gap_exceeds_parent_iqr'] else 'no'}"
+            f"  regression: {s['regression']}"
         )
     bad = failed_runs(pairs)
     for number, seed, side, correct, failed in bad:

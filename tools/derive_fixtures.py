@@ -234,8 +234,8 @@ def rp1_interior_shock():
     ish = [e for e in sol.elements if e.kind == "interior-shock"][0]
     pre_printed = printed["Ubar"]
     guess = [printed["U*_R"].rho1, printed["U*_R"].rho2]
-    root_printed, _ = shock_connect(pre_printed, interior, S, pair, initial_guess=guess)
-    root_built, _ = shock_connect(ish.left, interior, S, pair, initial_guess=guess)
+    root_printed = shock_connect(pre_printed, interior, S, pair, initial_guess=guess)
+    root_built = shock_connect(ish.left, interior, S, pair, initial_guess=guess)
     tail_built = rarefaction_connect(root_built, host, tail, pair)
     rel = lambda a, b: np.abs(a.as_array() - b.as_array()) / np.abs(b.as_array())  # noqa: E731
     print(f"  built Ubar vs printed: max rel {np.max(rel(ish.left, pre_printed)):.2e}")
