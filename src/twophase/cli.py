@@ -7,10 +7,11 @@ Commands
   simulate PROBLEM   run a finite-volume scheme, dump snapshot CSV +
                      conservation ledger with the run's relaxation
                      counters (+ Kapila diagnostics when relaxation is on)
-  compare PROBLEM    run the backends named by --models (shtc, bn), each
-                     in its own forked worker process, and report aligned
-                     L1/Linf differences against each other and the
-                     exact solution, with each backend's counters
+  compare PROBLEM    run the backends named by --models (shtc, bn), the
+                     first in this process and each other one in a forked
+                     worker process, and report aligned L1/Linf
+                     differences against each other and the exact
+                     solution, with each backend's counters
   eigen PROBLEM      five eigenvalue curves along xi (wave-structure
                      figures)
   validate PROBLEM   build the exact solution and print the

@@ -237,7 +237,9 @@ def _walk_side(contact_state, specs, side, eos_pair):
 
     Elements come back ordered inner to outer; the caller re-sorts into
     x order.  Left waves must run entirely left of the contact speed
-    and right waves entirely right of it (sorted fan).
+    and right waves entirely right of it (sorted fan), and each piece
+    outward of every piece walked before it, save fans of different
+    phases, which overlap freely.
     """
     sign = -1 if side == "left" else +1
     u_c = contact_state.u
@@ -275,7 +277,16 @@ def _walk_side(contact_state, specs, side, eos_pair):
                 raise ConstructionError(
                     label, f"wave interval crosses the contact speed {u_c:.6g}"
                 )
-        elements += new
+            for inner in elements:
+                fans_apart = el.family.phase != inner.family.phase and not (
+                    el.is_discontinuity or inner.is_discontinuity
+                )
+                past = el.xi_tail - inner.xi_head if side == "left" else inner.xi_tail - el.xi_head
+                if past > pad and not fans_apart:
+                    raise ConstructionError(
+                        label, f"{el.label()} crosses {inner.label()}, nearer the contact"
+                    )
+            elements.append(el)
         current = outer
     return elements, current
 

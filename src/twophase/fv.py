@@ -34,8 +34,9 @@ round-off.  The run's ledger counts the pressure solves, their Newton
 iterations and their round-off stops under ledger["telemetry"]["relax"].
 
 `run_simulation` marches one configuration in this process;
-`run_simulations` marches several, each in a forked worker process, and
-returns exactly what a loop over `run_simulation` would.
+`run_simulations` marches several, the first in this process and each
+other one in a forked worker process, and returns exactly what a loop
+over `run_simulation` would.
 """
 
 import logging
@@ -689,27 +690,31 @@ def _simulate_into(send, *args):
 
 
 def run_simulations(left, right, grid, configs, eos_pair, x0=None):
-    """run_simulation for every config, in config order, each in a forked
-    worker process, at most as many at once as this process may use CPUs.
+    """run_simulation for every config, in config order: the first in this
+    process, each other one in a forked worker process, at most as many
+    runs at once as this process may use CPUs, its own run included.
 
     A worker inherits its job through the fork (no callable is pickled,
     so a profiler's rebound functions run there too) and sends back only
     its result or its error; the error is raised here with its type,
     message and attributes.  A worker that ends without an answer raises
-    NumericsError naming its scheme.
+    NumericsError naming its scheme.  Whatever error leaves, the workers
+    still running are terminated and joined first.
     """
     import multiprocessing
     from multiprocessing.connection import wait
 
+    if not configs:
+        return []
     fork = multiprocessing.get_context("fork")
     width = min(len(configs), len(os.sched_getaffinity(0)))
     results = [None] * len(configs)
     running = {}  # read end of a worker's pipe -> (config index, process)
 
-    def start(i, config):
+    def start(i):
         recv, send = fork.Pipe(duplex=False)
         proc = fork.Process(target=_simulate_into,
-                            args=(send, left, right, grid, config, eos_pair, x0))
+                            args=(send, left, right, grid, configs[i], eos_pair, x0))
         proc.start()
         send.close()  # the worker holds the only write end, so its death reads as EOF
         running[recv] = i, proc
@@ -734,10 +739,13 @@ def run_simulations(left, right, grid, configs, eos_pair, x0=None):
             results[i] = outcome
 
     try:
-        for i, config in enumerate(configs):
+        for i in range(1, width):  # this process's own run takes the last CPU
+            start(i)
+        results[0] = run_simulation(left, right, grid, configs[0], eos_pair, x0)
+        for i in range(width, len(configs)):
             if len(running) == width:
                 finish()
-            start(i, config)
+            start(i)
         while running:
             finish()
     finally:

@@ -1,5 +1,5 @@
-"""tools/bench_pairs.py: the commits it records, the runs it names as failed and
-its no-regression verdict."""
+"""tools/bench_pairs.py: the commits it records, the runs it names as failed,
+its no-regression verdict and its gain verdict."""
 
 import importlib.util
 import json
@@ -92,30 +92,61 @@ REGRESSION_ROWS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(REGRESSION_ROWS))
-def test_regression_verdict(bench_pairs, tmp_path, monkeypatch, capsys, case):
+def _walls_through_the_tool(bench_pairs, tmp_path, monkeypatch, capsys, parent, change):
+    """Run the tool on fixed rows: wall_s from the two lists, every other
+    metric 1.0.  Returns its exit code, its JSON summary and its printed
+    wall_s line."""
     sides = {}
     for side in ("pa", "ch"):
         sides[side] = tmp_path / side
         sides[side].mkdir()
         shutil.copy(ROOT / "BENCHMARK.json", sides[side])
     metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
-    walls = dict(zip(("pa", "ch"), REGRESSION_ROWS[case]))
+    walls = {sides["pa"]: parent, sides["ch"]: change}
 
     def run_once(checkout, workload, seed, seconds):
-        side = "pa" if checkout == sides["pa"] else "ch"
         row = {"correct": True, "failed": 0, "attempted": 10, **dict.fromkeys(metrics, 1.0)}
-        row["wall_s"] = walls[side][seed - 1]
+        row["wall_s"] = walls[checkout][seed - 1]
         return row
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "pairs.json"
-    rc = bench_pairs.main([str(sides["pa"]), str(sides["ch"]), "--workload", "w", "--pairs", "4",
-                           "--seed0", "1", "--json", str(out)])
+    rc = bench_pairs.main([str(sides["pa"]), str(sides["ch"]), "--workload", "w",
+                           "--pairs", str(len(parent)), "--seed0", "1", "--json", str(out)])
+    line = [ln for ln in capsys.readouterr().out.splitlines() if ln.lstrip().startswith("wall_s")]
+    return rc, json.loads(out.read_text())["summary"], line[0]
+
+
+@pytest.mark.parametrize("case", sorted(REGRESSION_ROWS))
+def test_regression_verdict(bench_pairs, tmp_path, monkeypatch, capsys, case):
+    rc, summary, line = _walls_through_the_tool(bench_pairs, tmp_path, monkeypatch, capsys,
+                                                *REGRESSION_ROWS[case])
     assert rc == 0
-    summary = json.loads(out.read_text())["summary"]
     verdict = case.split("-")[0]
     assert summary["wall_s"]["regression"] == verdict
     assert {s["regression"] for name, s in summary.items() if name != "wall_s"} == {"holds"}
-    line = [ln for ln in capsys.readouterr().out.splitlines() if ln.lstrip().startswith("wall_s")]
-    assert line[0].endswith(f"regression: {verdict}")
+    assert line.endswith(f"regression: {verdict}")
+
+
+# parent and change wall_s over ten pairs (lower is better); the parent's
+# interquartile range is 0.015
+_PARENT = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+GAIN_ROWS = {
+    "shown": [0.8 * w for w in _PARENT],
+    "shown-nine-wins": [0.8 * w for w in _PARENT[:9]] + [1.5],
+    "not shown-eight-wins": [0.8 * w for w in _PARENT[:8]] + [1.5, 1.5],
+    # every pair won, but by less than the parent's spread
+    "not shown-small-gap": [w - 0.001 for w in _PARENT],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GAIN_ROWS))
+def test_gain_verdict(bench_pairs, tmp_path, monkeypatch, capsys, case):
+    rc, summary, line = _walls_through_the_tool(bench_pairs, tmp_path, monkeypatch, capsys,
+                                                _PARENT, GAIN_ROWS[case])
+    assert rc == 0
+    gain = case.split("-")[0]
+    assert summary["wall_s"]["gain"] == gain
+    # a metric equal on both sides wins no pair
+    assert {s["gain"] for name, s in summary.items() if name != "wall_s"} == {"not shown"}
+    assert f"gain: {gain}  regression:" in line

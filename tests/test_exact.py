@@ -353,6 +353,22 @@ def test_grammar_rejects_undeclared_shock_in_fan():
         )
 
 
+def test_grammar_rejects_crossed_side():
+    # RP6's contact and right waves with two left shocks walked in the
+    # wrong order: the outer 1- shock at -0.8 runs inside the inner 2-
+    # shock at -1.4, so the sampled profile would not be a weak solution
+    p = get_problem("RP6")
+    es = p.exact_spec
+    with pytest.raises(ConstructionError) as err:
+        build_solution(es.contact_left, es.alpha1_right, [shock("2-", -1.4), shock("1-", -0.8)],
+                       list(es.right_waves), IDEAL_PAIR)
+    assert err.value.wave == "left2:shock(1-, -0.8)"
+    assert "shock(1-, S=-0.8) crosses shock(2-, S=-1.4), nearer the contact" in str(err.value)
+    # walked in speed order, the same two shocks build
+    build_solution(es.contact_left, es.alpha1_right, [shock("1-", -0.8), shock("2-", -1.4)],
+                   list(es.right_waves), IDEAL_PAIR)
+
+
 def test_grammar_rejects_interior_shock_outside_host():
     seed = PrimitiveState(0.7, 0.47883, 1.1064, -0.18865, -0.14351)
     with pytest.raises(ConstructionError):
@@ -498,7 +514,8 @@ def _constructions(draw):
 def test_build_solution_raises_or_samples(case):
     # every declaration either fails with ConstructionError or builds a
     # solution whose samples are finite over its breakpoints and equal
-    # el.right at the speed of every discontinuity
+    # el.right at the speed of every discontinuity and el.left just left
+    # of it, so each sampled jump is the one whose conditions were checked
     try:
         sol = build_solution(*case, IDEAL_PAIR)
     except ConstructionError:
@@ -509,6 +526,6 @@ def test_build_solution_raises_or_samples(case):
     assert np.all(np.isfinite(sol.sample_many(xi)))
     for el in sol.elements:
         if el.is_discontinuity:
-            want = el.right.as_array()
-            got = sol.sample_many([el.speed])[0]
-            assert np.allclose(got, want, rtol=1e-9, atol=0.0), el.label()
+            got = sol.sample_many([el.speed, np.nextafter(el.speed, -np.inf)])
+            assert np.allclose(got[0], el.right.as_array(), rtol=1e-9, atol=0.0), el.label()
+            assert np.allclose(got[1], el.left.as_array(), rtol=1e-9, atol=1e-12), el.label()

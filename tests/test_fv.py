@@ -1,7 +1,9 @@
 """Finite-volume kernels: fluxes, steps, relaxation, driver."""
 
 import logging
+import multiprocessing
 import os
+import time
 from itertools import product
 from pathlib import Path
 
@@ -1275,10 +1277,88 @@ def test_run_simulations_raises_the_worker_error(ideal_pair):
 
 def test_run_simulations_names_a_worker_that_dies(ideal_pair, monkeypatch):
     # the fork carries the patched module into the worker, which exits
-    # without sending anything
-    monkeypatch.setattr(fv, "run_simulation", lambda *args: os._exit(7))
+    # without sending anything; this process runs the first config itself
+    here = os.getpid()
+
+    def exit_in_worker(*args):
+        if os.getpid() != here:
+            os._exit(7)
+        return run_simulation(*args)
+
+    monkeypatch.setattr(fv, "run_simulation", exit_in_worker)
     p = get_problem("RP5")
     left, right = p.riemann_data()
-    configs = [SolverConfig(t_end=0.01, scheme="muscl-pathcons-bn")]
+    configs = [SolverConfig(t_end=0.01), SolverConfig(t_end=0.01, scheme="muscl-pathcons-bn")]
     with pytest.raises(NumericsError, match="muscl-pathcons-bn worker ended.*exit code 7"):
         run_simulations(left, right, Grid(-1.0, 1.0, 16), configs, ideal_pair)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_run_simulations_runs_the_first_config_here(monkeypatch, cpus):
+    # the calling process runs configs[0] and counts toward the CPU width:
+    # with cpus CPUs, cpus - 1 workers are running when its own run starts
+    # (a worker waits before its run, so it is still alive to be counted)
+    p = get_problem("RP5")
+    left, right = p.riemann_data()
+    g = Grid(p.x_min, p.x_max, 32)
+    configs = [
+        SolverConfig(t_end=p.t_end, cfl=p.cfl, scheme=scheme)
+        for scheme in ("muscl-rusanov", "muscl-pathcons-bn", "force-godunov")
+    ]
+    serial = [run_simulation(left, right, g, c, p.eos_pair, x0=p.x0) for c in configs]
+    here = os.getpid()
+    calls = []  # a worker appends to its own copy, so only this process's calls show
+
+    def recorder(*args):
+        if os.getpid() != here:
+            time.sleep(0.2)
+        calls.append((args[3], len(multiprocessing.active_children())))
+        return run_simulation(*args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(fv, "run_simulation", recorder)
+    forked = run_simulations(left, right, g, configs, p.eos_pair, x0=p.x0)
+    assert calls == [(configs[0], cpus - 1)]
+    assert all(_same_run(a, b) for a, b in zip(serial, forked))
+    assert multiprocessing.active_children() == []
+
+
+def test_run_simulations_of_one_config_forks_nothing(ideal_pair, monkeypatch):
+    p = get_problem("RP5")
+    left, right = p.riemann_data()
+    g = Grid(-1.0, 1.0, 16)
+    config = SolverConfig(t_end=0.01)
+    serial = run_simulation(left, right, g, config, ideal_pair)
+
+    def no_fork():
+        raise AssertionError("a single config forked a worker")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    (alone,) = run_simulations(left, right, g, [config], ideal_pair)
+    assert _same_run(alone, serial)
+    assert run_simulations(left, right, g, [], ideal_pair) == []
+
+
+def test_run_simulations_reaps_workers_when_its_own_run_raises(ideal_pair, monkeypatch):
+    # counter-streaming data break the caller's strict run while a worker,
+    # held back before its run, is still going: the worker is terminated
+    # and joined before the error leaves
+    left = PrimitiveState(0.5, 1.0, 1.0, -60.0, -60.0)
+    right = PrimitiveState(0.5, 1.0, 1.0, 60.0, 60.0)
+    g = Grid(-1.0, 1.0, 64)
+    violent = SolverConfig(t_end=0.25, limiter="superbee")
+    here = os.getpid()
+    live = []
+
+    def slow_worker(*args):
+        if os.getpid() != here:
+            time.sleep(60.0)
+        live.append(len(multiprocessing.active_children()))
+        return run_simulation(*args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(fv, "run_simulation", slow_worker)
+    with pytest.raises(PositivityError):
+        run_simulations(left, right, g, [violent, SolverConfig(t_end=0.25)], ideal_pair)
+    assert live == [1]
+    assert multiprocessing.active_children() == []

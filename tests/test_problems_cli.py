@@ -394,7 +394,8 @@ def test_cli_zero_cells_is_a_config_error(tmp_path, capsys, command):
 
 
 def test_cli_compare_worker_failure_exit_code(tmp_path, capsys, monkeypatch):
-    # a guard below 1 trips in each worker, which inherits it through the fork
+    # a guard below 1 trips in this process's run and in the worker, which
+    # inherits it through the fork
     monkeypatch.setattr(fv, "WAVESPEED_GROWTH_GUARD", 0.5)
     rc = cli.main(["compare", "RP5", "--cells", "40", "--out", str(tmp_path / "cmp")])
     assert rc == cli.EXIT_NUMERICS
@@ -428,10 +429,12 @@ def test_cli_validate(tmp_path):
 def test_cli_construction_failing_validation_exits_2(tmp_path, capsys, command):
     # the 1- shock at S = -1.5 solves its jump conditions but is an
     # expansion shock: validation fails inside the build, which names it
+    # (declared inside the 2- fan, which runs outward of it, so that the
+    # side is not crossed)
     path = tmp_path / "expansion.txt"
     path.write_text(
         RIEMANN_FILE.split("left.alpha1")[0] + SEED_LINES + "waves.alpha1_right = 0.3\n"
-        "waves.left = raref:2-:-2.0, shock:1-:-1.5\nwaves.right = sir:1+:1.5:1.0\n"
+        "waves.left = shock:1-:-1.5, raref:2-:-2.0\nwaves.right = sir:1+:1.5:1.0\n"
     )
     assert cli.main([command, str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err

@@ -14,9 +14,11 @@ It prints every pair, then per end-to-end metric of the parent's
 BENCHMARK.json each side's median and quartiles, the pairs the change won
 (better in the metric's direction), and whether the change's median is
 better than the parent's by more than the parent's interquartile range.
-A claim of a gain holds when the change wins at least 9 of 10 pairs and
-that gap holds.  Each metric also gets the verdict a change that claims
-no gain is judged by: `regressed` when the change's median is worse than
+A claim of a gain holds when the change wins at least nine tenths of
+the pairs (9 of 10) and that gap holds; the metric's `gain` field reads
+`shown` then and `not shown` otherwise.  Each metric also gets the
+verdict a change that claims no gain is judged by: `regressed` when the
+change's median is worse than
 the parent's by more than the metric's relative `bound`, `unresolved`
 when the parent's interquartile range exceeds that bound of its median
 (unless every change run beats every parent run), and `holds` otherwise.
@@ -125,12 +127,14 @@ def summarize(pairs, metrics):
         ties = sum(1 for a, b in zip(par, chg) if a == b)
         pq1, pmed, pq3 = quartiles(par)
         cq1, cmed, cq3 = quartiles(chg)
+        gap = sign * (cmed - pmed) > pq3 - pq1
         out[name] = {
             "parent_median": pmed, "parent_q1": pq1, "parent_q3": pq3,
             "change_median": cmed, "change_q1": cq1, "change_q3": cq3,
             "change_over_parent": cmed / pmed if pmed else float("nan"),
             "change_wins": wins, "ties": ties, "pairs": len(pairs),
-            "gap_exceeds_parent_iqr": sign * (cmed - pmed) > pq3 - pq1,
+            "gap_exceeds_parent_iqr": gap,
+            "gain": "shown" if gap and 10 * wins >= 9 * len(pairs) else "not shown",
             "regression": regression(par, chg, sign, bound),
         }
     return out
@@ -168,7 +172,7 @@ def main(argv):
             f"  change {s['change_median']:.6g} [{s['change_q1']:.6g}, {s['change_q3']:.6g}]"
             f"  x{s['change_over_parent']:.3f}  won {s['change_wins']}/{s['pairs']}"
             f" (ties {s['ties']})  gap > parent IQR: {'yes' if s['gap_exceeds_parent_iqr'] else 'no'}"
-            f"  regression: {s['regression']}"
+            f"  gain: {s['gain']}  regression: {s['regression']}"
         )
     bad = failed_runs(pairs)
     for number, seed, side, correct, failed in bad:
