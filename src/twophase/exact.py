@@ -441,10 +441,8 @@ class ValidationReport:
 
 
 def _is_zero_strength(el):
-    dl = el.left.as_array()
-    dr = el.right.as_array()
-    scale = np.maximum(np.abs(dl), np.abs(dr))
-    return bool(np.all(np.abs(dr - dl) <= 1e-9 * np.maximum(scale, 1.0)))
+    return all(abs(b - a) <= 1e-9 * max(abs(a), abs(b), 1.0)
+               for a, b in zip(el.left.as_tuple(), el.right.as_tuple()))
 
 
 def _check_interior_coincidence(el, sol, flags):

@@ -61,8 +61,11 @@ class PrimitiveState:
         c1, c2 = alpha1 * rho1 / rho, alpha2 * rho2 / rho
         vars(self).update(alpha2=alpha2, rho=rho, c1=c1, c2=c2, u=c1 * u1 + c2 * u2, w=u1 - u2)
 
+    def as_tuple(self):
+        return self.alpha1, self.rho1, self.rho2, self.u1, self.u2
+
     def as_array(self):
-        return np.array([self.alpha1, self.rho1, self.rho2, self.u1, self.u2])
+        return np.array(self.as_tuple())
 
     @staticmethod
     def from_array(v):

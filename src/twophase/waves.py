@@ -26,10 +26,12 @@ Jump brackets are oriented right minus left throughout; admissible
 shocks produce  -Q [[Psi_1 + (u_1 - S)^2/2]] <= 0.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .eos import BarotropicEos
 from .errors import (
     DegenerateShockError,
     InadmissibleWaveError,
@@ -40,7 +42,6 @@ from .state import (
     ACOUSTIC_KEYS,
     PrimitiveState,
     _cons_rows,
-    _flux_rows,
     eigenvalues,
     mixture_pressures,
 )
@@ -185,8 +186,8 @@ def rarefaction_connect(state, family, target, eos_pair):
 # ---------------------------------------------------------------------------
 
 def _shock_system(pre, alpha1, Q1, Q2, eos_pair):
-    """Residual, Jacobian and scales of the reduced jump pair in the post
-    densities x = (rho1, rho2); the known side's terms are evaluated once."""
+    """Residual, Jacobian and scales of the reduced jump pair in the post densities
+    x = (rho1, rho2), as floats; the known side's terms are evaluated once."""
     e1, e2 = eos_pair.phase1, eos_pair.phase2
     alpha2 = 1.0 - alpha1
     q1sq, q2sq = Q1**2, Q2**2
@@ -197,44 +198,77 @@ def _shock_system(pre, alpha1, Q1, Q2, eos_pair):
 
     def residual(x):
         r1, r2 = x
-        f1 = alpha1 * (q1sq * (1.0 / r1 - inv1) + e1.pressure(r1) - p1) \
-            + alpha2 * (q2sq * (1.0 / r2 - inv2) + e2.pressure(r2) - p2)
+        f1 = alpha1 * (q1sq * (1.0 / r1 - inv1) + e1._pressure(r1) - p1) \
+            + alpha2 * (q2sq * (1.0 / r2 - inv2) + e2._pressure(r2) - p2)
         f2 = 0.5 * q1sq * (1.0 / r1**2 - inv1sq) - 0.5 * q2sq * (1.0 / r2**2 - inv2sq) \
-            + (e1.psi(r1) - psi1) - (e2.psi(r2) - psi2)
-        return np.array([f1, f2])
+            + (e1._psi(r1) - psi1) - (e2._psi(r2) - psi2)
+        return f1, f2
 
     def jacobian(x):
         r1, r2 = x
-        d1 = e1.sound_speed_sq(r1) - q1sq / r1**2
-        d2 = e2.sound_speed_sq(r2) - q2sq / r2**2
-        return np.array([[alpha1 * d1, alpha2 * d2], [d1 / r1, -d2 / r2]])
+        d1 = e1._sound_speed_sq(r1) - q1sq / r1**2
+        d2 = e2._sound_speed_sq(r2) - q2sq / r2**2
+        return (alpha1 * d1, alpha2 * d2), (d1 / r1, -d2 / r2)
 
     s1 = alpha1 * (q1sq / pre.rho1 + abs(p1)) + alpha2 * (q2sq / pre.rho2 + abs(p2)) \
         + alpha1 * pre.rho1 * a1sq + alpha2 * pre.rho2 * a2sq
     s2 = 0.5 * q1sq / pre.rho1**2 + 0.5 * q2sq / pre.rho2**2 + abs(psi1) + abs(psi2) + a1sq + a2sq
-    return residual, jacobian, np.array([max(s1, 1e-300), max(s2, 1e-300)])
+    return residual, jacobian, (max(s1, 1e-300), max(s2, 1e-300))
+
+
+def _newton_step(J, f):
+    """The step s with J s = -f, or None where J is singular: a 2x2 J by
+    its closed-form inverse, a 3x3 J by elimination with partial pivoting."""
+    if len(f) == 2:
+        (a, b), (c, d) = J
+        det = a * d - b * c
+        return None if det == 0.0 else ((b * f[1] - d * f[0]) / det, (c * f[0] - a * f[1]) / det)
+    m = [[*row, -fi] for row, fi in zip(J, f)]
+    for k in range(3):
+        p = max(range(k, 3), key=lambda i: abs(m[i][k]))
+        if m[p][k] == 0.0:
+            return None
+        m[k], m[p] = m[p], m[k]
+        for row in m[k + 1:]:
+            r = row[k] / m[k][k]
+            row[k:] = [a - r * b for a, b in zip(row[k:], m[k][k:])]
+    s = [0.0, 0.0, 0.0]
+    for i in (2, 1, 0):
+        s[i] = (m[i][3] - sum(m[i][j] * s[j] for j in range(i + 1, 3))) / m[i][i]
+    return s
+
+
+def _scaled_error(residual, x, scales):
+    """(max |residual/scales|, residual) at x, or (inf, None) where it overflows."""
+    try:
+        f = residual(x)
+    except ArithmeticError:
+        return math.inf, None
+    return max(abs(fi) / si for fi, si in zip(f, scales)), f
 
 
 def _damped_newton(residual, jacobian, x0, scales, what):
-    """Newton on residual(x) = 0, halving each step until the max-norm
-    of residual/scales falls and both phase densities x[0], x[1] stay
-    positive.  Raises NumericsError unless that error ends below 1e-9."""
-    x = np.array(x0, dtype=float)
-    f = residual(x)
-    err = (np.abs(f) / scales).max()
+    """Newton on residual(x) = 0 over tuples of floats, halving each step until
+    the max-norm of residual/scales falls and both phase densities x[0], x[1]
+    stay positive; an iteration does no array work.  The start's densities are
+    checked once (EosDomainError).  A trial point whose residual overflows halves
+    the step; an overflowing start or a singular Jacobian (see _newton_step) ends
+    the solve.  Raises NumericsError unless the error ends below 1e-9."""
+    x = tuple(map(float, x0))
+    BarotropicEos._check_density(x[0])
+    BarotropicEos._check_density(x[1])
+    err, f = _scaled_error(residual, x, scales)
     for _ in range(NEWTON_MAXITER):
-        if err < NEWTON_TOL:
-            return x
-        try:
-            step = np.linalg.solve(jacobian(x), -f)
-        except np.linalg.LinAlgError:
+        if err < NEWTON_TOL or f is None:
+            break
+        step = _newton_step(jacobian(x), f)
+        if step is None:
             break
         lam = 1.0
         for _ in range(25):
-            xn = x + lam * step
+            xn = tuple(xi + lam * si for xi, si in zip(x, step))
             if xn[0] > 0.0 and xn[1] > 0.0:
-                fn = residual(xn)
-                errn = (np.abs(fn) / scales).max()
+                errn, fn = _scaled_error(residual, xn, scales)
                 if errn < err or errn < NEWTON_TOL:
                     x, f, err = xn, fn, errn
                     break
@@ -258,13 +292,13 @@ def _weak_shock_guess(pre, family, S, eos_pair):
         rho_g = 0.05 * rho
     guess = [pre.rho1, pre.rho2]
     guess[family.phase - 1] = rho_g
-    return np.array(guess)
+    return guess
 
 
 def _post_state(state, x, S):
     Q1 = -state.rho1 * (state.u1 - S)
     Q2 = -state.rho2 * (state.u2 - S)
-    r1, r2 = float(x[0]), float(x[1])
+    r1, r2 = x
     return PrimitiveState(state.alpha1, r1, r2, S - Q1 / r1, S - Q2 / r2)
 
 
@@ -308,7 +342,7 @@ def shock_connect(state, family, S, eos_pair, initial_guess=None):
         if abs(x[family.phase - 1] - rho_pre) < ZERO_STRENGTH_TOL * rho_pre:
             return False  # collapsed onto the unjumped state
         for r in roots:
-            if np.all(np.abs(x - r) <= 1e-8 * np.abs(r)):
+            if all(abs(a - b) <= 1e-8 * abs(b) for a, b in zip(x, r)):
                 return False
         roots.append(x)
         return True
@@ -319,7 +353,7 @@ def shock_connect(state, family, S, eos_pair, initial_guess=None):
         return classify_discontinuity(*pair, S, eos_pair).evolutionary
 
     base = _weak_shock_guess(state, family, S, eos_pair)
-    starts = [np.asarray(initial_guess, dtype=float)] if initial_guess is not None else []
+    starts = [initial_guess] if initial_guess is not None else []
     nu = WaveFamily(family.other_phase, family.sign)
     lam_nu = nu.speed_of(state, eos_pair)
     if abs(lam_nu - S) >= COINCIDE_TOL * max(1.0, abs(lam_nu), abs(S)):
@@ -383,36 +417,36 @@ def shock_mass_flux_system(w_minus, w_plus, alpha1, eos_pair):
 # contact
 # ---------------------------------------------------------------------------
 
-def _contact_targets(state, eos_pair):
-    p, _ = mixture_pressures(state, eos_pair)
-    c1, c2, w = state.c1, state.c2, state.w
-    k = state.rho * c1 * c2
+def _contact_targets(alpha1, rho1, rho2, u1, u2, eos_pair):
+    """The contact invariants (rho*c1*c2*w, p_bar, (c2 - c1)*w^2/2 + Psi1 - Psi2)
+    of primitives, as floats by PrimitiveState's mixture algebra, unchecked."""
     e1, e2 = eos_pair.phase1, eos_pair.phase2
-    return np.array(
-        [
-            k * w,
-            k * w**2 + p,
-            0.5 * (c2 - c1) * w**2 + e1.psi(state.rho1) - e2.psi(state.rho2),
-        ]
-    )
+    alpha2 = 1.0 - alpha1
+    rho = alpha1 * rho1 + alpha2 * rho2
+    c1, c2, w = alpha1 * rho1 / rho, alpha2 * rho2 / rho, u1 - u2
+    k = rho * c1 * c2
+    p = alpha1 * e1._pressure(rho1) + alpha2 * e2._pressure(rho2)
+    return k * w, k * w**2 + p, 0.5 * (c2 - c1) * w**2 + e1._psi(rho1) - e2._psi(rho2)
 
 
 def _contact_state(alpha1, x, u_mix):
+    """Primitives (alpha1, rho1, rho2, u1, u2) of the unknowns x = (rho1, rho2, w)."""
     r1, r2, w = x
     rho = alpha1 * r1 + (1.0 - alpha1) * r2
     c1 = alpha1 * r1 / rho
     c2 = 1.0 - c1
-    return PrimitiveState(alpha1, r1, r2, u_mix + c2 * w, u_mix - c1 * w)
+    return alpha1, r1, r2, u_mix + c2 * w, u_mix - c1 * w
 
 
 def _contact_system(alpha1, targets, u_mix, eos_pair):
     """Residual and Jacobian of the contact jump system in x = (rho1, rho2, w)
-    at volume fraction alpha1, for the invariants `targets`."""
+    at volume fraction alpha1, for the invariants `targets`, as floats."""
     e1, e2 = eos_pair.phase1, eos_pair.phase2
     alpha2 = 1.0 - alpha1
 
     def residual(x):
-        return _contact_targets(_contact_state(alpha1, x, u_mix), eos_pair) - targets
+        t1, t2, t3 = _contact_targets(*_contact_state(alpha1, x, u_mix), eos_pair)
+        return t1 - targets[0], t2 - targets[1], t3 - targets[2]
 
     def jacobian(x):
         r1, r2, w = x
@@ -420,16 +454,14 @@ def _contact_system(alpha1, targets, u_mix, eos_pair):
         rho = m1 + m2
         c1, c2 = m1 / rho, m2 / rho
         k = rho * c1 * c2
-        a1sq, a2sq = e1.sound_speed_sq(r1), e2.sound_speed_sq(r2)
+        a1sq, a2sq = e1._sound_speed_sq(r1), e2._sound_speed_sq(r2)
         dk_dr1, dk_dr2 = alpha1 * c2**2, alpha2 * c1**2
         # d(c2 - c1)/drho_i
         dd_dr1, dd_dr2 = -2.0 * alpha1 * c2 / rho, +2.0 * alpha2 * c1 / rho
-        return np.array(
-            [
-                [dk_dr1 * w, dk_dr2 * w, k],
-                [dk_dr1 * w**2 + alpha1 * a1sq, dk_dr2 * w**2 + alpha2 * a2sq, 2.0 * k * w],
-                [0.5 * dd_dr1 * w**2 + a1sq / r1, 0.5 * dd_dr2 * w**2 - a2sq / r2, (c2 - c1) * w],
-            ]
+        return (
+            (dk_dr1 * w, dk_dr2 * w, k),
+            (dk_dr1 * w**2 + alpha1 * a1sq, dk_dr2 * w**2 + alpha2 * a2sq, 2.0 * k * w),
+            (0.5 * dd_dr1 * w**2 + a1sq / r1, 0.5 * dd_dr2 * w**2 - a2sq / r2, (c2 - c1) * w),
         )
 
     return residual, jacobian
@@ -443,12 +475,10 @@ def _contact_scales(state, eos_pair):
     a2 = e2.sound_speed(state.rho2)
     vs = max(abs(w), a1, a2)
     k = state.rho * state.c1 * state.c2
-    return np.array(
-        [
-            max(abs(k * w), k * vs),
-            max(abs(p_bar), abs(p), k * vs**2),
-            max(abs(e1.psi(state.rho1)) + abs(e2.psi(state.rho2)), vs**2, a1**2, a2**2),
-        ]
+    return (
+        max(abs(k * w), k * vs),
+        max(abs(p_bar), abs(p), k * vs**2),
+        max(abs(e1.psi(state.rho1)) + abs(e2.psi(state.rho2)), vs**2, a1**2, a2**2),
     )
 
 
@@ -463,12 +493,12 @@ def contact_connect(state, alpha1_right, eos_pair):
     if not 0.0 < alpha1_right < 1.0:
         raise InadmissibleWaveError(f"alpha1_right outside (0,1): {alpha1_right}")
     u_mix = state.u
-    targets = _contact_targets(state, eos_pair)
+    targets = _contact_targets(*state.as_tuple(), eos_pair)
     scales = _contact_scales(state, eos_pair)
 
     def walk(steps):
-        x = np.array([state.rho1, state.rho2, state.w])
-        for a in np.linspace(state.alpha1, alpha1_right, steps + 1)[1:]:
+        x = (state.rho1, state.rho2, state.w)
+        for a in np.linspace(state.alpha1, alpha1_right, steps + 1)[1:].tolist():
             x = _damped_newton(*_contact_system(a, targets, u_mix, eos_pair), x, scales, "contact")
         return x
 
@@ -477,32 +507,41 @@ def contact_connect(state, alpha1_right, eos_pair):
     except NumericsError:
         # continuation in alpha1 reaches jumps the direct solve misses
         x = walk(40)
-    return _contact_state(alpha1_right, x, u_mix)
+    return PrimitiveState(*_contact_state(alpha1_right, x, u_mix))
 
 
 # ---------------------------------------------------------------------------
 # jump residuals, entropy, admissibility
 # ---------------------------------------------------------------------------
 
+def _jump_rows(v, eos_pair):
+    """Conserved and flux rows of one state's primitives v, as floats in
+    _cons_rows' and _flux_rows' order of operations, densities unchecked."""
+    alpha1, rho1, rho2, u1, u2 = v
+    e1, e2, alpha2 = eos_pair.phase1, eos_pair.phase2, 1.0 - alpha1
+    m1, m2, u1sq, u2sq = alpha1 * rho1, alpha2 * rho2, u1**2, u2**2
+    rho, q1 = m1 + m2, m1 * u1
+    rho_u = q1 + m2 * u2
+    return _cons_rows(v), (
+        alpha1 * rho * (rho_u / rho), q1, rho_u,
+        m1 * u1sq + m2 * u2sq + alpha1 * e1._pressure(rho1) + alpha2 * e2._pressure(rho2),
+        0.5 * u1sq - 0.5 * u2sq + e1._psi(rho1) - e2._psi(rho2),
+    )
+
+
 def rhc_residuals(w_left, w_right, S, eos_pair):
     """Scaled residuals of the five jump conditions [[F]] = S [[U]]."""
-    # rows of np.float64 scalars: the scalar arithmetic (libm pow) of one state
-    vl, vr = w_left.as_array(), w_right.as_array()
-    ul, ur = np.array(_cons_rows(vl)), np.array(_cons_rows(vr))
-    fl, fr = _flux_rows(vl, eos_pair), _flux_rows(vr, eos_pair)
-    resid = np.abs(fr - fl - S * (ur - ul))
-    scale = np.abs([fl, fr, S * ul, S * ur]).max(axis=0)
-    scale = np.maximum(scale, 1e-9 * max(scale.max(), 1e-300))
-    return resid / scale
+    (ul, fl), (ur, fr) = (_jump_rows(w.as_tuple(), eos_pair) for w in (w_left, w_right))
+    rows = [(b - a - S * (d - c), max(abs(a), abs(b), abs(S * c), abs(S * d)))
+            for a, b, c, d in zip(fl, fr, ul, ur)]
+    floor = 1e-9 * max(max(s for _, s in rows), 1e-300)
+    return np.array([abs(r) / max(s, floor) for r, s in rows])
 
 
 def contact_residuals(w_left, w_right, eos_pair):
     """Scaled residuals of the four contact conditions ([[u]] first)."""
-    tl = _contact_targets(w_left, eos_pair)
-    tr = _contact_targets(w_right, eos_pair)
-    sl = _contact_scales(w_left, eos_pair)
-    sr = _contact_scales(w_right, eos_pair)
-    scales = np.maximum(sl, sr)
+    tl, tr = (_contact_targets(*w.as_tuple(), eos_pair) for w in (w_left, w_right))
+    sl, sr = _contact_scales(w_left, eos_pair), _contact_scales(w_right, eos_pair)
     a_scale = max(
         eos_pair.phase1.sound_speed(w_left.rho1),
         eos_pair.phase2.sound_speed(w_left.rho2),
@@ -510,7 +549,7 @@ def contact_residuals(w_left, w_right, eos_pair):
         abs(w_right.u),
     )
     ru = abs(w_right.u - w_left.u) / a_scale
-    return np.concatenate([[ru], np.abs(tr - tl) / scales])
+    return np.array([ru, *(abs(b - a) / max(s, t) for a, b, s, t in zip(tl, tr, sl, sr))])
 
 
 def entropy_production(w_left, w_right, S, eos_pair, check=True):
@@ -547,9 +586,8 @@ def lax_check(w_left, w_right, S, family, eos_pair, speeds=None):
     or a compressive count whose crossing family is not the requested
     one return "fails".
     """
-    dl = w_left.as_array()
-    dr = w_right.as_array()
-    if np.all(np.abs(dr - dl) <= 1e-12 * np.maximum(np.abs(dl), 1.0)):
+    dl, dr = w_left.as_tuple(), w_right.as_tuple()
+    if all(abs(b - a) <= 1e-12 * max(abs(a), 1.0) for a, b in zip(dl, dr)):
         return "fails"  # zero-strength: no discontinuity to classify
     lam_l, lam_r = speeds or (eigenvalues(w_left, eos_pair), eigenvalues(w_right, eos_pair))
     all_l = sorted(lam_l.values())

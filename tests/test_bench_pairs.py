@@ -68,6 +68,8 @@ def test_failed_runs_are_named_and_exit_nonzero(bench_pairs, tmp_path, monkeypat
     record = json.loads(out.read_text())
     assert record["checkouts"] == {"parent": {"head": None, "dirty": None},
                                    "change": {"head": None, "dirty": None}}
+    assert list(record["workloads"]) == ["w"]
+    record = record["workloads"]["w"]
     assert len(record["pairs"]) == 4
     if failing is None:
         assert rc == 0 and record["failed_runs"] == []
@@ -79,7 +81,47 @@ def test_failed_runs_are_named_and_exit_nonzero(bench_pairs, tmp_path, monkeypat
         "pair": 2, "seed": 2, "side": side, "correct": failing[1] != "correct",
         "failed": 3 if failing[1] == "failed" else 0,
     }]
-    assert f"FAILED: pair 2 seed 2 {side}" in capsys.readouterr().out
+    assert f"FAILED: w pair 2 seed 2 {side}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("asked", [None, ["rp4-godunov", "exact-sample"]])
+def test_workloads_run_in_turn_into_one_record(bench_pairs, tmp_path, monkeypatch, capsys, asked):
+    # without --workload every workload of the parent's BENCHMARK.json
+    # runs, in its order; a repeated --workload runs those asked for
+    sides = {}
+    for side in ("pa", "ch"):
+        sides[side] = tmp_path / side
+        sides[side].mkdir()
+        shutil.copy(ROOT / "BENCHMARK.json", sides[side])
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    runs = []
+
+    def run_once(checkout, workload, seed, seconds):
+        runs.append((workload, seed, "parent" if checkout == sides["pa"] else "change"))
+        wall = 2.0 if checkout == sides["pa"] else 1.0
+        return {"correct": True, "failed": 0, "attempted": 10, **dict.fromkeys(metrics, 1.0),
+                "wall_s": wall}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "pairs.json"
+    extra = [arg for name in asked for arg in ("--workload", name)] if asked else []
+    rc = bench_pairs.main([str(sides["pa"]), str(sides["ch"]), *extra, "--pairs", "2",
+                           "--seed0", "5", "--json", str(out)])
+    assert rc == 0
+    names = asked or [w["name"] for w in spec["workloads"]]
+    assert runs == [(name, seed, side) for name in names
+                    for seed, order in ((5, ("parent", "change")), (6, ("change", "parent")))
+                    for side in order]
+    record = json.loads(out.read_text())
+    assert list(record) == ["checkouts", "workloads"] and list(record["workloads"]) == names
+    for name in names:
+        entry = record["workloads"][name]
+        assert list(entry) == ["summary", "pairs", "failed_runs"]
+        assert [p["seed"] for p in entry["pairs"]] == [5, 6] and entry["failed_runs"] == []
+        assert entry["summary"]["wall_s"]["change_over_parent"] == 0.5
+    printed = capsys.readouterr().out
+    assert all(f"\n{name}: 2 alternated pairs" in printed for name in names)
 
 
 # parent and change wall_s over four pairs (bound 0.2, lower is better)
@@ -114,7 +156,7 @@ def _walls_through_the_tool(bench_pairs, tmp_path, monkeypatch, capsys, parent, 
     rc = bench_pairs.main([str(sides["pa"]), str(sides["ch"]), "--workload", "w",
                            "--pairs", str(len(parent)), "--seed0", "1", "--json", str(out)])
     line = [ln for ln in capsys.readouterr().out.splitlines() if ln.lstrip().startswith("wall_s")]
-    return rc, json.loads(out.read_text())["summary"], line[0]
+    return rc, json.loads(out.read_text())["workloads"]["w"]["summary"], line[0]
 
 
 @pytest.mark.parametrize("case", sorted(REGRESSION_ROWS))

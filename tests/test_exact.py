@@ -159,19 +159,20 @@ def test_sampling_right_continuous_at_discontinuities(name):
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), el.label()
 
 
+def _mirrored_rp1():
+    """RP1 mirrored: the right-center state reflected, the sides swapped,
+    the families flipped and the speeds negated; its interior shock has a
+    minus host."""
+    cr = rp1_solution().contact_right
+    return build_solution(
+        PrimitiveState(cr.alpha1, cr.rho1, cr.rho2, -cr.u1, -cr.u2), 0.7,
+        [shock_in_raref("1-", -1.5, -1.0)], [raref("2+", 2.0), raref("1+", 2.5)], IDEAL_PAIR,
+    )
+
+
 def test_mirror_symmetry():
     sol = get_problem("RP1").build_exact()
-    # mirror of the construction: reflect the right-center state, swap
-    # sides, flip families and negate speeds
-    cr = sol.contact_right
-    seed_m = PrimitiveState(cr.alpha1, cr.rho1, cr.rho2, -cr.u1, -cr.u2)
-    sol_m = build_solution(
-        seed_m,
-        0.7,
-        [shock_in_raref("1-", -1.5, -1.0)],
-        [raref("2+", 2.0), raref("1+", 2.5)],
-        IDEAL_PAIR,
-    )
+    sol_m = _mirrored_rp1()
     for xi in (-3.0, -1.2, -0.9, 0.1, 1.7, 0.44):
         a = sol_m.sample(xi)
         b = sol.sample(-xi)
@@ -295,6 +296,84 @@ def test_validation_flags_resonant_state():
     assert any("resonant right state: lambda_1+" in f for f in rep.failures)
     with pytest.raises(ConstructionError, match="lambda_1\\+"):
         build_solution(st, st.alpha1, [], [], IDEAL_PAIR)
+
+
+def _element_of(sol, kind, family):
+    return next(el for el in sol.elements if el.kind == kind and str(el.family) == family)
+
+
+def _at(el, speed):
+    """The discontinuity el moved to another speed."""
+    return dataclasses.replace(el, xi_head=speed, xi_tail=speed)
+
+
+# (solution, kind and family of the element corrupted, its corruption,
+# the flag it must raise): each one is a validation branch of its own
+FLAG_CASES = {
+    "plus-host mass flux": (
+        rp1_solution, "interior-shock", "2+", lambda el: _at(el, el.left.u - 0.1),
+        "mixture mass flux has the wrong sign for a plus-family host",
+    ),
+    "minus-host tangency": (
+        _mirrored_rp1, "interior-shock", "2-", lambda el: _at(el, el.speed + 0.1),
+        "host characteristic not tangent on the inner side",
+    ),
+    "minus-host mass flux": (
+        _mirrored_rp1, "interior-shock", "2-", lambda el: _at(el, el.left.u + 0.1),
+        "mixture mass flux has the wrong sign for a minus-family host",
+    ),
+    "contact residual": (
+        rp1_solution, "contact", "C",
+        lambda el: dataclasses.replace(
+            el, right=dataclasses.replace(el.right, rho1=el.right.rho1 * 1.01)),
+        "contact residual",
+    ),
+    "fan bounds": (
+        lambda: get_problem("RP5").build_exact(), "rarefaction", "1-",
+        lambda el: dataclasses.replace(el, xi_head=el.xi_head + 0.1),
+        "fan bounds do not match the characteristic speeds",
+    ),
+    "fan compresses": (
+        lambda: get_problem("RP5").build_exact(), "rarefaction", "1-",
+        lambda el: dataclasses.replace(el, left=el.right, right=el.left),
+        "fan is not expanding",
+    ),
+    "alpha1 off the contact": (
+        lambda: get_problem("RP2").build_exact(), "shock", "1+",
+        lambda el: dataclasses.replace(el, right=dataclasses.replace(el.right, alpha1=0.6)),
+        "alpha1 jumps away from the contact",
+    ),
+    "same-phase overlap": (
+        # the 1+ fan nearer the contact runs into the one resumed past the shock
+        rp1_solution, "rarefaction", "1+", lambda el: dataclasses.replace(el, xi_tail=1.2),
+        "same-phase fans overlap",
+    ),
+    "contact inside a fan": (
+        lambda: get_problem("RP5").build_exact(), "rarefaction", "2+",
+        lambda el: dataclasses.replace(el, xi_head=-0.5),
+        "contact lies inside the fan",
+    ),
+    "undeclared shock in a fan": (
+        lambda: get_problem("RP6").build_exact(), "shock", "2-",
+        lambda el: _at(el, -1.3),
+        "undeclared shock touching fan",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLAG_CASES))
+def test_validation_flags_each_corruption(case):
+    # a solution corrupted by dataclasses.replace keeps no report of the
+    # valid one: its own derivation must flag the corruption
+    make, kind, family, corrupt, flag = FLAG_CASES[case]
+    sol = make()
+    assert validate_solution(sol).passed
+    old = _element_of(sol, kind, family)
+    new = corrupt(old)
+    bad = dataclasses.replace(sol, elements=tuple(new if el is old else el for el in sol.elements))
+    report = validate_solution(bad)
+    assert not report.passed
+    assert any(flag in f for f in report.failures), (case, report.failures)
 
 
 def test_grammar_rejects_wave_past_contact():
@@ -509,17 +588,37 @@ def _constructions(draw):
     return seed, draw(_speeds(0.1, 0.9)), sides[0], sides[1]
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=_constructions())
-def test_build_solution_raises_or_samples(case):
-    # every declaration either fails with ConstructionError or builds a
-    # solution whose samples are finite over its breakpoints and equal
-    # el.right at the speed of every discontinuity and el.left just left
-    # of it, so each sampled jump is the one whose conditions were checked
+@st.composite
+def _interior_shock_constructions(draw):
+    """RP1 or RP6 with the contact's left state, alpha1 right of it, the
+    interior shock's speed and its host fan's tail perturbed, the left
+    waves kept or dropped.  The pre-shock side of every interior shock
+    is sonic in the host phase, so shock_connect starts Newton from its
+    displaced starts only."""
+    spec = get_problem(draw(st.sampled_from(["RP1", "RP6"]))).exact_spec
+    cl, (host,) = spec.contact_left, spec.right_waves
+
+    def scaled(value, rel):
+        return value * (1.0 + draw(_speeds(-rel, rel)))
+
+    seed = PrimitiveState(
+        cl.alpha1, scaled(cl.rho1, 0.1), scaled(cl.rho2, 0.1),
+        cl.u1 + draw(_speeds(-0.1, 0.1)), cl.u2 + draw(_speeds(-0.1, 0.1)),
+    )
+    right = shock_in_raref(str(host.family), scaled(host.speed, 0.2), scaled(host.shock_speed, 0.2))
+    left = list(spec.left_waves) if draw(st.booleans()) else []
+    return seed, scaled(spec.alpha1_right, 0.2), left, [right]
+
+
+def _raises_or_samples(case):
+    """Either ConstructionError or a solution whose samples are finite over
+    its breakpoints and equal el.right at the speed of every
+    discontinuity and el.left just left of it, so each sampled jump is
+    the one whose conditions were checked; returns the solution or None."""
     try:
         sol = build_solution(*case, IDEAL_PAIR)
     except ConstructionError:
-        return
+        return None
     speeds = np.array(sol.wave_speeds())
     pad = 0.25 * max(speeds[-1] - speeds[0], 1.0)
     xi = np.concatenate([np.linspace(speeds[0] - pad, speeds[-1] + pad, 201), speeds])
@@ -529,3 +628,22 @@ def test_build_solution_raises_or_samples(case):
             got = sol.sample_many([el.speed, np.nextafter(el.speed, -np.inf)])
             assert np.allclose(got[0], el.right.as_array(), rtol=1e-9, atol=0.0), el.label()
             assert np.allclose(got[1], el.left.as_array(), rtol=1e-9, atol=1e-12), el.label()
+    return sol
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_constructions())
+def test_build_solution_raises_or_samples(case):
+    # every declaration either fails with ConstructionError or builds a
+    # validated solution that samples its checked jumps
+    _raises_or_samples(case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_interior_shock_constructions())
+def test_build_solution_interior_shocks_raise_or_sample(case):
+    # the same contract where every draw declares a shock inside a fan;
+    # a built one validated every jump to RESIDUAL_TOL and holds the shock
+    sol = _raises_or_samples(case)
+    if sol is not None:
+        assert [el.kind for el in sol.elements].count("interior-shock") == 1

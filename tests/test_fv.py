@@ -97,6 +97,14 @@ def test_grid_and_config_validation():
         SolverConfig(t_end=1.0, scheme="upwind")
     with pytest.raises(ConfigError):
         SolverConfig(t_end=1.0, theta1=-1.0)
+    with pytest.raises(ConfigError, match="empty domain"):
+        Grid(1.0, 0.0, 8)
+    with pytest.raises(ConfigError, match="unknown limiter 'x'"):
+        SolverConfig(t_end=1.0, limiter="x")
+    with pytest.raises(ConfigError, match="positivity mode"):
+        SolverConfig(t_end=1.0, positivity="x")
+    with pytest.raises(ConfigError, match="unknown limiter 'x'"):
+        limited_slope(np.ones(3), np.ones(3), "x")
 
 
 def test_limiters_basics():

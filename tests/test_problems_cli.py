@@ -371,9 +371,17 @@ def test_cli_compare(tmp_path):
 
 
 
-@pytest.mark.parametrize("models", ["shtc,kapila", "shtc,shtc", "bn, shtc,bn"])
+BAD_MODELS = {
+    "shtc,kapila": "unknown model 'kapila'",
+    "shtc,shtc": "names a backend twice",
+    "bn, shtc,bn": "names a backend twice",
+    "shtc": "compare needs at least two backends",
+}
+
+
+@pytest.mark.parametrize("models", list(BAD_MODELS))
 def test_cli_compare_rejects_bad_model_names(tmp_path, capsys, monkeypatch, models):
-    # unknown and repeated names are configuration errors before any run
+    # unknown, repeated and too few names are configuration errors before any run
     def no_runs(*args, **kwargs):
         raise AssertionError("a backend ran")
 
@@ -381,7 +389,8 @@ def test_cli_compare_rejects_bad_model_names(tmp_path, capsys, monkeypatch, mode
     out = tmp_path / "cmp"
     rc = cli.main(["compare", "RP5", "--cells", "40", "--models", models, "--out", str(out)])
     assert rc == cli.EXIT_VALIDATION
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err and BAD_MODELS[models] in err
     assert not (out / "compare.json").exists()
 
 

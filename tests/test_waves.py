@@ -5,6 +5,8 @@ independent oracles: quadrature for the fan invariant, hand bisection
 for the fan root, the linear mass-flux system for shock consistency.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -13,6 +15,7 @@ from twophase.eos import BarotropicEos, EosPair
 from twophase import waves
 from twophase.errors import (
     DegenerateShockError,
+    EosDomainError,
     InadmissibleWaveError,
     NumericsError,
     OutOfFanError,
@@ -615,7 +618,8 @@ ROUNDOFF = 1e-2 * NEWTON_TOL  # scaled residual the last step may stall at
 def _traced_newton_solves(monkeypatch):
     """Run the sweep with `_damped_newton` traced; per converged solve
     the kind, the scaled errors of the accepted iterates and, per
-    step, whether it was a full Newton step (lambda = 1)."""
+    step, whether it was a full Newton step (lambda = 1), that is the
+    iterate plus `_newton_step` of its Jacobian and residual."""
     solves = []
     newton = waves._damped_newton
 
@@ -623,20 +627,20 @@ def _traced_newton_solves(monkeypatch):
         seen, path = {}, []
 
         def res(x):
-            seen[x.tobytes()] = f = residual(x)
+            seen[x] = f = residual(x)
             return f
 
         def jac(x):
-            path.append((x.copy(), jacobian(x)))
+            path.append((x, jacobian(x)))
             return path[-1][1]
 
         x = newton(res, jac, x0, scales, what)
         xs = [p[0] for p in path]
-        if not xs or not np.array_equal(x, xs[-1]):
+        if not xs or x != xs[-1]:
             xs.append(x)
-        errs = [float(np.max(np.abs(seen[y.tobytes()]) / scales)) for y in xs]
+        errs = [float(np.max(np.abs(seen[y]) / scales)) for y in xs]
         full = [
-            np.array_equal(xk + np.linalg.solve(jk, -seen[xk.tobytes()]), xn)
+            tuple(a + s for a, s in zip(xk, waves._newton_step(jk, seen[xk]))) == xn
             for (xk, jk), xn in zip(path, xs[1:])
         ]
         solves.append((what, errs, full))
@@ -708,3 +712,70 @@ def test_preset_builds_take_the_direct_path(monkeypatch):
                        list(spec.right_waves), problem.eos_pair)
         assert all(outcome == "converged" for _, outcome in calls), (name, calls)
         assert [what for what, _ in calls].count("contact") == 1, (name, calls)
+
+
+def test_preset_builds_make_no_linalg_solve(monkeypatch):
+    # the Newton steps of every preset build are float arithmetic
+    from twophase.exact import build_solution
+    from twophase.problems import PRESETS, get_problem
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    for name in sorted(PRESETS):
+        problem = get_problem(name)
+        spec = problem.exact_spec
+        build_solution(spec.contact_left, spec.alpha1_right, list(spec.left_waves),
+                       list(spec.right_waves), problem.eos_pair)
+
+
+@pytest.mark.parametrize("start", [[0.0, 1.0], [-1.0, 1.0], [math.nan, 1.0], [1e200, 1.0]])
+def test_shock_newton_start_checked_before_arithmetic(start):
+    # a start density that is not positive is a domain error before any
+    # arithmetic; a start whose residual overflows fails its own solve
+    # only, and the next start finds the root
+    st = PrimitiveState(0.5, 1.0, 1.0, 0.0, 0.0)
+    if start[0] > 0.0:
+        got = shock_connect(st, F1P, 2.0, IDEAL_PAIR, initial_guess=start)
+        assert got == shock_connect(st, F1P, 2.0, IDEAL_PAIR)
+    else:
+        with pytest.raises(EosDomainError, match="density must be positive"):
+            shock_connect(st, F1P, 2.0, IDEAL_PAIR, initial_guess=start)
+
+
+def test_damped_newton_overflow_halves_the_step_or_fails():
+    # root (11, 1); from 7 the full step lands near 4350, where 10.0**x
+    # overflows, and halving reaches the root
+    trials = []
+
+    def residual(x):
+        trials.append(x)
+        return 10.0 ** (x[0] - 10.0) - 10.0, x[1] - 1.0
+
+    def jacobian(x):
+        return (math.log(10.0) * 10.0 ** (x[0] - 10.0), 0.0), (0.0, 1.0)
+
+    x = waves._damped_newton(residual, jacobian, (7.0, 1.0), (10.0, 1.0), "test")
+    assert x[0] == pytest.approx(11.0, rel=1e-14) and x[1] == 1.0
+    with pytest.raises(OverflowError):
+        10.0 ** (trials[1][0] - 10.0)
+    with pytest.raises(NumericsError, match="test Newton did not converge"):
+        waves._damped_newton(residual, jacobian, (400.0, 1.0), (10.0, 1.0), "test")
+
+
+@pytest.mark.parametrize("jac", [
+    ((1.0, 2.0), (2.0, 4.0)),  # zero determinant
+    ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0)),  # zero second pivot
+])
+def test_damped_newton_stops_on_a_singular_jacobian(jac):
+    n = len(jac)
+    trials = []
+
+    def residual(x):
+        trials.append(x)
+        return (1.0,) * n
+
+    with pytest.raises(NumericsError) as exc:
+        waves._damped_newton(residual, lambda x: jac, (1.0,) * n, (1.0,) * n, "test")
+    assert exc.value.residual == 1.0 and len(trials) == 1

@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Alternated parent/change pairs of the benchmark, with the evidence rule.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seed0 S
+    python3 tools/bench_pairs.py PARENT CHANGE [--workload W ...] --pairs N --seed0 S
         [--seconds 20] [--json OUT]
 
-PARENT and CHANGE are two checkouts of the repository.  Pair i runs
-`perfbench/run.py --workload W --seed S+i --seconds ... --trace 0` once in
-each checkout, one run at a time; the side that runs first alternates from
-pair to pair (the parent first on even i), so that a drift of the machine
-does not fall on one side only.
+PARENT and CHANGE are two checkouts of the repository.  `--workload` may
+be given more than once and defaults to every workload of the parent's
+BENCHMARK.json; the workloads run one after the other, in that order.
+Pair i of a workload W runs `perfbench/run.py --workload W --seed S+i
+--seconds ... --trace 0` once in each checkout, one run at a time; the
+side that runs first alternates from pair to pair (the parent first on
+even i), so that a drift of the machine does not fall on one side only.
 
-It prints every pair, then per end-to-end metric of the parent's
+Per workload it prints every pair, then per end-to-end metric of the parent's
 BENCHMARK.json each side's median and quartiles, the pairs the change won
 (better in the metric's direction), and whether the change's median is
 better than the parent's by more than the parent's interquartile range.
@@ -22,9 +24,10 @@ change's median is worse than
 the parent's by more than the metric's relative `bound`, `unresolved`
 when the parent's interquartile range exceeds that bound of its median
 (unless every change run beats every parent run), and `holds` otherwise.
-With --json it also writes the pairs and the summary in the layout of
-the BENCH_*.json records, with each checkout's `git rev-parse HEAD` and
-whether its tree differs from that commit.  A run that reports `correct:
+With --json it also writes one record, {"checkouts", "workloads": {W:
+{"summary", "pairs", "failed_runs"}}}, the layout of the BENCH_*.json
+records, with each checkout's `git rev-parse HEAD` and whether its tree
+differs from that commit.  A run that reports `correct:
 false` or `failed > 0` is named in the summary, and the tool then exits
 1.  The benchmark itself is only run, never changed.
 
@@ -45,7 +48,7 @@ def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", action="append", dest="workloads", default=None)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed0", type=int, default=0)
     p.add_argument("--seconds", type=float, default=20.0)
@@ -53,10 +56,13 @@ def parse_args(argv):
     return p.parse_args(argv)
 
 
-def end_to_end(checkout):
-    """(name, better, bound) of every end-to-end metric the checkout declares."""
+def declared(checkout):
+    """The workload names and the (name, better, bound) of every end-to-end
+    metric the checkout's BENCHMARK.json declares."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
+    return [w["name"] for w in spec["workloads"]], [
+        (m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]
+    ]
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -140,6 +146,25 @@ def summarize(pairs, metrics):
     return out
 
 
+def run_pairs(args, workload, metrics):
+    """The alternated pairs of one workload, each printed as it ends."""
+    pairs = []
+    for i in range(args.pairs):
+        seed = args.seed0 + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run_once(getattr(args, side), workload, seed, args.seconds)
+        pairs.append(pair)
+        cells = "  ".join(
+            f"{name} {pair['parent'][name]:.6g} -> {pair['change'][name]:.6g}" for name, _, _ in metrics
+        )
+        checks = " ".join(f"{side} correct={pair[side]['correct']} failed={pair[side]['failed']}" for side in order)
+        print(f"{workload} pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): {cells}  [{checks}]",
+              flush=True)
+    return pairs
+
+
 def main(argv):
     args = parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
@@ -149,40 +174,30 @@ def main(argv):
             f"{len(str(change))}); peak_rss_mb moves with the path length, so copy the "
             "checkouts to paths of equal length"
         )
-    metrics = end_to_end(args.parent)
-    checkouts = {"parent": revision(parent), "change": revision(change)}
-    pairs = []
-    for i in range(args.pairs):
-        seed = args.seed0 + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            pair[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)
-        pairs.append(pair)
-        cells = "  ".join(
-            f"{name} {pair['parent'][name]:.6g} -> {pair['change'][name]:.6g}" for name, _, _ in metrics
-        )
-        checks = " ".join(f"{side} correct={pair[side]['correct']} failed={pair[side]['failed']}" for side in order)
-        print(f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): {cells}  [{checks}]", flush=True)
-    summary = summarize(pairs, metrics)
-    print(f"\n{args.workload}: {len(pairs)} alternated pairs")
-    for name, s in summary.items():
-        print(
-            f"  {name:12s} parent {s['parent_median']:.6g} [{s['parent_q1']:.6g}, {s['parent_q3']:.6g}]"
-            f"  change {s['change_median']:.6g} [{s['change_q1']:.6g}, {s['change_q3']:.6g}]"
-            f"  x{s['change_over_parent']:.3f}  won {s['change_wins']}/{s['pairs']}"
-            f" (ties {s['ties']})  gap > parent IQR: {'yes' if s['gap_exceeds_parent_iqr'] else 'no'}"
-            f"  gain: {s['gain']}  regression: {s['regression']}"
-        )
-    bad = failed_runs(pairs)
-    for number, seed, side, correct, failed in bad:
-        print(f"  FAILED: pair {number} seed {seed} {side}: correct={correct} failed={failed}")
-    if args.json:
-        record = {"checkouts": checkouts, "summary": summary, "pairs": pairs,
-                  "failed_runs": [dict(zip(("pair", "seed", "side", "correct", "failed"), run))
-                                  for run in bad]}
-        args.json.write_text(json.dumps(record, indent=1) + "\n")
-    return 1 if bad else 0
+    workloads, metrics = declared(args.parent)
+    record = {"checkouts": {"parent": revision(parent), "change": revision(change)}, "workloads": {}}
+    for workload in args.workloads or workloads:
+        pairs = run_pairs(args, workload, metrics)
+        summary = summarize(pairs, metrics)
+        print(f"\n{workload}: {len(pairs)} alternated pairs")
+        for name, s in summary.items():
+            print(
+                f"  {name:12s} parent {s['parent_median']:.6g} [{s['parent_q1']:.6g}, {s['parent_q3']:.6g}]"
+                f"  change {s['change_median']:.6g} [{s['change_q1']:.6g}, {s['change_q3']:.6g}]"
+                f"  x{s['change_over_parent']:.3f}  won {s['change_wins']}/{s['pairs']}"
+                f" (ties {s['ties']})  gap > parent IQR: {'yes' if s['gap_exceeds_parent_iqr'] else 'no'}"
+                f"  gain: {s['gain']}  regression: {s['regression']}"
+            )
+        bad = failed_runs(pairs)
+        for number, seed, side, correct, failed in bad:
+            print(f"  FAILED: {workload} pair {number} seed {seed} {side}: correct={correct} failed={failed}")
+        record["workloads"][workload] = {
+            "summary": summary, "pairs": pairs,
+            "failed_runs": [dict(zip(("pair", "seed", "side", "correct", "failed"), run)) for run in bad],
+        }
+        if args.json:  # written after every workload, so a cut run keeps what it measured
+            args.json.write_text(json.dumps(record, indent=1) + "\n")
+    return 1 if any(entry["failed_runs"] for entry in record["workloads"].values()) else 0
 
 
 if __name__ == "__main__":
