@@ -35,12 +35,11 @@ iterations and their round-off stops under ledger["telemetry"]["relax"].
 
 `run_simulation` marches one configuration in this process;
 `run_simulations` marches several, the first in this process and each
-other one in a forked worker process, and returns exactly what a loop
-over `run_simulation` would.
+other one in a forked worker process started before it, and returns
+exactly what a loop over `run_simulation` would.
 """
 
 import logging
-import os
 import time as _time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -619,7 +618,8 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
     book = np.empty((256, 21))
     smax_prev = None
     t_wall = _time.perf_counter()
-    while t < config.t_end - 1e-15 * max(1.0, config.t_end):
+    # a positive t_end takes at least one step, however small
+    while t < config.t_end - min(1e-15 * max(1.0, config.t_end), 0.5 * config.t_end):
         reuse, speeds = prepare(system, cells, eos_pair)
         smax = float(speeds.max())
         if smax_prev is not None and smax > WAVESPEED_GROWTH_GUARD * smax_prev:
@@ -690,9 +690,9 @@ def _simulate_into(send, *args):
 
 
 def run_simulations(left, right, grid, configs, eos_pair, x0=None):
-    """run_simulation for every config, in config order: the first in this
-    process, each other one in a forked worker process, at most as many
-    runs at once as this process may use CPUs, its own run included.
+    """run_simulation for every config, in config order: each config after
+    the first in a forked worker process, all of them started before this
+    process runs configs[0], and their results read back in config order.
 
     A worker inherits its job through the fork (no callable is pickled,
     so a profiler's rebound functions run there too) and sends back only
@@ -702,55 +702,37 @@ def run_simulations(left, right, grid, configs, eos_pair, x0=None):
     still running are terminated and joined first.
     """
     import multiprocessing
-    from multiprocessing.connection import wait
 
     if not configs:
         return []
     fork = multiprocessing.get_context("fork")
-    width = min(len(configs), len(os.sched_getaffinity(0)))
-    results = [None] * len(configs)
-    running = {}  # read end of a worker's pipe -> (config index, process)
-
-    def start(i):
-        recv, send = fork.Pipe(duplex=False)
-        proc = fork.Process(target=_simulate_into,
-                            args=(send, left, right, grid, configs[i], eos_pair, x0))
-        proc.start()
-        send.close()  # the worker holds the only write end, so its death reads as EOF
-        running[recv] = i, proc
-
-    def finish():
-        for recv in wait(list(running)):
-            i, proc = running.pop(recv)
+    workers = []  # (read end of the pipe, process), one per config after the first
+    try:
+        for config in configs[1:]:
+            recv, send = fork.Pipe(duplex=False)
+            proc = fork.Process(target=_simulate_into,
+                                args=(send, left, right, grid, config, eos_pair, x0))
+            proc.start()
+            send.close()  # the worker holds the only write end, so its death reads as EOF
+            workers.append((recv, proc))
+        results = [run_simulation(left, right, grid, configs[0], eos_pair, x0)]
+        for config, (recv, proc) in zip(configs[1:], workers):
             try:
                 outcome = recv.recv()
             except EOFError:
                 outcome = None
-            finally:
-                recv.close()
-                proc.join()
+            proc.join()
             if outcome is None:
                 raise NumericsError(
-                    f"{configs[i].scheme} worker ended (exit code {proc.exitcode}) "
+                    f"{config.scheme} worker ended (exit code {proc.exitcode}) "
                     "without a result"
                 )
             if isinstance(outcome, Exception):
                 raise outcome
-            results[i] = outcome
-
-    try:
-        for i in range(1, width):  # this process's own run takes the last CPU
-            start(i)
-        results[0] = run_simulation(left, right, grid, configs[0], eos_pair, x0)
-        for i in range(width, len(configs)):
-            if len(running) == width:
-                finish()
-            start(i)
-        while running:
-            finish()
+            results.append(outcome)
     finally:
-        for recv, (_, proc) in running.items():
-            proc.terminate()
+        for recv, proc in workers:
+            proc.terminate()  # a no-op on a worker already joined
             proc.join()
             recv.close()
     return results

@@ -336,22 +336,6 @@ def shock_connect(state, family, S, eos_pair, initial_guess=None):
         )
     residual, jacobian, scales = _shock_system(state, state.alpha1, Q1, Q2, eos_pair)
     rho_pre = family.rho_of(state)
-    roots = []
-
-    def add_root(x):
-        if abs(x[family.phase - 1] - rho_pre) < ZERO_STRENGTH_TOL * rho_pre:
-            return False  # collapsed onto the unjumped state
-        for r in roots:
-            if all(abs(a - b) <= 1e-8 * abs(b) for a, b in zip(x, r)):
-                return False
-        roots.append(x)
-        return True
-
-    def is_evolutionary(x):
-        post = _post_state(state, x, S)
-        pair = (state, post) if lam_pre > S else (post, state)
-        return classify_discontinuity(*pair, S, eos_pair).evolutionary
-
     base = _weak_shock_guess(state, family, S, eos_pair)
     starts = [initial_guess] if initial_guess is not None else []
     nu = WaveFamily(family.other_phase, family.sign)
@@ -365,23 +349,24 @@ def shock_connect(state, family, S, eos_pair, initial_guess=None):
         trial[nu.phase - 1] = rho_nu * (1.0 + d)
         starts.append(trial)
 
-    x = None
-    for x0 in starts:
+    roots = []  # the new roots, in the order of their starts
+    for start in starts:
         try:
-            fresh = add_root(_damped_newton(residual, jacobian, x0, scales, "shock"))
+            x = _damped_newton(residual, jacobian, start, scales, "shock")
         except NumericsError:
             continue
-        if not roots:
-            continue
-        if initial_guess is not None:
-            x = roots[0]
-            break
-        if fresh and is_evolutionary(roots[-1]):
-            x = roots[-1]
-            break
+        if abs(x[family.phase - 1] - rho_pre) < ZERO_STRENGTH_TOL * rho_pre:
+            continue  # collapsed onto the unjumped state
+        if any(all(abs(a - b) <= 1e-8 * abs(b) for a, b in zip(x, r)) for r in roots):
+            continue  # found from an earlier start
+        roots.append(x)
+        post = _post_state(state, x, S)
+        pair = (state, post) if lam_pre > S else (post, state)
+        if initial_guess is not None or classify_discontinuity(*pair, S, eos_pair).evolutionary:
+            return post
     if not roots:
         raise DegenerateShockError("shock solve collapses onto the unjumped state")
-    return _post_state(state, roots[0] if x is None else x, S)
+    return _post_state(state, roots[0], S)
 
 
 def shock_mass_flux_system(w_minus, w_plus, alpha1, eos_pair):

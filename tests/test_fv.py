@@ -888,6 +888,16 @@ def test_run_zero_time(ideal_pair):
     assert np.allclose(res.prim[25:], right.as_array(), rtol=1e-14)
 
 
+@pytest.mark.parametrize("t_end", [1e-16, 1e-300, 5e-324])
+def test_run_tiny_time_takes_one_step(ideal_pair, t_end):
+    # the end tolerance never swallows a positive t_end whole
+    p = get_problem("RP5")
+    left, right = p.riemann_data()
+    res = run_simulation(left, right, Grid(-1.0, 1.0, 50), SolverConfig(t_end=t_end), ideal_pair)
+    assert res.steps == 1
+    assert res.t == res.ledger["time"] == t_end
+
+
 def test_run_conservation_ledger(ideal_pair):
     p = get_problem("RP1")
     left, right = p.riemann_data()
@@ -1247,7 +1257,7 @@ def _same_run(a, b):
 
 
 def test_run_simulations_matches_serial_loop():
-    # more configs than CPUs, so workers queue and must come back in order
+    # three workers at once, whose results must come back in config order
     p = get_problem("RP5")
     left, right = p.riemann_data()
     g = Grid(p.x_min, p.x_max, 64)
@@ -1303,9 +1313,10 @@ def test_run_simulations_names_a_worker_that_dies(ideal_pair, monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_run_simulations_runs_the_first_config_here(monkeypatch, cpus):
-    # the calling process runs configs[0] and counts toward the CPU width:
-    # with cpus CPUs, cpus - 1 workers are running when its own run starts
-    # (a worker waits before its run, so it is still alive to be counted)
+    # the calling process runs configs[0] after forking a worker for each
+    # later config, so all of them are alive when its own run starts (a
+    # worker waits before its run, so it is still alive to be counted),
+    # however few CPUs this process may use
     p = get_problem("RP5")
     left, right = p.riemann_data()
     g = Grid(p.x_min, p.x_max, 32)
@@ -1326,8 +1337,32 @@ def test_run_simulations_runs_the_first_config_here(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(fv, "run_simulation", recorder)
     forked = run_simulations(left, right, g, configs, p.eos_pair, x0=p.x0)
-    assert calls == [(configs[0], cpus - 1)]
+    assert calls == [(configs[0], len(configs) - 1)]
     assert all(_same_run(a, b) for a, b in zip(serial, forked))
+    assert multiprocessing.active_children() == []
+
+
+def test_run_simulations_raises_the_earlier_worker_error(ideal_pair, monkeypatch):
+    # both workers fail, the later config's first: the error of the earlier
+    # config is raised, and the other worker is reaped before it leaves
+    here = os.getpid()
+
+    def fail_in_worker(*args):
+        if os.getpid() != here:
+            scheme = args[3].scheme
+            time.sleep(0.3 if scheme == "muscl-pathcons-bn" else 0.0)
+            raise NumericsError(f"{scheme} failed", residual=len(scheme))
+        return run_simulation(*args)
+
+    monkeypatch.setattr(fv, "run_simulation", fail_in_worker)
+    left = PrimitiveState(0.5, 1.0, 1.0, 0.0, 0.0)
+    configs = [
+        SolverConfig(t_end=0.01, scheme=scheme)
+        for scheme in ("muscl-rusanov", "muscl-pathcons-bn", "force-godunov")
+    ]
+    with pytest.raises(NumericsError, match="^muscl-pathcons-bn failed$") as raised:
+        run_simulations(left, left, Grid(-1.0, 1.0, 16), configs, ideal_pair)
+    assert raised.value.residual == len("muscl-pathcons-bn")
     assert multiprocessing.active_children() == []
 
 
@@ -1364,7 +1399,6 @@ def test_run_simulations_reaps_workers_when_its_own_run_raises(ideal_pair, monke
         live.append(len(multiprocessing.active_children()))
         return run_simulation(*args)
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(fv, "run_simulation", slow_worker)
     with pytest.raises(PositivityError):
         run_simulations(left, right, g, [violent, SolverConfig(t_end=0.25)], ideal_pair)

@@ -372,10 +372,10 @@ def test_cli_compare(tmp_path):
 
 
 BAD_MODELS = {
-    "shtc,kapila": "unknown model 'kapila'",
-    "shtc,shtc": "names a backend twice",
-    "bn, shtc,bn": "names a backend twice",
-    "shtc": "compare needs at least two backends",
+    "shtc,kapila": "--models names shtc and bn once each, in either order; got 'shtc,kapila'",
+    "shtc,shtc": "--models names shtc and bn once each, in either order; got 'shtc,shtc'",
+    "bn, shtc,bn": "--models names shtc and bn once each, in either order; got 'bn, shtc,bn'",
+    "shtc": "--models names shtc and bn once each, in either order; got 'shtc'",
 }
 
 
@@ -400,6 +400,35 @@ def test_cli_zero_cells_is_a_config_error(tmp_path, capsys, command):
     rc = cli.main([command, "RP5", "--cells", "0", "--out", str(tmp_path / "z")])
     assert rc == cli.EXIT_VALIDATION
     assert "at least 4 cells" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_cli_paper_scale_excludes_cells(tmp_path, capsys, command):
+    # --paper-scale and --cells both set the resolution; argparse refuses the pair
+    with pytest.raises(SystemExit) as done:
+        cli.main([command, "RP5", "--paper-scale", "--cells", "40", "--out", str(tmp_path / "p")])
+    assert done.value.code == cli.EXIT_VALIDATION
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_tiny_t_end_takes_a_step(tmp_path, capsys):
+    # a positive t_end below the end tolerance still takes one step, so
+    # compare's x/t sampling divides by t_end, not by 0
+    out = tmp_path / "sim"
+    rc = cli.main(["simulate", "RP6", "--cells", "32", "--t-end", "1e-16", "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    ledger = json.loads((out / "ledger.json").read_text())
+    assert ledger["steps"] >= 1 and ledger["time"] == 1e-16
+    capsys.readouterr()
+    out = tmp_path / "cmp"
+    rc = cli.main(["compare", "RP6", "--cells", "32", "--t-end", "1e-16", "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    ran = [line for line in capsys.readouterr().out.splitlines() if "  ran " in line]
+    assert len(ran) == 2 and all(int(line.split()[-2]) >= 1 for line in ran)
+    report = json.loads((out / "compare.json").read_text())
+    assert all(np.isfinite(err) for err in report["exact_errors_rho"].values())
 
 
 def test_cli_compare_worker_failure_exit_code(tmp_path, capsys, monkeypatch):
