@@ -317,7 +317,7 @@ def _common_run_flags(p):
     p.add_argument("--t-end", type=float, default=None)
     p.add_argument("--theta1", type=float, default=None, help="pressure relaxation time")
     p.add_argument("--theta2", type=float, default=None, help="velocity relaxation time")
-    p.add_argument("--floor", action="store_true", help="floor positivity violations instead of aborting")
+    p.add_argument("--floor", action="store_true", help="lower the order where positivity breaks, instead of aborting")
 
 
 def build_parser():

@@ -18,6 +18,8 @@ row stepper (`_advance`) serves the driver and `step`, the one public
 step, whose (n, 5) cells take the layout of `config.scheme`; the driver
 holds cells as contiguous (5, n) rows from encode to the final decode,
 each stage checks what it makes once, and only `step` checks its input.
+A broken stage raises PositivityError in strict mode; floor mode lowers
+its order instead, and at the update it lowers face fluxes, conservatively.
 
 Pressure and velocity relaxation enter as Strang-split half steps
 around each transport step, taken on the cell rows by `_System.relax`.
@@ -54,9 +56,7 @@ from .state import (
 )
 
 RELAX_PROJECTION_FACTOR = 1e-6  # theta < factor*dt switches to projection
-WAVESPEED_GROWTH_GUARD = 1.5  # abort when max|lambda| grows by more in one step
-ALPHA_FLOOR = 1e-12
-RHO_FLOOR = 1e-12
+WAVESPEED_GROWTH_GUARD = 1.5  # max|lambda| growth in a step: the driver aborts, floor lowers order
 
 _log = logging.getLogger(__name__)
 
@@ -92,7 +92,7 @@ class SolverConfig:
     limiter: str = "minmod"
     theta1: float = None  # pressure relaxation time; None = off
     theta2: float = None  # velocity relaxation time; None = off
-    positivity: str = "strict"  # or "floor"
+    positivity: str = "strict"  # or "floor": lower the order of a broken stage, never raise
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -152,25 +152,6 @@ def _minmod2(a, b):
 # (5, ...) with the component first
 # ---------------------------------------------------------------------------
 
-def _floor_cons(c, bad):
-    # rebuild the masked cells from their floored mixture mass and clipped
-    # volume and mass fractions, so that w1, w2 stay inside (0, w3); near-
-    # vacuum or non-finite cells lose momentum and slip (a vacuum cell has
-    # no velocity, and a stale w4 over a floored w3 explodes the speeds)
-    w1, w2, w3 = c[:3, bad]
-    vacuous = ~np.isfinite(c[:, bad]).all(axis=0) | ~(
-        (w3 > RHO_FLOOR) & (w2 > RHO_FLOOR) & (w2 < w3 - RHO_FLOOR)
-    )
-    w3 = np.where(np.isfinite(w3) & (w3 > RHO_FLOOR), w3, RHO_FLOOR)
-    out = c.copy()
-    for i, w in ((0, w1), (1, w2)):
-        share = np.nan_to_num(w / w3, nan=ALPHA_FLOOR)
-        out[i, bad] = np.clip(share, ALPHA_FLOOR, 1.0 - ALPHA_FLOOR) * w3
-    out[2, bad] = w3
-    out[3:, bad] = np.where(vacuous, 0.0, c[3:, bad])
-    return out
-
-
 def _bn_rows(v):
     alpha1, rho1, rho2, u1, u2 = v
     m1 = alpha1 * rho1
@@ -217,19 +198,6 @@ def _invalid_bn(b):
     return _or_nonfinite((alpha1 <= 0.0) | (alpha1 >= 1.0) | (m1 <= 0.0) | (m2 <= 0.0), b)
 
 
-def _floor_bn(b, bad):
-    # as _floor_cons: a non-finite cell or a near-vacuum phase loses the
-    # phase momenta, which would explode over a floored mass
-    out = b.copy()
-    fixed = np.nan_to_num(b[:, bad], nan=RHO_FLOOR)
-    vacuous = ~np.isfinite(b[:, bad]).all(axis=0) | (fixed[1:3] <= RHO_FLOOR).any(axis=0)
-    fixed[0] = np.clip(fixed[0], ALPHA_FLOOR, 1.0 - ALPHA_FLOOR)
-    fixed[1:3] = np.clip(fixed[1:3], RHO_FLOOR, None)
-    fixed[3:, vacuous] = 0.0
-    out[:, bad] = fixed
-    return out
-
-
 @dataclass(frozen=True)
 class _System:
     """What the MUSCL-Hancock kernel and run_simulation need of a cell
@@ -246,7 +214,6 @@ class _System:
     flux: Callable  # (c, v, eos_pair): conservative flux rows of rows c decoded to v
     nonconservative: Optional[Callable]  # (cl, cr, eos_pair): product on the path cl -> cr
     invalid: Callable  # rows -> mask of broken state invariants
-    floor: Callable  # (c, bad): floor-mode repair of the masked rows
     conserved_view: Callable  # the components of (..., 5) the ledger closure balances
     variables: tuple  # names of the five cell components
 
@@ -258,7 +225,6 @@ _SHTC = _System(
     flux=lambda c, v, eos_pair: _flux_rows(v, eos_pair),
     nonconservative=None,
     invalid=lambda c: _invalid_cons(c),
-    floor=lambda c, bad: _floor_cons(c, bad),
     conserved_view=lambda vec: np.asarray(vec),
     variables=("alpha1*rho", "alpha1*rho1", "rho", "rho*u", "w"),
 )
@@ -272,7 +238,6 @@ _BN = _System(
     flux=lambda b, v, eos_pair: _bn_flux(b, v, eos_pair),
     nonconservative=lambda bl, br, eos_pair: _bn_nonconservative(bl, br, eos_pair),
     invalid=lambda b: _invalid_bn(b),
-    floor=lambda b, bad: _floor_bn(b, bad),
     conserved_view=lambda vec: np.stack([vec[..., 1], vec[..., 2], vec[..., 3] + vec[..., 4]], -1),
     variables=("alpha1", "alpha1*rho1", "alpha2*rho2", "q1", "q2"),
 )
@@ -343,8 +308,8 @@ def _muscl_hancock(system, c, dt, dx, config, eos_pair, t, reuse=None):
     product P_i; the P terms vanish for a conservative system.  Cells c
     are rows (5, n), `reuse` is unused; both face states of every cell, ghosts
     included, are held as faces[:, 0] (left) and faces[:, 1] (right) and
-    checked once per stage.  Returns the bracket, which _advance applies,
-    and the fluxes.
+    checked once per stage.  Returns F and the products P_{i+-1/2} and P_i
+    (None for a conservative system), which _advance applies.
     """
     cp = np.concatenate([c[:, :1], c[:, :1], c, c[:, -1:], c[:, -1:]], axis=1)  # transmissive
     mid = cp[:, 1:-1]
@@ -373,37 +338,72 @@ def _muscl_hancock(system, c, dt, dx, config, eos_pair, t, reuse=None):
     s = _max_wavespeed_rows(v, eos_pair)
     cl, cr = faces_h[:, 1, :-1], faces_h[:, 0, 1:]
     flux = _rusanov(cl, cr, f[:, 1, :-1], f[:, 0, 1:], s[1, :-1], s[0, 1:])
-    div = flux[:, 1:] - flux[:, :-1]
-    if system.nonconservative is not None:
-        p_face = system.nonconservative(cl, cr, eos_pair)
-        p_cell = system.nonconservative(faces_h[:, 0, 1:-1], faces_h[:, 1, 1:-1], eos_pair)
-        div = div + 0.5 * (p_face[:, :-1] + p_face[:, 1:]) + p_cell
-    return div, flux
+    if system.nonconservative is None:
+        return flux, None, None
+    p_cell = system.nonconservative(faces_h[:, 0, 1:-1], faces_h[:, 1, 1:-1], eos_pair)
+    return flux, system.nonconservative(cl, cr, eos_pair), p_cell
 
 
-def _advance(kernel, system, c, dt, dx, config, eos_pair, t, reuse=None):
-    """Update valid cell rows c (5, n) by dt with the flux divergence of a
-    row kernel, then check the new rows once and, in floor mode, repair
-    them; `reuse`, what the step preparation made of c if at hand, spares
-    the kernel that work.  Returns the new rows and the two boundary fluxes."""
-    div, flux = kernel(system, c, dt, dx, config, eos_pair, t, reuse)
-    c_new = c - (dt / dx) * div
-    bad = system.invalid(c_new)
-    if _fallback(bad, c_new, config.positivity, t, "update", "flooring"):
-        c_new = system.floor(c_new, bad)
+def _advance(kernel, system, c, dt, dx, config, eos_pair, t, reuse=None, smax=None):
+    """Update valid cell rows c (5, n) by dt with a row kernel's face terms
+    and check the new rows once; `reuse`, what the step preparation made
+    of c if at hand, spares the kernel that work.  Strict mode raises at a
+    broken cell.  Floor mode decrements orders a posteriori (MOOD: Clain,
+    Diot & Loubere 2011): a cell that breaks its invariants or outruns
+    WAVESPEED_GROWTH_GUARD times smax, the fastest input cell's max
+    |lambda|, goes up a level; a face takes its cells' higher level (0 the
+    kernel's terms; 1 the input cells' first-order Rusanov flux and path
+    product, and no in-cell product; 2 none), and the update is redone
+    until no cell is flagged.  Every level is shared by a face's two
+    cells, so floor mode conserves, and a level-2 cell keeps its valid
+    input.  Returns the new rows and the two boundary fluxes."""
+    kept = flux, p_face, p_cell = kernel(system, c, dt, dx, config, eos_pair, t, reuse)
+    level, passes = np.zeros(c.shape[1], dtype=int), 0
+    while True:
+        div = flux[:, 1:] - flux[:, :-1]
+        if p_face is not None:
+            div = div + 0.5 * (p_face[:, :-1] + p_face[:, 1:]) + p_cell
+        c_new = c - (dt / dx) * div
+        bad = system.invalid(c_new)
+        if config.positivity == "strict":
+            _fallback(bad, c_new, "strict", t, "update", None)
+            break
+        if smax is None:
+            smax = float(_max_wavespeed_rows(system.decode(c), eos_pair).max())
+        with np.errstate(all="ignore"):  # the speed of a broken cell is not read
+            speeds = _max_wavespeed_rows(system.decode(c_new), eos_pair)
+        fast = speeds > WAVESPEED_GROWTH_GUARD * smax
+        flag = (bad | fast) & (level < 2)
+        if not flag.any():
+            break
+        if not passes:  # the first-order terms, from the input cells and their ghosts
+            cp = np.concatenate([c[:, :1], c, c[:, -1:]], axis=1)
+            cl, cr, v = cp[:, :-1], cp[:, 1:], system.decode(cp)
+            f, s = system.flux(cp, v, eos_pair), _max_wavespeed_rows(v, eos_pair)
+            first = (_rusanov(cl, cr, f[:, :-1], f[:, 1:], s[:-1], s[1:]),
+                     None if p_face is None else system.nonconservative(cl, cr, eos_pair), 0.0)
+        level += flag
+        passes += 1
+        ghosted = np.concatenate([level[:1], level, level[-1:]])
+        face = np.maximum(ghosted[:-1], ghosted[1:])
+        flux, p_face, p_cell = (k if k is None else np.where(at == 0, k, np.where(at == 1, lo, 0))
+                                for k, lo, at in zip(kept, first, (face, face, level)))
+    if passes:
+        _log.warning("lowered the face order of %d cells in %d passes at t=%g (update)",
+                     np.count_nonzero(level), passes, t)
     return c_new, (flux[:, 0], flux[:, -1])
 
 
 def _force_godunov(system, c, dt, dx, config, eos_pair, t, f=None):
-    """First-order FORCE update of conservative rows c, of flux rows f if
-    the step preparation made them.  A transmissive edge face joins two
-    equal states, so its FORCE flux is the edge cell's own flux (0.5 (f + f)
-    - 0, the midpoint is the cell): only the interior faces are evaluated."""
+    """First-order FORCE face fluxes (no products) of conservative rows c,
+    of flux rows f if the step preparation made them.  A transmissive edge
+    face joins two equal states, so its FORCE flux is the edge cell's own
+    flux (0.5 (f + f) - 0, the midpoint is the cell): only the interior
+    faces are evaluated."""
     f = _cons_flux_rows(c, eos_pair) if f is None else f
     inner = _force(c[:, :-1], c[:, 1:], f[:, :-1], f[:, 1:], dx, dt, eos_pair,
                    config.positivity, t)
-    flux = np.concatenate([f[:, :1], inner, f[:, -1:]], axis=1)
-    return flux[:, 1:] - flux[:, :-1], flux
+    return np.concatenate([f[:, :1], inner, f[:, -1:]], axis=1), None, None
 
 
 def _decode_prepare(system, c, eos_pair):
@@ -638,7 +638,7 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
             book = np.concatenate([book, np.empty_like(book)])
         row = book[steps]
         row[:5], row[20] = total, dt
-        cells, fluxes = _advance(kernel, system, cells, dt, dx, config, eos_pair, t, reuse)
+        cells, fluxes = _advance(kernel, system, cells, dt, dx, config, eos_pair, t, reuse, smax)
         cells.sum(axis=1, out=row[5:10])
         np.abs(cells).sum(axis=1, out=row[10:15])
         np.subtract(fluxes[1], fluxes[0], out=row[15:20])
