@@ -24,6 +24,7 @@ output directory.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -63,10 +64,10 @@ def _out_dir(args, problem, command):
 
 
 def write_csv(path, columns, rows):
+    template = ",".join(["%.17g"] * np.shape(rows)[-1]) + "\n"  # the bytes of f"{v:.17g}" each
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in np.asarray(rows):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(template % tuple(row) for row in np.asarray(rows).tolist())
 
 
 def write_json(path, payload):
@@ -121,8 +122,7 @@ def cmd_exact(args):
     write_json(out / "validation.json", validate_solution(solution).as_dict())
     write_json(out / "waves.json", solution.summary())
     lines = [f"contact speed: {solution.contact_speed:.17g}"]
-    for el in solution.elements:
-        lines.append(el.label())
+    lines += [el.label() for el in solution.elements]
     (out / "waves.txt").write_text("\n".join(lines) + "\n")
     _write_plot_script(out / "plots.gp", "solution.csv", "x/t")
     print(f"wrote {out}/solution.csv ({len(xis)} samples), waves.txt/json, validation.json")
@@ -147,11 +147,7 @@ def _solver_config(problem, args, scheme):
 
 
 def _scheme_for(problem, args, model):
-    if model == "bn":
-        return "muscl-pathcons-bn"
-    if args.scheme:
-        return args.scheme
-    return problem.default_scheme
+    return "muscl-pathcons-bn" if model == "bn" else args.scheme or problem.default_scheme
 
 
 def _cells_for(problem, args):
@@ -320,6 +316,7 @@ def _common_run_flags(p):
     p.add_argument("--floor", action="store_true", help="lower the order where positivity breaks, instead of aborting")
 
 
+@functools.cache  # once per process; main looks each command up by name at call time
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="twophase",
@@ -331,40 +328,34 @@ def build_parser():
     p.add_argument("problem")
     p.add_argument("--samples", type=int, default=2001)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("simulate", help="run a finite-volume solver")
     p.add_argument("problem")
     p.add_argument("--model", default="shtc", choices=MODELS)
     _common_run_flags(p)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="compare solver backends")
     p.add_argument("problem")
     p.add_argument("--models", default="shtc,bn")
     _common_run_flags(p)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("eigen", help="eigenvalue curves of the exact solution")
     p.add_argument("problem")
     p.add_argument("--samples", type=int, default=2001)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eigen)
 
     p = sub.add_parser("validate", help="admissibility report of the exact solution")
     p.add_argument("problem")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_validate)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -71,7 +71,8 @@ class BarotropicEos:
             raise EosDomainError(f"density must be positive, got {rho}")
 
     def _pressure(self, rho):
-        return self._p_scale * rho**self.gamma + self.B
+        p = self._p_scale * rho**self.gamma  # adding B = 0 changes no p >= +0
+        return p + self.B if self.B else p
 
     def pressure(self, rho):
         self._check_density(rho)
@@ -101,12 +102,6 @@ class BarotropicEos:
         if self.gamma == 1.0:
             return (self.A / self.rho_ref) * np.log(rho)
         return self._k / (self.gamma - 1.0) * rho ** (self.gamma - 1.0)
-
-    def _thermo(self, rho):
-        """p = rho*a**2/gamma + B, a**2 and Psi from the power in a**2, unchecked."""
-        a_sq = self._sound_speed_sq(rho)
-        psi = self._psi(rho) if self.gamma == 1.0 else a_sq / (self.gamma - 1.0)
-        return a_sq * rho / self.gamma + self.B, a_sq, psi
 
     def fundamental_derivative(self, rho):
         """G = 1 + (rho/a) da/drho = (gamma+1)/2 for the power law."""

@@ -253,19 +253,21 @@ def _rusanov(cl, cr, fl, fr, sl, sr):
     return 0.5 * (fl + fr) - 0.5 * np.maximum(sl, sr) * (cr - cl)
 
 
-def _force(cl, cr, fl, fr, dx, dt, eos_pair, positivity, t):
-    """FORCE flux rows (Toro & Billett 2000) of the interior faces, face
-    j + 1 joining states cl, cr (row j) with fluxes fl, fr: the mean of
+def _force(l, r, dx, dt, eos_pair, positivity, t):
+    """FORCE flux rows (Toro & Billett 2000) of the faces joining stacked
+    cell and flux rows l = [cl; fl] to r = [cr; fr] (10, ...): the mean of
     the Lax-Friedrichs flux and the flux at the two-step Lax-Wendroff
-    midpoint.  A face whose midpoint breaks the state invariants raises
+    midpoint, both from one half-sum and one difference of the stacks.
+    A face whose midpoint breaks the state invariants raises
     PositivityError in strict mode and takes the Lax-Friedrichs flux
     alone in floor mode."""
-    f_lf = 0.5 * (fl + fr) - 0.5 * (dx / dt) * (cr - cl)
-    c_lw = 0.5 * (cl + cr) - 0.5 * (dt / dx) * (fr - fl)
+    half, jump = 0.5 * (l + r), r - l
+    f_lf = half[5:] - 0.5 * (dx / dt) * jump[:5]
+    c_lw = half[:5] - 0.5 * (dt / dx) * jump[5:]
     bad = _invalid_cons(c_lw)
     if masked := _fallback(bad, c_lw, positivity, t, "FORCE midpoint", "Lax-Friedrichs flux on",
                            "face", first=1):
-        c_lw[:, bad] = cl[:, bad]  # any valid state: its flux is not used
+        c_lw[:, bad] = l[:5, bad]  # any valid state: its flux is not used
     flux = 0.5 * (f_lf + _cons_flux_rows(c_lw, eos_pair))
     if masked:
         flux[:, bad] = f_lf[:, bad]
@@ -281,7 +283,7 @@ def _fallback(bad, states, mode, t, where, action, unit="cell", first=0):
     PositivityError naming the first; row i is item i + first, with
     first = -1 for one ghost row per side (a ghost names its edge cell)
     and 1 without both edge items.  Floor mode logs how many."""
-    if not bad.any():
+    if not np.count_nonzero(bad):  # a third of what bad.any() costs
         return False
     if mode == "strict":
         row = int(np.argmax(bad))
@@ -354,11 +356,12 @@ def _advance(kernel, system, c, dt, dx, config, eos_pair, t, reuse=None, smax=No
     |lambda|, goes up a level; a face takes its cells' higher level (0 the
     kernel's terms; 1 the input cells' first-order Rusanov flux and path
     product, and no in-cell product; 2 none), and the update is redone
-    until no cell is flagged.  Every level is shared by a face's two
-    cells, so floor mode conserves, and a level-2 cell keeps its valid
-    input.  Returns the new rows and the two boundary fluxes."""
+    until no cell is flagged; no level map is made before the first flag.
+    Every level is shared by a face's two cells, so floor mode conserves,
+    and a level-2 cell keeps its valid input.  Returns the new rows, the
+    two boundary fluxes and, in floor mode, the new rows' max |lambda|."""
     kept = flux, p_face, p_cell = kernel(system, c, dt, dx, config, eos_pair, t, reuse)
-    level, passes = np.zeros(c.shape[1], dtype=int), 0
+    level, passes, speeds = 0, 0, None
     while True:
         div = flux[:, 1:] - flux[:, :-1]
         if p_face is not None:
@@ -391,7 +394,7 @@ def _advance(kernel, system, c, dt, dx, config, eos_pair, t, reuse=None, smax=No
     if passes:
         _log.warning("lowered the face order of %d cells in %d passes at t=%g (update)",
                      np.count_nonzero(level), passes, t)
-    return c_new, (flux[:, 0], flux[:, -1])
+    return c_new, (flux[:, 0], flux[:, -1]), speeds
 
 
 def _force_godunov(system, c, dt, dx, config, eos_pair, t, f=None):
@@ -399,24 +402,25 @@ def _force_godunov(system, c, dt, dx, config, eos_pair, t, f=None):
     of flux rows f if the step preparation made them.  A transmissive edge
     face joins two equal states, so its FORCE flux is the edge cell's own
     flux (0.5 (f + f) - 0, the midpoint is the cell): only the interior
-    faces are evaluated."""
+    faces are evaluated, on the stacked rows [c; f]."""
     f = _cons_flux_rows(c, eos_pair) if f is None else f
-    inner = _force(c[:, :-1], c[:, 1:], f[:, :-1], f[:, 1:], dx, dt, eos_pair,
-                   config.positivity, t)
+    cf = np.concatenate([c, f])
+    inner = _force(cf[:, :-1], cf[:, 1:], dx, dt, eos_pair, config.positivity, t)
     return np.concatenate([f[:, :1], inner, f[:, -1:]], axis=1), None, None
 
 
-def _decode_prepare(system, c, eos_pair):
-    return None, _max_wavespeed_rows(system.decode(c), eos_pair)
+def _decode_prepare(system, c, eos_pair, speeds=None):
+    return None, _max_wavespeed_rows(system.decode(c), eos_pair) if speeds is None else speeds
 
 
-def _force_prepare(system, c, eos_pair):
+def _force_prepare(system, c, eos_pair, speeds=None):  # needs the flux rows anyway
     return _cons_flux_rows(c, eos_pair, speeds=True)
 
 
 def _scheme(config):
-    """Row kernel, step preparation (rows at the start of a step -> what the
-    kernel reuses, and their speeds) and cell system of config.scheme."""
+    """Row kernel, step preparation (rows at the start of a step, and their
+    speeds if the last update took them -> what the kernel reuses, and
+    their speeds) and cell system of config.scheme."""
     if config.scheme == "force-godunov":
         return _force_godunov, _force_prepare, _SHTC
     return _muscl_hancock, _decode_prepare, _BN if config.scheme == "muscl-pathcons-bn" else _SHTC
@@ -441,7 +445,7 @@ def step(u, dt, dx, config, eos_pair, t=0.0):
     the new cells (n, 5) and the two boundary fluxes."""
     kernel, _, system = _scheme(config)
     c = _checked_rows(system.invalid, np.asarray(u, dtype=float).T)
-    c, fluxes = _advance(kernel, system, c, dt, dx, config, eos_pair, t)
+    c, fluxes, _ = _advance(kernel, system, c, dt, dx, config, eos_pair, t)
     return np.ascontiguousarray(c.T), fluxes
 
 
@@ -597,13 +601,12 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
         x0 = 0.5 * (grid.x_min + grid.x_max)
     dx = grid.dx
     kernel, prepare, system = _scheme(config)
-    prepare = _decode_prepare if config.relaxing else prepare  # a half step stales reuse
+    prepare = _decode_prepare if config.relaxing else prepare  # a half step stales reuse, speeds
     # cells stay contiguous rows (5, n) until the final decode; they are
     # checked here once, and after that each stage checks what it makes
     cells = _checked_rows(system.invalid, system.encode(_riemann_cells(left, right, grid, x0).T))
 
-    t = 0.0
-    steps = 0
+    t, steps = 0.0, 0
     totals0 = total = cells.sum(axis=1) * dx
     relax_delta = np.zeros(5)
     relax_counts = dict.fromkeys(RELAX_COUNTERS, 0)
@@ -616,11 +619,11 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
     # one row per step, settled into the ledger at the end: the total before
     # transport, the sums and absolute sums after it, f_right - f_left, dt
     book = np.empty((256, 21))
-    smax_prev = None
+    smax_prev = speeds = None
     t_wall = _time.perf_counter()
     # a positive t_end takes at least one step, however small
     while t < config.t_end - min(1e-15 * max(1.0, config.t_end), 0.5 * config.t_end):
-        reuse, speeds = prepare(system, cells, eos_pair)
+        reuse, speeds = prepare(system, cells, eos_pair, None if config.relaxing else speeds)
         smax = float(speeds.max())
         if smax_prev is not None and smax > WAVESPEED_GROWTH_GUARD * smax_prev:
             raise PositivityError(
@@ -638,7 +641,8 @@ def run_simulation(left, right, grid, config, eos_pair, x0=None):
             book = np.concatenate([book, np.empty_like(book)])
         row = book[steps]
         row[:5], row[20] = total, dt
-        cells, fluxes = _advance(kernel, system, cells, dt, dx, config, eos_pair, t, reuse, smax)
+        cells, fluxes, speeds = _advance(kernel, system, cells, dt, dx, config, eos_pair, t,
+                                         reuse, smax)
         cells.sum(axis=1, out=row[5:10])
         np.abs(cells).sum(axis=1, out=row[10:15])
         np.subtract(fluxes[1], fluxes[0], out=row[15:20])

@@ -122,7 +122,7 @@ def _invalid_cons(w):
 def _or_nonfinite(bad, c):
     finite = np.isfinite(c)
     # the reduction over components costs more than the rest; skip it when all is finite
-    return bad if finite.all() else bad | ~finite.all(axis=0)
+    return bad if np.count_nonzero(finite) == finite.size else bad | ~finite.all(axis=0)
 
 
 def _prim_rows(w):
@@ -155,15 +155,25 @@ def _cons_flux_rows(w, eos_pair, speeds=False):
     alpha1, m2, um = w1 / w3, w3 - w2, w4 / w3
     alpha2, u2 = 1.0 - alpha1, um - (w2 / w3) * w5
     u1 = u2 + w5
-    p1, a1sq, psi1 = eos_pair.phase1._thermo(w2 / alpha1)
-    p2, a2sq, psi2 = eos_pair.phase2._thermo(m2 / alpha2)
+    ap1, a1sq, psi1 = _phase_terms(eos_pair.phase1, w2, alpha1)
+    ap2, a2sq, psi2 = _phase_terms(eos_pair.phase2, m2, alpha2)
     f = np.empty(np.shape(w))  # rows written in place: f[i, ...]
     np.multiply(w1, um, out=f[0, ...])
     q1 = np.multiply(w2, u1, out=f[1, ...])
     f[2] = w4
-    np.add(q1 * u1 + m2 * (u2 * u2) + alpha1 * p1, alpha2 * p2, out=f[3, ...])
+    np.add(q1 * u1 + m2 * (u2 * u2) + ap1, ap2, out=f[3, ...])
     np.subtract((0.5 * w5) * (u1 + u2) + psi1, psi2, out=f[4, ...])
     return (f, np.maximum(np.abs(u1) + np.sqrt(a1sq), np.abs(u2) + np.sqrt(a2sq))) if speeds else f
+
+
+def _phase_terms(eos, m, alpha):
+    """alpha*p, a**2 and Psi of a phase of partial mass m and volume fraction
+    alpha from one power r = rho**(gamma-1) (Psi by the log for gamma == 1)."""
+    rho = m / alpha
+    r = rho ** (eos.gamma - 1.0)
+    a_sq, ap = eos._k * r, eos._p_scale * m * r
+    psi = eos._psi(rho) if eos.gamma == 1.0 else a_sq / (eos.gamma - 1.0)
+    return (ap + alpha * eos.B if eos.B else ap), a_sq, psi
 
 
 def flux_primitive_array(v, eos_pair):

@@ -74,8 +74,8 @@ def force_face_flux(ul, ur, dx, dt, eos_pair):
     """FORCE flux between conservative cells ul and ur (n, 5), built from
     the row helpers the FORCE kernel uses."""
     cl, cr = np.asarray(ul, dtype=float).T, np.asarray(ur, dtype=float).T
-    fl, fr = _cons_flux_rows(cl, eos_pair), _cons_flux_rows(cr, eos_pair)
-    return fv._force(cl, cr, fl, fr, dx, dt, eos_pair, "strict", 0.0).T
+    l, r = (np.concatenate([c, _cons_flux_rows(c, eos_pair)]) for c in (cl, cr))
+    return fv._force(l, r, dx, dt, eos_pair, "strict", 0.0).T
 
 
 def max_wavespeed(v, eos_pair):
@@ -1285,9 +1285,9 @@ def test_ledger_equals_a_per_step_settlement(monkeypatch, scheme, thetas):
     steps = []
 
     def recorded(kernel, system, c, dt, *args, real=fv._advance):
-        c_new, fluxes = real(kernel, system, c, dt, *args)
+        c_new, fluxes, speeds = real(kernel, system, c, dt, *args)
         steps.append((c, c_new, fluxes, dt))
-        return c_new, fluxes
+        return c_new, fluxes, speeds
 
     monkeypatch.setattr(fv, "_advance", recorded)
     p = get_problem("RP6")

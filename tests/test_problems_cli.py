@@ -282,6 +282,44 @@ def test_cli_exact_and_eigen(tmp_path):
     assert lines[0] == "xi,lam1m,lam2m,lamC,lam1p,lam2p"
 
 
+def _per_value_csv(path, columns, rows):
+    """The former writer: one f"{v:.17g}" per value."""
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in np.asarray(rows):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+@pytest.mark.parametrize("width", [1, 6, 10])
+def test_write_csv_bytes_equal_the_per_value_writer(tmp_path, width):
+    # random bit patterns cover subnormals, NaN payloads and both signs;
+    # the named values are the edges of %.17g
+    rng = np.random.default_rng(width)
+    named = [-0.0, 0.0, 5e-324, 1e-300, 12345678901234567.0, np.nan, np.inf, -np.inf, 0.1]
+    bits = rng.integers(0, 2**64, size=40 * width, dtype=np.uint64).view(np.float64)
+    scaled = rng.standard_normal(40 * width) * 10.0 ** rng.integers(-300, 300, 40 * width)
+    values = np.concatenate([named * width, bits, scaled])
+    rows = values[: values.size // width * width].reshape(-1, width)
+    columns = [f"c{i}" for i in range(width)]
+    cli.write_csv(tmp_path / "new.csv", columns, rows)
+    _per_value_csv(tmp_path / "old.csv", columns, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # lists of floats and integer arrays go through the same template
+    for table in (rows[:3].tolist(), np.arange(3 * width).reshape(3, width)):
+        cli.write_csv(tmp_path / "new.csv", columns, table)
+        _per_value_csv(tmp_path / "old.csv", columns, table)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_cli_parser_built_once_and_commands_looked_up_at_call_time(monkeypatch, tmp_path):
+    # one parser per process; a rebound command (by a profiler, say) still runs
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args.problem) or 7)
+    assert cli.main(["validate", "RP3", "--out", str(tmp_path / "v")]) == 7
+    assert seen == ["RP3"]
+
+
 def test_cli_exact_two_samples_are_outer_states(tmp_path):
     out = tmp_path / "two"
     assert cli.main(["exact", "RP4", "--samples", "2", "--out", str(out)]) == 0

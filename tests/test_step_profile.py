@@ -1,0 +1,52 @@
+"""tools/step_profile.py: per-stage figures of a small run, names restored."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from twophase import fv, state
+
+
+@pytest.fixture(scope="module")
+def step_profile():
+    path = Path(__file__).resolve().parent.parent / "tools" / "step_profile.py"
+    spec = importlib.util.spec_from_file_location("step_profile", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+@pytest.mark.parametrize(
+    "scheme, stages",
+    [("force-godunov", {"_force_prepare", "_advance", "_force_godunov", "_force",
+                        "_cons_flux_rows", "_phase_terms", "_invalid_cons", "driver"}),
+     ("muscl-pathcons-bn", {"_decode_prepare", "_advance", "_muscl_hancock", "limited_slope",
+                            "_bn_flux", "_bn_nonconservative", "_bn_prim_rows", "driver"})],
+)
+def test_step_profile_reports_every_stage_and_restores_names(step_profile, scheme, stages):
+    before = {name: vars(mod)[name] for mod, name in step_profile.STAGES if name in vars(mod)}
+    out = step_profile.profile("RP4", scheme, cells=16, repeats=1)
+    assert {n: vars(m)[n] for m, n in step_profile.STAGES if n in vars(m)} == before
+    assert out["steps"] > 0 and out["us_per_step"] > 0.0
+    assert stages <= set(out["stages"])
+    assert list(out["stages"])[-1] == "driver"
+    for row in out["stages"].values():
+        assert row["calls"] >= 0.0 and row["py_calls"] >= 0.0
+    # each step calls its preparation, its update and its kernel once
+    prepare = "_force_prepare" if scheme == "force-godunov" else "_decode_prepare"
+    kernel = "_force_godunov" if scheme == "force-godunov" else "_muscl_hancock"
+    for name in (prepare, "_advance", kernel):
+        assert out["stages"][name]["calls"] == 1.0
+    assert out["py_calls_per_step"] == pytest.approx(
+        sum(row["py_calls"] for row in out["stages"].values()))
+    assert fv._advance is before["_advance"] and state._phase_terms is before["_phase_terms"]
+
+
+def test_step_profile_prints_a_table(step_profile, capsys):
+    assert step_profile.main(["RP4", "--scheme", "force-godunov", "--cells", "16",
+                              "--repeats", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("RP4 force-godunov, 16 cells:")
+    assert lines[1].split() == ["stage", "calls/step", "self", "us/step", "py", "calls/step"]
+    assert lines[-1].split()[0] == "driver"
