@@ -14,12 +14,12 @@ Three schemes share the grid and time loop:
 
 The two models share their eigenvalues; a small system description
 (`_System`) carries all that separates their second-order schemes.  One
-row stepper (`_advance`) serves the driver and `step`, the one public
-step, whose (n, 5) cells take the layout of `config.scheme`; the driver
-holds cells as contiguous (5, n) rows from encode to the final decode,
-each stage checks what it makes once, and only `step` checks its input.
-A broken stage raises PositivityError in strict mode; floor mode lowers
-its order instead, and at the update it lowers face fluxes, conservatively.
+row stepper (`_advance`) serves the driver and the public `step`, whose
+(n, 5) cells take the layout of `config.scheme`.  The driver holds cells
+as contiguous (5, n) rows from encode to the final decode, fluxes and
+speeds come straight from rows, each stage checks what it makes once,
+and only `step` checks its input.  A broken stage raises PositivityError
+in strict mode; floor mode lowers its order (conservatively at the update).
 
 Pressure and velocity relaxation enter as Strang-split half steps
 around each transport step, taken on the cell rows by `_System.relax`.
@@ -51,7 +51,7 @@ import numpy as np
 from .errors import ConfigError, NumericsError, PositivityError, RelaxationError, StateDecodeError
 from .models import interface_closure
 from .state import (
-    _cons_flux_rows, _cons_rows, _flux_rows, _invalid_cons, _max_wavespeed_rows, _or_nonfinite,
+    _cons_flux_rows, _cons_rows, _invalid_cons, _max_wavespeed_rows, _or_nonfinite, _phase_terms,
     _prim_rows, prim_to_cons_array,
 )
 
@@ -164,17 +164,19 @@ def _bn_prim_rows(b):
     return alpha1, m1 / alpha1, m2 / (1.0 - alpha1), q1 / m1, q2 / m2
 
 
-def _bn_flux(b, v, eos_pair):
-    """Conservative part of the Baer-Nunziato flux of blocks b decoded
-    to v: (0, m1 u1, m2 u2, m1 u1^2 + alpha1 p1, m2 u2^2 + alpha2 p2)."""
+def _bn_flux(b, eos_pair, speeds=False):
+    """Conservative part of the Baer-Nunziato flux of blocks b, unchecked:
+    (0, q1, q2, q1 u1 + alpha1 p1, q2 u2 + alpha2 p2), u_k = q_k/m_k, with alpha_k
+    p_k and a_k^2 from one power (state._phase_terms); speeds=True adds max |lambda|."""
     alpha1, m1, m2, q1, q2 = b
+    u1, u2 = q1 / m1, q2 / m2
+    ap1, a1sq, _ = _phase_terms(eos_pair.phase1, m1, alpha1)
+    ap2, a2sq, _ = _phase_terms(eos_pair.phase2, m2, 1.0 - alpha1)
     f = np.empty(np.shape(b))
-    f[0] = 0.0
-    f[1] = q1
-    f[2] = q2
-    np.add(q1**2 / m1, alpha1 * eos_pair.phase1._pressure(v[1]), out=f[3])
-    np.add(q2**2 / m2, (1.0 - alpha1) * eos_pair.phase2._pressure(v[2]), out=f[4])
-    return f
+    f[0], f[1], f[2] = 0.0, q1, q2
+    np.add(q1 * u1, ap1, out=f[3])
+    np.add(q2 * u2, ap2, out=f[4])
+    return (f, np.maximum(np.abs(u1) + np.sqrt(a1sq), np.abs(u2) + np.sqrt(a2sq))) if speeds else f
 
 
 def _bn_nonconservative(bl, br, eos_pair):
@@ -202,16 +204,16 @@ def _invalid_bn(b):
 class _System:
     """What the MUSCL-Hancock kernel and run_simulation need of a cell
     layout, on rows (5, ...) with the component first.  The kernel checks
-    `invalid` once per stage (reconstruction, half step, update), and
-    `decode`, `flux` and `nonconservative` evaluate what it passed with
-    no second scan.  Entries look their helpers up by module-level name
-    at call time, so a rebinding of those names (by a profiler, say)
-    reaches every call."""
+    `invalid` once per stage (reconstruction, half step, update) and takes
+    face fluxes and speeds from `flux` on the rows it passed, decoding
+    none.  Entries look their helpers up by module-level name at call
+    time, so a rebinding of those names (by a profiler, say) reaches
+    every call."""
 
     decode: Callable  # rows -> primitive rows, unchecked
     encode: Callable  # primitive rows -> cell rows (5, n)
     relax: Callable  # (c, dt, config, eos_pair, counts): rows after the relaxation sources
-    flux: Callable  # (c, v, eos_pair): conservative flux rows of rows c decoded to v
+    flux: Callable  # (c, eos_pair, speeds=False): flux rows of rows c [and max |lambda|]
     nonconservative: Optional[Callable]  # (cl, cr, eos_pair): product on the path cl -> cr
     invalid: Callable  # rows -> mask of broken state invariants
     conserved_view: Callable  # the components of (..., 5) the ledger closure balances
@@ -222,7 +224,7 @@ _SHTC = _System(
     decode=lambda c: _prim_rows(c),
     encode=lambda v: np.stack(_cons_rows(v)),
     relax=lambda c, dt, config, eos_pair, counts: _relax_cons(c, dt, config, eos_pair, counts),
-    flux=lambda c, v, eos_pair: _flux_rows(v, eos_pair),
+    flux=lambda c, eos_pair, speeds=False: _cons_flux_rows(c, eos_pair, speeds),
     nonconservative=None,
     invalid=lambda c: _invalid_cons(c),
     conserved_view=lambda vec: np.asarray(vec),
@@ -235,7 +237,7 @@ _BN = _System(
     decode=lambda b: _bn_prim_rows(b),
     encode=lambda v: np.stack(_bn_rows(v)),
     relax=lambda b, dt, config, eos_pair, counts: _relax_bn(b, dt, config, eos_pair, counts),
-    flux=lambda b, v, eos_pair: _bn_flux(b, v, eos_pair),
+    flux=lambda b, eos_pair, speeds=False: _bn_flux(b, eos_pair, speeds),
     nonconservative=lambda bl, br, eos_pair: _bn_nonconservative(bl, br, eos_pair),
     invalid=lambda b: _invalid_bn(b),
     conserved_view=lambda vec: np.stack([vec[..., 1], vec[..., 2], vec[..., 3] + vec[..., 4]], -1),
@@ -296,9 +298,6 @@ def _fallback(bad, states, mode, t, where, action, unit="cell", first=0):
     return True
 
 
-_FACE_SIGNS = np.array([[-1.0], [1.0]])  # faces[:, 0] = mid - slope/2, faces[:, 1] = mid + slope/2
-
-
 def _muscl_hancock(system, c, dt, dx, config, eos_pair, t, reuse=None):
     """One second-order MUSCL-Hancock update of the interior cells
     (Toro, ch. 14) in path-conservative form (Pares 2006):
@@ -308,42 +307,43 @@ def _muscl_hancock(system, c, dt, dx, config, eos_pair, t, reuse=None):
     with Rusanov fluxes F between the half-evolved face states, the
     products P_{i+-1/2} along the segments joining them and the in-cell
     product P_i; the P terms vanish for a conservative system.  Cells c
-    are rows (5, n), `reuse` is unused; both face states of every cell, ghosts
-    included, are held as faces[:, 0] (left) and faces[:, 1] (right) and
-    checked once per stage.  Returns F and the products P_{i+-1/2} and P_i
-    (None for a conservative system), which _advance applies.
+    are rows (5, n), `reuse` is unused; both face states of every cell,
+    ghosts included, are held as faces[:, 0] (left) and faces[:, 1]
+    (right), checked once per stage and never decoded.  Returns F and the
+    products P_{i+-1/2} and P_i (None for a conservative system).
     """
     cp = np.concatenate([c[:, :1], c[:, :1], c, c[:, -1:], c[:, -1:]], axis=1)  # transmissive
     mid = cp[:, 1:-1]
-    slope = limited_slope(mid - cp[:, :-2], cp[:, 2:] - mid, config.limiter)
-    faces = mid[:, None] + _FACE_SIGNS * (0.5 * slope)[:, None]
-    # component-wise TVD slopes can still break the cross-component
-    # state invariants near extreme jumps; strict mode aborts, floor
-    # mode drops the offending cells to first order
-    bad = system.invalid(faces).any(axis=0)
-    if _fallback(bad, faces, config.positivity, t, "reconstruction", "first order in",
-                 first=-1):
+    half = 0.5 * limited_slope(mid - cp[:, :-2], cp[:, 2:] - mid, config.limiter)
+    faces = np.empty((5, 2, mid.shape[1]))
+    np.subtract(mid, half, out=faces[:, 0])
+    np.add(mid, half, out=faces[:, 1])
+    # component-wise TVD slopes can break the cross-component invariants near extreme
+    # jumps; strict mode aborts, floor mode drops the offending cells to first order
+    bad = system.invalid(faces)
+    if _fallback(bad := bad[0] | bad[1], faces, config.positivity, t, "reconstruction",
+                 "first order in", first=-1):
         faces[:, :, bad] = mid[:, None, bad]
-    v = system.decode(faces)
-    f = system.flux(faces, v, eos_pair)
+    f = system.flux(faces, eos_pair)
     drift = f[:, 1] - f[:, 0]
     if system.nonconservative is not None:
-        drift = drift + system.nonconservative(faces[:, 0], faces[:, 1], eos_pair)
+        drift += system.nonconservative(faces[:, 0], faces[:, 1], eos_pair)
     faces_h = faces - (0.5 * (dt / dx) * drift)[:, None]
-    bad = system.invalid(faces_h).any(axis=0)
-    if _fallback(bad, faces_h, config.positivity, t, "half step", "half step dropped in",
-                 first=-1):
+    bad = system.invalid(faces_h)
+    if _fallback(bad := bad[0] | bad[1], faces_h, config.positivity, t, "half step",
+                 "half step dropped in", first=-1):
         faces_h[:, :, bad] = faces[:, :, bad]
     # interface i+1/2 joins the right face of cell i to the left face of i+1
-    v = system.decode(faces_h)
-    f = system.flux(faces_h, v, eos_pair)
-    s = _max_wavespeed_rows(v, eos_pair)
+    f, s = system.flux(faces_h, eos_pair, speeds=True)
     cl, cr = faces_h[:, 1, :-1], faces_h[:, 0, 1:]
     flux = _rusanov(cl, cr, f[:, 1, :-1], f[:, 0, 1:], s[1, :-1], s[0, 1:])
     if system.nonconservative is None:
         return flux, None, None
-    p_cell = system.nonconservative(faces_h[:, 0, 1:-1], faces_h[:, 1, 1:-1], eos_pair)
-    return flux, system.nonconservative(cl, cr, eos_pair), p_cell
+    # faces in x order, FR_0 FL_1 FR_1 ... FR_n FL_n+1: even segments are interfaces, odd cells
+    path = np.empty((5, 2 * cl.shape[1]))
+    path[:, 0::2], path[:, 1::2] = cl, cr
+    p = system.nonconservative(path[:, :-1], path[:, 1:], eos_pair)
+    return flux, p[:, 0::2], p[:, 1::2]
 
 
 def _advance(kernel, system, c, dt, dx, config, eos_pair, t, reuse=None, smax=None):
@@ -381,8 +381,8 @@ def _advance(kernel, system, c, dt, dx, config, eos_pair, t, reuse=None, smax=No
             break
         if not passes:  # the first-order terms, from the input cells and their ghosts
             cp = np.concatenate([c[:, :1], c, c[:, -1:]], axis=1)
-            cl, cr, v = cp[:, :-1], cp[:, 1:], system.decode(cp)
-            f, s = system.flux(cp, v, eos_pair), _max_wavespeed_rows(v, eos_pair)
+            cl, cr = cp[:, :-1], cp[:, 1:]
+            f, s = system.flux(cp, eos_pair, speeds=True)
             first = (_rusanov(cl, cr, f[:, :-1], f[:, 1:], s[:-1], s[1:]),
                      None if p_face is None else system.nonconservative(cl, cr, eos_pair), 0.0)
         level += flag

@@ -673,6 +673,64 @@ def test_bn_step_matches_fluctuation_form(ideal_pair, limiter):
     assert np.all(np.abs(fr - rr) <= 1e-13 * scale)
 
 
+@pytest.mark.parametrize(
+    "problem, rho1, rho2, u",
+    [("RP1", (0.1, 5.0), (0.1, 5.0), (-3.0, 3.0)),  # the ideal pair
+     ("RP4", (50.0, 200.0), (1000.0, 1080.0), (-3000.0, 3000.0))],  # stiffened, B != 0
+)
+def test_bn_flux_matches_primitive_assembly(problem, rho1, rho2, u):
+    # the block flux and speeds, taken from one power per phase, against
+    # the decoded primitives through the EOS pressure and the primitive
+    # wave speed
+    eos_pair = get_problem(problem).eos_pair
+    assert problem == "RP1" or eos_pair.phase2.B != 0.0
+    rng = np.random.default_rng(21)
+    v = random_state_array(rng, 400, u=u)
+    v[:, 1], v[:, 2] = rng.uniform(*rho1, 400), rng.uniform(*rho2, 400)
+    b = np.stack(fv._bn_rows(v.T))
+    f, s = fv._bn_flux(b, eos_pair, speeds=True)
+    prim = fv._bn_prim_rows(b)
+    alpha1, r1, r2, u1, u2 = prim
+    m1, m2 = b[1], b[2]
+    ref = np.stack([np.zeros_like(alpha1), m1 * u1, m2 * u2,
+                    m1 * u1**2 + alpha1 * eos_pair.phase1._pressure(r1),
+                    m2 * u2**2 + (1.0 - alpha1) * eos_pair.phase2._pressure(r2)])
+    scale = np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.all(np.abs(f - ref) <= 1e-14 * scale)
+    s_ref = _max_wavespeed_rows(prim, eos_pair)
+    assert np.all(np.abs(s - s_ref) <= 1e-14 * np.max(s_ref))
+    assert fv._bn_flux(b, eos_pair).tobytes() == f.tobytes()
+
+
+def test_bn_fused_products_equal_separate_calls(ideal_pair, monkeypatch):
+    # the kernel takes the interface and in-cell products in one call along
+    # the half-step faces in x order; the products are elementwise, so they
+    # equal those of a call on the interface pairs FR_i -> FL_i+1 and one on
+    # the in-cell pairs FL_i -> FR_i byte for byte
+    half_step = []
+
+    def flux(b, eos_pair, speeds=False, real=fv._bn_flux):
+        if speeds:  # the interface pass: its blocks are the half-step faces
+            half_step.append(b.copy())
+        return real(b, eos_pair, speeds)
+
+    monkeypatch.setattr(fv, "_bn_flux", flux)
+    rng = np.random.default_rng(9)
+    b = encode(fv._BN, random_state_array(rng, 40, u=(-1.0, 1.0)))
+    dx = 0.01
+    dt = 0.2 * dx / np.max(max_wavespeed(decode(fv._BN, b), ideal_pair))
+    cfg = SolverConfig(t_end=1.0, scheme="muscl-pathcons-bn")
+    _, p_face, p_cell = fv._muscl_hancock(fv._BN, np.ascontiguousarray(b.T), dt, dx, cfg,
+                                          ideal_pair, 0.0)
+    (faces_h,) = half_step
+    fl, fr = faces_h[:, 0], faces_h[:, 1]
+    want_face = fv._bn_nonconservative(fr[:, :-1], fl[:, 1:], ideal_pair)
+    want_cell = fv._bn_nonconservative(fl[:, 1:-1], fr[:, 1:-1], ideal_pair)
+    assert np.count_nonzero(want_face[0]) and np.count_nonzero(want_cell[0])
+    assert np.ascontiguousarray(p_face).tobytes() == want_face.tobytes()
+    assert np.ascontiguousarray(p_cell).tobytes() == want_cell.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # relaxation
 # ---------------------------------------------------------------------------
@@ -1014,27 +1072,28 @@ def test_wavespeed_guard_trips(ideal_pair, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "problem, scheme, mask, decode, stages",
+    "problem, scheme, mask, per_step, stages",
     [
         ("RP4", "force-godunov", "_invalid_cons", "_cons_flux_rows", 2),
         ("RP6", "muscl-rusanov", "_invalid_cons", "_prim_rows", 3),
         ("RP6", "muscl-pathcons-bn", "_invalid_bn", "_bn_prim_rows", 3),
     ],
 )
-def test_driver_checks_and_decodes_once_per_stage(monkeypatch, problem, scheme, mask, decode,
+def test_driver_checks_and_decodes_once_per_stage(monkeypatch, problem, scheme, mask, per_step,
                                                   stages):
     # The driver checks its initial cells once; after that each stage masks
     # what it makes, once, and no step re-checks its input.  FORCE has 2
     # stages (Lax-Wendroff midpoint, update), MUSCL-Hancock 3
     # (reconstruction, half step, update): 1 + stages*steps masks, of which
-    # 1 + steps see the cells (input and update checks).  MUSCL-Hancock
-    # decodes the cells once per step, for the wave speed, and once more
-    # at the end; with one decode per later stage (faces before and after
-    # the half step) that is 1 + stages*steps decodes, of which 1 + steps
-    # see the cells.  FORCE takes its cells' flux rows and wave speeds in
-    # one conservative-row pass per step, which its update reuses, and one
-    # more pass per step at the Lax-Wendroff midpoints: stages*steps
-    # passes, of which steps see the cells; it decodes only at the end.
+    # 1 + steps see the cells (input and update checks).  Every scheme takes
+    # its fluxes and speeds in two flux-row passes per step, straight from
+    # the rows: FORCE over its cells (whose flux rows its update reuses) and
+    # its Lax-Wendroff midpoints, MUSCL-Hancock over its faces before and
+    # after the half step.  `per_step` sees the cells once per step: FORCE's
+    # cell pass, or the decode MUSCL-Hancock takes for the wave speed.
+    # Every run decodes its cells once more at the end.
+    flux = "_bn_flux" if scheme == "muscl-pathcons-bn" else "_cons_flux_rows"
+    decoder = "_bn_prim_rows" if scheme == "muscl-pathcons-bn" else "_prim_rows"
     calls = _count_masks_and_decodes(monkeypatch)
     p = get_problem(problem)
     left, right = p.riemann_data()
@@ -1042,14 +1101,12 @@ def test_driver_checks_and_decodes_once_per_stage(monkeypatch, problem, scheme, 
     cfg = SolverConfig(t_end=p.t_end, cfl=p.cfl, scheme=scheme)
     res = run_simulation(left, right, Grid(p.x_min, p.x_max, n), cfg, p.eos_pair, x0=p.x0)
     assert res.steps > 0
-    final = int(decode != "_cons_flux_rows")  # the end decode, if by `decode`
-    assert set(calls) == {mask, decode} | ({"_prim_rows"} if not final else set())
+    assert set(calls) == {mask, decoder, flux}
     assert len(calls[mask]) == 1 + stages * res.steps
     assert calls[mask].count((n,)) == 1 + res.steps
-    assert len(calls[decode]) == final + stages * res.steps
-    assert calls[decode].count((n,)) == final + res.steps
-    if not final:
-        assert calls["_prim_rows"] == [(n,)]
+    assert len(calls[flux]) == 2 * res.steps
+    assert calls[flux].count((n,)) == res.steps * (per_step == flux)
+    assert calls[decoder] == [(n,)] * (1 + res.steps * (per_step == decoder))
 
 
 def test_relaxed_force_passes_once_per_stage(monkeypatch):
@@ -1070,7 +1127,8 @@ def test_relaxed_force_passes_once_per_stage(monkeypatch):
 
 def _count_masks_and_decodes(monkeypatch):
     calls = {}
-    for name in ("_invalid_cons", "_invalid_bn", "_prim_rows", "_bn_prim_rows", "_cons_flux_rows"):
+    for name in ("_invalid_cons", "_invalid_bn", "_prim_rows", "_bn_prim_rows", "_cons_flux_rows",
+                 "_bn_flux"):
         def counted(x, *args, real=getattr(fv, name), name=name, **kwargs):
             calls.setdefault(name, []).append(np.shape(x)[1:])
             return real(x, *args, **kwargs)
@@ -1102,28 +1160,30 @@ def test_step_equals_one_driver_step(problem, scheme):
 
 
 @pytest.mark.parametrize(
-    "problem, scheme, mask, decoder, stages, decodes, cell_decodes",
+    "problem, scheme, mask, per_step, stages, passes, cell_passes",
     [
         ("RP4", "force-godunov", "_invalid_cons", "_cons_flux_rows", 2, 2, 1),
         ("RP6", "muscl-rusanov", "_invalid_cons", "_prim_rows", 3, 2, 0),
         ("RP6", "muscl-pathcons-bn", "_invalid_bn", "_bn_prim_rows", 3, 2, 0),
     ],
 )
-def test_step_checks_its_input_once(monkeypatch, problem, scheme, mask, decoder, stages,
-                                    decodes, cell_decodes):
+def test_step_checks_its_input_once(monkeypatch, problem, scheme, mask, per_step, stages,
+                                    passes, cell_passes):
     # fv.step masks its (n,) input once, then each stage masks what it
-    # makes once (the update check is the other mask of shape (n,)).  No
-    # wave speed is taken, so MUSCL decodes only its faces, before and
-    # after the half step; FORCE takes the flux rows of its cells and of
-    # its Lax-Wendroff midpoints straight from the conserved rows.
+    # makes once (the update check is the other mask of shape (n,)).  It
+    # takes no wave speed, so of what sees the cells in a driver step
+    # (`per_step`) only FORCE's flux-row pass remains, and nothing is
+    # decoded: both schemes make two flux-row passes, FORCE over its cells
+    # and its Lax-Wendroff midpoints, MUSCL-Hancock over its faces.
     p, grid, u, dt = _riemann_step(problem, scheme)
+    flux = "_bn_flux" if scheme == "muscl-pathcons-bn" else "_cons_flux_rows"
     calls = _count_masks_and_decodes(monkeypatch)
     fv.step(u, dt, grid.dx, SolverConfig(t_end=1.0, scheme=scheme), p.eos_pair)
-    assert set(calls) == {mask, decoder}
+    assert set(calls) == {mask, flux}
     assert len(calls[mask]) == 1 + stages
     assert calls[mask].count((grid.n_cells,)) == 2
-    assert len(calls[decoder]) == decodes
-    assert calls[decoder].count((grid.n_cells,)) == cell_decodes
+    assert len(calls[flux]) == passes
+    assert calls[flux].count((grid.n_cells,)) == cell_passes == int(per_step == flux)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1238,16 +1298,17 @@ def test_ledger_dt_range(ideal_pair):
 
 def test_run_simulation_matches_snapshot():
     # answers frozen by tools/fv_snapshot.py before the driver held its
-    # cells as rows (the RP4 and floor-mode cases), before relaxation
-    # worked on the cell rows (the theta1-only, theta2-only and relaxed
-    # RP4 cases) or before the kernel moved to component-major rows (the
-    # rest): equal step counts, primitives within 1e-12 of each field's
-    # scale.  The ledger figures, frozen before the ledger was settled once
-    # per run, are equal byte for byte on the MUSCL-Hancock cases; the
-    # FORCE cases, whose flux rows moved to the conserved-row algebra, hold
-    # them within 1e-12 of each component's ledger scale (the larger of the
-    # figure and the component's L1 mass), and worst_step_closure, itself
-    # relative to that scale, within 1e-12
+    # cells as rows (the RP4 cases), before relaxation worked on the cell
+    # rows (the theta1-only, theta2-only and relaxed RP4 cases), before the
+    # kernel moved to component-major rows (the rest), or, for the floor
+    # interface case, after MUSCL-Hancock took its face fluxes from the
+    # cell rows (`--case`): equal step counts, primitives within 1e-12 of
+    # each field's scale.  The MUSCL-Hancock ledger figures, frozen with
+    # the face fluxes from the cell rows (`--ledger`), are equal byte for
+    # byte; the FORCE cases, whose flux rows moved to the conserved-row
+    # algebra, hold them within 1e-12 of each component's ledger scale (the
+    # larger of the figure and the component's L1 mass), and
+    # worst_step_closure, itself relative to that scale, within 1e-12
     tool = snapshot_tool()
     ref = np.load(Path(__file__).resolve().parent / "data" / "fv_snapshot.npz")
     keys = [key for key, _, _ in tool.cases()]

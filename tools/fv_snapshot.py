@@ -29,10 +29,17 @@ the reference, from the repository root:
 
     PYTHONPATH=src python3 tools/fv_snapshot.py [tests/data/fv_snapshot.npz]
 
-With `--ledger` it reruns the FV cases and adds only their ledger figures
-to an existing file, whose other arrays it writes back as they were:
+With `--case KEY` (which may be given more than once) it reruns only the
+named FV cases and rewrites their step counts, primitives and ledger
+figures in an existing file, whose other arrays it writes back as they
+were:
 
-    PYTHONPATH=src python3 tools/fv_snapshot.py --ledger [tests/data/fv_snapshot.npz]
+    PYTHONPATH=src python3 tools/fv_snapshot.py --case 'RP5|muscl-rusanov|floor|interface'
+
+With `--ledger` it reruns the FV cases (all, or those named by `--case`)
+and rewrites only their ledger figures in the same way:
+
+    PYTHONPATH=src python3 tools/fv_snapshot.py --ledger [--case KEY ...] [tests/data/fv_snapshot.npz]
 
 With `--exact` it writes the exact constructions instead, to
 tests/data/exact_snapshot.npz by default: for every preset the element
@@ -44,6 +51,7 @@ that they are equal bit for bit:
     PYTHONPATH=src python3 tools/fv_snapshot.py --exact [tests/data/exact_snapshot.npz]
 """
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -107,6 +115,12 @@ def ledger_arrays(key, result):
     return {f"{key}|{entry}": np.array(result.ledger[entry]) for entry in LEDGER_KEYS}
 
 
+def case_arrays(key, result):
+    """A run's primitives, step count and ledger figures, keyed `key|...`."""
+    return {key + "|prim": result.prim, key + "|steps": np.array(result.steps),
+            **ledger_arrays(key, result)}
+
+
 def exact_points(solution):
     """Sorted xi: a fixed grid over the breakpoints, each breakpoint and
     both its float neighbours."""
@@ -146,8 +160,14 @@ def exact_arrays(solution):
 
 
 def main(argv):
-    if argv[:1] == ["--exact"]:
-        out = Path(argv[1]) if argv[1:] else EXACT_OUT
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", nargs="?", type=Path, default=None)
+    ap.add_argument("--exact", action="store_true", help="write the exact constructions")
+    ap.add_argument("--ledger", action="store_true", help="rewrite only ledger figures")
+    ap.add_argument("--case", action="append", metavar="KEY", help="rewrite only this FV case")
+    args = ap.parse_args(argv)
+    if args.exact:
+        out = args.out or EXACT_OUT
         arrays = {
             f"{name}|{key}": value
             for name in sorted(PRESETS)
@@ -156,23 +176,25 @@ def main(argv):
         np.savez(out, **arrays)
         print(f"wrote {out}")
         return 0
-    if argv[:1] == ["--ledger"]:
-        out = Path(argv[1]) if argv[1:] else DEFAULT_OUT
+    out = args.out or DEFAULT_OUT
+    if args.ledger or args.case:
+        keys = [key for key, _, _ in cases()]
+        if unknown := set(args.case or ()) - set(keys):
+            ap.error(f"unknown case {sorted(unknown)}; cases: {keys}")
         with np.load(out) as old:
             arrays = {k: old[k] for k in old.files}
         for key, name, options in cases():
-            arrays.update(ledger_arrays(key, run_case(name, options)))
-            print(f"{key}: ledger")
+            if args.case is None or key in args.case:
+                result = run_case(name, options)
+                arrays.update((ledger_arrays if args.ledger else case_arrays)(key, result))
+                print(f"{key}: {result.steps} steps" + (", ledger" if args.ledger else ""))
         np.savez(out, **arrays)
         print(f"wrote {out}")
         return 0
-    out = Path(argv[0]) if argv else DEFAULT_OUT
     arrays = {}
     for key, name, options in cases():
         result = run_case(name, options)
-        arrays[key + "|prim"] = result.prim
-        arrays[key + "|steps"] = np.array(result.steps)
-        arrays.update(ledger_arrays(key, result))
+        arrays.update(case_arrays(key, result))
         print(f"{key}: {result.steps} steps")
     for name in sorted(PRESETS):
         solution = get_problem(name).build_exact()

@@ -35,12 +35,14 @@ from twophase import fv, state
 from twophase.fv import Grid, SolverConfig, run_simulation
 from twophase.problems import get_problem
 
-# (module, name) of every stage, in the order of the report
+# (module, name) of every stage, in the order of the report; a helper that
+# two modules look up (`_phase_terms`: state's flux rows, fv's BN flux) is
+# listed under both, and its calls from either count as one stage
 STAGES = (
     (fv, "_force_prepare"), (fv, "_decode_prepare"), (fv, "_advance"),
     (fv, "_force_godunov"), (fv, "_force"), (fv, "_muscl_hancock"), (fv, "limited_slope"),
-    (fv, "_rusanov"), (fv, "_cons_flux_rows"), (state, "_phase_terms"), (fv, "_flux_rows"),
-    (fv, "_bn_flux"), (fv, "_bn_nonconservative"), (fv, "interface_closure"),
+    (fv, "_rusanov"), (fv, "_cons_flux_rows"), (state, "_phase_terms"), (fv, "_phase_terms"),
+    (fv, "_flux_rows"), (fv, "_bn_flux"), (fv, "_bn_nonconservative"), (fv, "interface_closure"),
     (fv, "_prim_rows"), (fv, "_bn_prim_rows"), (fv, "_max_wavespeed_rows"),
     (fv, "_invalid_cons"), (fv, "_invalid_bn"), (fv, "_fallback"),
     (fv, "_relax_cons"), (fv, "_relax_bn"), (fv, "_equilibrium_alpha"),
