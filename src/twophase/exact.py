@@ -381,10 +381,6 @@ class ElementReport:
     lax: str
     flags: list
 
-    @property
-    def passed(self):
-        return not self.flags
-
 
 @dataclass
 class ValidationReport:
@@ -405,10 +401,8 @@ class ValidationReport:
 
     @property
     def first_failure(self):
-        for er in self.elements:
-            if er.flags:
-                return er.label
-        return "ensemble" if self.ensemble_flags else ""
+        """The label of a failed report's first flagged element, else "ensemble"."""
+        return next((er.label for er in self.elements if er.flags), "ensemble")
 
     def as_dict(self):
         return {

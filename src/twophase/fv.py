@@ -24,16 +24,14 @@ in strict mode; floor mode lowers its order (conservatively at the update).
 Pressure and velocity relaxation enter as Strang-split half steps
 around each transport step, taken on the cell rows by `_System.relax`.
 The velocity sub-step integrates dw/dt = -c1*c2*w/theta2 exactly; the
-pressure sub-step advances dalpha1/dt = (p1 - p2)/theta1 by an implicit
-solve in alpha1 (its theta1 -> 0 end is the instantaneous pressure
-relaxation of Saurel & Abgrall 1999): a safeguarded Newton iteration
-that, after the first residual, works on the unconverged cells only and
-stops a cell at the tolerance or at round-off.  Both project for theta
-below 1e-6*dt.  They rewrite alpha1*rho and w of conservative cells,
-whose other rows stay bit for bit, and alpha1, q1 and q2 of
-Baer-Nunziato blocks, whose masses stay bit for bit and q1 + q2 to
-round-off.  The run's ledger counts the pressure solves, their Newton
-iterations and their round-off stops under ledger["telemetry"]["relax"].
+pressure sub-step solves dalpha1/dt = (p1 - p2)/theta1 implicitly in
+alpha1 (its theta1 -> 0 end is the instantaneous pressure relaxation of
+Saurel & Abgrall 1999) by a safeguarded Newton iteration on the cells
+that its first residual leaves unconverged, gathered once.  Both project
+for theta below 1e-6*dt.  They rewrite alpha1*rho and w of conservative
+cells and alpha1, q1 and q2 of Baer-Nunziato blocks: masses stay bit for
+bit, q1 + q2 to round-off.  ledger["telemetry"]["relax"] counts the
+pressure solves, their Newton iterations and their round-off stops.
 
 `run_simulation` marches one configuration in this process;
 `run_simulations` marches several, the first in this process and each
@@ -464,72 +462,57 @@ def _equilibrium_alpha(alpha0, m1, m2, dt, theta1, eos_pair, tol=1e-13, counts=N
     with the root bracketed in (0, 1): a step that leaves the bracket,
     or is not finite, bisects it.
 
-    The first residual is evaluated on every cell; after that only the
-    cells still iterating are, gathered into one work array that sheds
-    a cell as soon as it stops.  A cell stops when it meets the
-    tolerance tol * max(|p1|, |p2|, mu), or at round-off: when its
-    update leaves x unchanged or no double lies strictly inside its
-    bracket, so that its iterates could only repeat.  Each cell's
-    iterates are those of a solve of that cell alone.  The bracket
-    [1e-14, 1 - 1e-14] keeps alpha, and so both densities, positive,
-    and the unchecked EOS formulas serve.  `counts`, a dict over
-    RELAX_COUNTERS, accumulates the solves, the Newton iterations (in
-    total and the most in one solve) and the cells stopped at round-off
-    short of the tolerance."""
+    The cells whose first residual misses the tolerance
+    tol * max(|p1|, |p2|, mu) are gathered once and iterated until each
+    stops, at the tolerance or at round-off (its update leaves x
+    unchanged or no double lies strictly inside its bracket), and then
+    its x is frozen; so each cell's iterates are those of a solve of
+    that cell alone.  The bracket [1e-14, 1 - 1e-14] keeps both
+    densities positive, and the unchecked EOS formulas serve.  `counts`,
+    a dict over RELAX_COUNTERS, accumulates the solves, the Newton
+    iterations (in total and the most in one solve) and the cells
+    stopped at round-off short of the tolerance."""
     mu = 0.0 if theta1 < RELAX_PROJECTION_FACTOR * dt else theta1 / dt
     fscale_floor = max(mu, 1e-300)
     pressure1, pressure2 = eos_pair.phase1._pressure, eos_pair.phase2._pressure
     ssq1, ssq2 = eos_pair.phase1._sound_speed_sq, eos_pair.phase2._sound_speed_sq
 
-    def residual(x, f, rho1, rho2, y, m1, m2, a0):
-        # writes f, the densities and y = 1 - x at x into their rows and
-        # returns the mask of the cells that meet the tolerance
-        np.divide(m1, x, out=rho1)
-        np.divide(m2, np.subtract(1.0, x, out=y), out=rho2)
-        p1 = pressure1(rho1)
-        p2 = pressure2(rho2)
-        np.subtract(mu * (x - a0), p1 - p2, out=f)
-        # a NaN residual meets no tolerance
-        return np.abs(f) <= tol * np.maximum(np.maximum(np.abs(p1), np.abs(p2)), fscale_floor)
+    def residual(x, m1, m2, a0):
+        # f, the densities, y = 1 - x and which cells meet the tolerance (NaN: none)
+        y = 1.0 - x
+        rho1, rho2 = m1 / x, m2 / y
+        p1, p2 = pressure1(rho1), pressure2(rho2)
+        f = mu * (x - a0) - (p1 - p2)
+        met = np.abs(f) <= tol * np.maximum(np.maximum(np.abs(p1), np.abs(p2)), fscale_floor)
+        return f, rho1, rho2, y, met
 
-    # work rows: x, its bracket lo and hi, then f, rho1, rho2 and 1 - x
-    # at x, then the frozen m1, m2 and alpha0
-    work = np.empty((10, np.size(alpha0)))
-    np.clip(alpha0, 1e-12, 1.0 - 1e-12, out=work[0])
-    work[1] = 1e-14
-    work[2] = 1.0 - 1e-14
-    work[7:] = m1, m2, alpha0
-    alpha = work[0]  # the answer on every cell; the gathers copy
-    cells = np.flatnonzero(~residual(work[0], *work[3:]))
-    work = work.take(cells, axis=1)
-    roundoff = 0
+    alpha = np.clip(alpha0, 1e-12, 1.0 - 1e-12)
+    *at_x, met = residual(alpha, m1, m2, alpha0)
+    cells = np.flatnonzero(~met)
+    x, m1, m2, a0, f, rho1, rho2, y = [v[cells] for v in (alpha, m1, m2, alpha0, *at_x)]
+    lo, hi = 1e-14, 1.0 - 1e-14
+    done = met = np.zeros(cells.size, dtype=bool)
     for iterations in range(200):
-        if not cells.size:
+        if np.count_nonzero(done) == cells.size:
             break
-        x, lo, hi, f, rho1, rho2, y, m1, m2, a0 = work
         # x lies in [lo, hi], so it replaces the bound on its side
         above = f > 0.0
-        np.copyto(hi, x, where=above)
-        np.copyto(lo, x, where=~above)
+        lo, hi = np.where(above, lo, x), np.where(above, x, hi)
         xn = x - f / (mu + ssq1(rho1) * m1 / x**2 + ssq2(rho2) * m2 / y**2)
         xn = np.where((xn >= lo) & (xn <= hi), xn, 0.5 * (lo + hi))  # NaN and inf bisect
         stuck = (xn == x) | (np.nextafter(lo, hi) >= hi)
-        x[:] = xn
-        met = residual(x, f, rho1, rho2, y, m1, m2, a0)
-        done = met | stuck
-        if stopped := np.count_nonzero(done):
-            alpha[cells] = x
-            roundoff += stopped - np.count_nonzero(met)
-            keep = ~done
-            cells = cells[keep]
-            work = work.compress(keep, axis=1)
+        x = np.where(done, x, xn)
+        f, rho1, rho2, y, met = residual(x, m1, m2, a0)
+        done = done | met | stuck
     else:
         raise RelaxationError("pressure relaxation solve did not converge")
+    alpha[cells] = x
     if counts is not None:
         counts["solves"] += 1
         counts["newton_iterations"] += iterations
         counts["max_iterations"] = max(counts["max_iterations"], iterations)
-        counts["roundoff_stops"] += int(roundoff)
+        # a frozen x repeats its residual: the cells left unmet stopped at round-off
+        counts["roundoff_stops"] += int(cells.size - np.count_nonzero(met))
     return alpha
 
 

@@ -328,6 +328,10 @@ FLAG_CASES = {
             el, right=dataclasses.replace(el.right, rho1=el.right.rho1 * 1.01)),
         "contact residual",
     ),
+    "contact off the mixture velocity": (
+        rp1_solution, "contact", "C", lambda el: _at(el, el.speed + 0.1),
+        "contact census is not evolutionary",
+    ),
     "fan bounds": (
         lambda: get_problem("RP5").build_exact(), "rarefaction", "1-",
         lambda el: dataclasses.replace(el, xi_head=el.xi_head + 0.1),
@@ -393,6 +397,12 @@ _RP1_REJECTIONS = {
     "compressive-right-fan": ("right", 0, raref("1+", 0.5)),
     "compressive-host-fan": ("right", 0, shock_in_raref("1+", 0.5, 0.6)),
     "interior-shock-outside-host": ("right", 0, shock_in_raref("1+", 1.5, 1.6)),
+    "host-fan-cannot-resume": ("right", 0, shock_in_raref("1+", 0.9, 0.8)),  # resumes at 0.982
+    # specs that the wave grammar's helpers never make
+    "contact-family-wave": ("left", 0, exact.WaveSpec(family_from_key("C"), exact.RAREFACTION, -2.0)),
+    "unknown-wave-kind": ("left", 0, exact.WaveSpec(family_from_key("2-"), "fan", -2.0)),
+    "interior-shock-speed-missing": (
+        "right", 0, exact.WaveSpec(family_from_key("1+"), exact.SHOCK_IN_RAREFACTION, 1.5)),
 }
 
 
@@ -407,6 +417,18 @@ def test_construction_rejects_compressive_fans_and_stray_interior_shocks(case):
         build_solution(spec.contact_left, spec.alpha1_right, waves["left"], waves["right"],
                        IDEAL_PAIR)
     assert err.value.wave.startswith(f"{side}{index + 1}:")
+
+
+def test_construction_names_an_ensemble_only_failure(monkeypatch):
+    # a report whose flags are all the ensemble's names no wave
+    spec = get_problem("RP1").exact_spec
+    checks = exact._ensemble_checks
+    monkeypatch.setattr(exact, "_ensemble_checks",
+                        lambda sol, ensemble: checks(sol, ensemble) or ensemble.append("planted"))
+    with pytest.raises(ConstructionError, match="planted") as err:
+        build_solution(spec.contact_left, spec.alpha1_right, list(spec.left_waves),
+                       list(spec.right_waves), IDEAL_PAIR)
+    assert err.value.wave == "ensemble"
 
 
 def test_grammar_rejects_wrong_side_family():

@@ -6,6 +6,7 @@ import os
 import time
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from scipy.optimize import brentq
 from conftest import primitive_rows, random_state_array, round_trip_error, snapshot_tool
 from twophase import fv
 from twophase.eos import BarotropicEos, EosPair
-from twophase.errors import ConfigError, NumericsError, PositivityError, StateDecodeError
+from twophase.errors import (
+    ConfigError, NumericsError, PositivityError, RelaxationError, StateDecodeError,
+)
 from twophase.fv import (
     LIMITERS,
     SCHEMES,
@@ -924,6 +927,21 @@ def test_pressure_relaxation_meets_tolerance_or_roundoff(ideal_pair, stiff_pair,
     above = _relaxation_residual(np.nextafter(x, 1.0), alpha0, m1, m2, mu, pair)[0]
     closest = (np.sign(f) != np.sign(below)) | (np.sign(f) != np.sign(above)) | (f == 0.0)
     assert np.all(met | closest), (x[~(met | closest)], f[~(met | closest)])
+
+
+def test_pressure_relaxation_raises_after_its_iteration_cap(ideal_pair):
+    # a slope a million times too steep makes Newton steps that stay in
+    # the bracket and crawl: no cell meets the tolerance or stops at
+    # round-off within the 200 iterations
+    steep = [SimpleNamespace(_pressure=e._pressure,
+                             _sound_speed_sq=lambda rho, e=e: 1e6 * e._sound_speed_sq(rho))
+             for e in (ideal_pair.phase1, ideal_pair.phase2)]
+    pair = SimpleNamespace(phase1=steep[0], phase2=steep[1])
+    alpha0, m1, m2 = np.array([0.5]), np.array([0.5]), np.array([1.5])
+    with pytest.raises(RelaxationError, match="did not converge"):
+        fv._equilibrium_alpha(alpha0, m1, m2, 1.0, 1e-30, pair)
+    # the true slope converges
+    assert fv._equilibrium_alpha(alpha0, m1, m2, 1.0, 1e-30, ideal_pair)[0] != 0.5
 
 
 @pytest.mark.parametrize("theta1", [1e-3, 1e-2, 0.1])

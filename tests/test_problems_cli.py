@@ -1,5 +1,6 @@
 """Presets, golden-table integrity, problem files and the CLI surface."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import twophase
 from twophase import cli, exact, fv, problems
-from twophase.errors import ConfigError
+from twophase.errors import ConfigError, OutOfFanError
 from twophase.problems import (
     GOLDEN_TABLES,
     PRESETS,
@@ -22,6 +23,7 @@ from twophase.problems import (
     load_problem_file,
     table_states,
 )
+from twophase.state import mixture_table
 
 # guards the fixtures against accidental edits; regenerate only when
 # the printed tables themselves are at stake
@@ -538,6 +540,64 @@ def test_cli_env_output_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["eigen", "RP2", "--samples", "11"]) == 0
     assert (tmp_path / "envout" / "eigen.csv").exists()
+
+
+def test_cli_default_output_dir(tmp_path, monkeypatch):
+    monkeypatch.delenv("TPR_OUTPUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["validate", "RP3"]) == 0
+    assert (tmp_path / "out" / "rp3-validate" / "validation.json").exists()
+
+
+def test_cli_other_package_errors_exit_3(tmp_path, capsys, monkeypatch):
+    def out_of_fan(args):
+        raise OutOfFanError("xi outside the fan")
+
+    monkeypatch.setattr(cli, "cmd_validate", out_of_fan)
+    assert cli.main(["validate", "RP1", "--out", str(tmp_path)]) == cli.EXIT_NUMERICS
+    assert capsys.readouterr().err == "error: xi outside the fan\n"
+
+
+@pytest.mark.parametrize("gap, verdict", [(6.0, "differ marginally"), (30.0, "disagree")])
+def test_cli_compare_verdicts(tmp_path, capsys, monkeypatch, gap, verdict):
+    # the BN run is replaced by the SHTC run with both phase densities
+    # scaled, so that its L1(rho) distance from SHTC is `gap` times SHTC's
+    # distance from the exact solution
+    problem = get_problem("RP5")
+    real = cli.run_simulations
+
+    def runs_apart(left, right, grid, configs, eos_pair, x0=None):
+        shtc, _ = real(left, right, grid, configs, eos_pair, x0)
+        xi = (shtc.x - x0) / shtc.t
+        exact_rho = mixture_table(shtc.x, problem.build_exact().sample_many(xi), eos_pair)[:, 6]
+        rho = mixture_table(shtc.x, shtc.prim, eos_pair)[:, 6]
+        scale = 1.0 + gap * np.sum(np.abs(rho - exact_rho)) / np.sum(rho)
+        prim = shtc.prim * np.array([1.0, scale, scale, 1.0, 1.0])
+        return [shtc, dataclasses.replace(shtc, prim=prim)]
+
+    monkeypatch.setattr(cli, "run_simulations", runs_apart)
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "RP5", "--cells", "40", "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads((out / "compare.json").read_text())
+    [line] = report["verdicts"]
+    assert line.startswith(f"shtc and bn {verdict} on rho") and line in capsys.readouterr().out
+    ratio = report["pairs"]["shtc|bn"]["rho"]["l1"] / report["reference_l1_rho"]
+    assert ratio == pytest.approx(gap, rel=1e-9)
+
+
+def test_problem_files_without_a_construction_or_states(tmp_path, capsys):
+    path = tmp_path / "p.txt"
+    # a Riemann pair alone runs, but has no exact solution to write
+    path.write_text(RIEMANN_FILE)
+    assert cli.main(["exact", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+    assert "has no exact construction" in capsys.readouterr().err
+    path.write_text(RIEMANN_FILE.split("left.alpha1")[0])
+    with pytest.raises(ConfigError, match="need left./right. states or a waves. construction"):
+        load_problem_file(path)
+    path.write_text(RIEMANN_FILE.split("left.alpha1")[0] + SEED_LINES
+                    + "waves.alpha1_right = 0.3\nwaves.right = fan:1+:1.5\n")
+    with pytest.raises(ConfigError, match="bad wave token 'fan:1\\+:1.5'"):
+        load_problem_file(path)
 
 
 def test_cli_positivity_failure_exit_code(tmp_path):

@@ -43,6 +43,12 @@ def test_symmetric_rest_state_conversion():
     assert tuple(w) == (0.5, 0.5, 1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("rho1, rho2", [(0.0, 1.0), (1.0, -1.0), (float("nan"), 1.0)])
+def test_primitive_state_rejects_non_positive_densities(rho1, rho2):
+    with pytest.raises(StateDecodeError, match="non-positive phase density"):
+        PrimitiveState(0.5, rho1, rho2, 0.0, 0.0)
+
+
 def test_rp1_left_mixture_density():
     w = prim_to_cons_array(RP1_LEFT.as_array())
     assert w[2] == pytest.approx(0.7 * 1.2449 + 0.3 * 1.2969, rel=1e-14)

@@ -51,3 +51,16 @@ def test_step_profile_prints_a_table(step_profile, capsys):
     assert lines[0].startswith("RP4 force-godunov, 16 cells:")
     assert lines[1].split() == ["stage", "calls/step", "self", "us/step", "py", "calls/step"]
     assert lines[-1].split()[0] == "driver"
+
+
+@pytest.mark.parametrize("scheme, relax", [("muscl-rusanov", "_relax_cons"),
+                                           ("muscl-pathcons-bn", "_relax_bn")])
+def test_step_profile_reports_the_relaxation_stages(step_profile, scheme, relax):
+    # rp6-kapila's relaxation times: two half steps per step, each with
+    # one pressure solve
+    solve = fv._equilibrium_alpha
+    out = step_profile.profile("RP6", scheme, cells=64, repeats=1, theta1=1e-3, theta2=1e-8)
+    for name in (relax, "_equilibrium_alpha"):
+        assert out["stages"][name]["calls"] == 2.0
+        assert out["stages"][name]["self_us"] > 0.0
+    assert fv._equilibrium_alpha is solve

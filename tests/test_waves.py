@@ -22,8 +22,9 @@ from twophase.errors import (
     TwoPhaseError,
 )
 from twophase.problems import IDEAL_PAIR, STIFF_PAIR, table_states
-from twophase.state import PrimitiveState, mixture_pressures
+from twophase.state import PrimitiveState, eigenvalues, mixture_pressures
 from twophase.waves import (
+    CONTACT,
     F1M,
     F1P,
     F2M,
@@ -413,6 +414,31 @@ def test_lax_rp4_outer_pair_compressive_family_2m():
 def test_lax_zero_strength_fails():
     st = RP4["U**_L"]
     assert lax_check(st, st, 100.0, F1M, STIFF_PAIR) == "fails"
+
+
+def test_lax_tangency_fails_and_overcompressive_pair():
+    pre, post, _ = rp4_left_outer()
+    # S on a characteristic of either side is a tangency, not a shock
+    for side in (post, pre):
+        for lam in eigenvalues(side, STIFF_PAIR).values():
+            assert lax_check(post, pre, lam, F2M, STIFF_PAIR) == "fails"
+    # every left characteristic above S and every right one below it
+    left = PrimitiveState(0.5, 1.0, 1.0, 50.0, 50.0)
+    right = PrimitiveState(0.5, 1.0, 1.0, -50.0, -50.0)
+    assert max(eigenvalues(right, IDEAL_PAIR).values()) < 0.0 < min(
+        eigenvalues(left, IDEAL_PAIR).values())
+    assert lax_check(left, right, 0.0, F1M, IDEAL_PAIR) == "overcompressive"
+
+
+def test_connectors_reject_what_they_cannot_connect():
+    st = RP4["U**_L"]
+    with pytest.raises(InadmissibleWaveError, match="acoustic"):
+        rarefaction_connect(st, CONTACT, 0.0, STIFF_PAIR)
+    with pytest.raises(InadmissibleWaveError, match="acoustic"):
+        shock_connect(st, CONTACT, 0.0, STIFF_PAIR)
+    for alpha1 in (0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(InadmissibleWaveError, match="alpha1_right outside"):
+            contact_connect(st, alpha1, STIFF_PAIR)
 
 
 # ---------------------------------------------------------------------------

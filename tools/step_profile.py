@@ -2,10 +2,11 @@
 """Per-stage cost of a finite-volume step: microseconds and Python-level calls.
 
     PYTHONPATH=src python3 tools/step_profile.py PRESET [--scheme S] [--cells N] [--repeats R]
+        [--theta1 T1] [--theta2 T2]
 
 Runs `run_simulation` on a preset's Riemann data, at the preset's t_end
-and cfl, with the scheme (default: the preset's) and cell count (default
-300) given, three ways:
+and cfl, with the scheme (default: the preset's), cell count (default
+300) and relaxation times (default: none) given, three ways:
 
 1. plain, R times (default 5): the median wall time per step of the
    code as it is;
@@ -42,16 +43,16 @@ STAGES = (
     (fv, "_force_prepare"), (fv, "_decode_prepare"), (fv, "_advance"),
     (fv, "_force_godunov"), (fv, "_force"), (fv, "_muscl_hancock"), (fv, "limited_slope"),
     (fv, "_rusanov"), (fv, "_cons_flux_rows"), (state, "_phase_terms"), (fv, "_phase_terms"),
-    (fv, "_flux_rows"), (fv, "_bn_flux"), (fv, "_bn_nonconservative"), (fv, "interface_closure"),
+    (fv, "_bn_flux"), (fv, "_bn_nonconservative"), (fv, "interface_closure"),
     (fv, "_prim_rows"), (fv, "_bn_prim_rows"), (fv, "_max_wavespeed_rows"),
     (fv, "_invalid_cons"), (fv, "_invalid_bn"), (fv, "_fallback"),
     (fv, "_relax_cons"), (fv, "_relax_bn"), (fv, "_equilibrium_alpha"),
 )
 
 
-def _run(preset, scheme, cells):
+def _run(preset, scheme, cells, thetas):
     p = get_problem(preset)
-    config = SolverConfig(t_end=p.t_end, cfl=p.cfl, scheme=scheme or p.default_scheme)
+    config = SolverConfig(t_end=p.t_end, cfl=p.cfl, scheme=scheme or p.default_scheme, **thetas)
     grid = Grid(p.x_min, p.x_max, cells)
     return run_simulation(*p.riemann_data(), grid, config, p.eos_pair, x0=p.x0)
 
@@ -60,7 +61,7 @@ def _stages():
     return [(mod, name, vars(mod)[name]) for mod, name in STAGES if name in vars(mod)]
 
 
-def _timed_pass(preset, scheme, cells):
+def _timed_pass(preset, scheme, cells, thetas):
     """(steps, wall seconds, {stage: [calls, self seconds]}) of one run
     with every stage rebound to a timing wrapper."""
     stats, stack = {}, []
@@ -86,7 +87,7 @@ def _timed_pass(preset, scheme, cells):
         for mod, name, fn in stages:
             setattr(mod, name, timed(name, fn))
         t0 = time.perf_counter()
-        res = _run(preset, scheme, cells)
+        res = _run(preset, scheme, cells, thetas)
         wall = time.perf_counter() - t0
     finally:
         for mod, name, fn in stages:
@@ -94,7 +95,7 @@ def _timed_pass(preset, scheme, cells):
     return res.steps, wall, stats
 
 
-def _counted_pass(preset, scheme, cells):
+def _counted_pass(preset, scheme, cells, thetas):
     """{stage: Python-level calls} of one unwrapped run under sys.setprofile;
     calls made by the driver itself count under `driver`."""
     owner = {fn.__code__: name for _, name, fn in _stages()}
@@ -113,23 +114,24 @@ def _counted_pass(preset, scheme, cells):
 
     sys.setprofile(profile)
     try:
-        _run(preset, scheme, cells)
+        _run(preset, scheme, cells, thetas)
     finally:
         sys.setprofile(None)
     return counts
 
 
-def profile(preset, scheme=None, cells=300, repeats=5):
+def profile(preset, scheme=None, cells=300, repeats=5, theta1=None, theta2=None):
     """Per-step figures of one preset run: steps, plain µs per step (median
     of `repeats` runs), Python-level calls per step, and per stage (driver
     last) its calls, self µs and Python-level calls per step."""
+    thetas = {"theta1": theta1, "theta2": theta2}
     plain = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        steps = _run(preset, scheme, cells).steps
+        steps = _run(preset, scheme, cells, thetas).steps
         plain.append((time.perf_counter() - t0) / steps)
-    timed_steps, wall, stats = _timed_pass(preset, scheme, cells)
-    counts = _counted_pass(preset, scheme, cells)
+    timed_steps, wall, stats = _timed_pass(preset, scheme, cells, thetas)
+    counts = _counted_pass(preset, scheme, cells, thetas)
     stats["driver"] = [0, wall - sum(s for _, s in stats.values())]
     rows = {
         name: {
@@ -153,10 +155,12 @@ def main(argv=None):
     ap.add_argument("--scheme", default=None, choices=fv.SCHEMES)
     ap.add_argument("--cells", type=int, default=300)
     ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--theta1", type=float, default=None)
+    ap.add_argument("--theta2", type=float, default=None)
     args = ap.parse_args(argv)
     if args.repeats < 1 or args.cells < 4:
         ap.error("--repeats must be at least 1 and --cells at least 4")
-    out = profile(args.preset, args.scheme, args.cells, args.repeats)
+    out = profile(args.preset, args.scheme, args.cells, args.repeats, args.theta1, args.theta2)
     scheme = args.scheme or get_problem(args.preset).default_scheme
     print(f"{args.preset} {scheme}, {args.cells} cells: {out['steps']} steps, "
           f"{out['us_per_step']:.1f} us per step (median of {args.repeats}), "
