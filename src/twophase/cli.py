@@ -106,18 +106,20 @@ def _print_header(problem):
 
 
 def _xi_grid(solution, n):
+    if n < 2:
+        raise ConfigError(f"--samples must be at least 2, got {n}")
     speeds = solution.wave_speeds()
     lo, hi = min(speeds), max(speeds)
     span = max(hi - lo, 1.0)
-    return np.linspace(lo - 0.2 * span, hi + 0.2 * span, max(int(n), 2))
+    return np.linspace(lo - 0.2 * span, hi + 0.2 * span, n)
 
 
 def cmd_exact(args):
     problem = get_problem(args.problem)
     _print_header(problem)
     solution = problem.build_exact()
-    out = _out_dir(args, problem, "exact")
     xis = _xi_grid(solution, args.samples)
+    out = _out_dir(args, problem, "exact")
     write_csv(out / "solution.csv", SOLUTION_COLUMNS, solution_table(solution, xis))
     write_json(out / "validation.json", validate_solution(solution).as_dict())
     write_json(out / "waves.json", solution.summary())

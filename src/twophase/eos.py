@@ -67,7 +67,7 @@ class BarotropicEos:
         if isinstance(rho, float) or not np.ndim(rho):
             if not rho > 0.0:
                 raise EosDomainError(f"density must be positive, got {rho}")
-        elif not np.all(np.asarray(rho) > 0.0):
+        elif np.count_nonzero(np.asarray(rho) > 0.0) != np.size(rho):
             raise EosDomainError(f"density must be positive, got {rho}")
 
     def _pressure(self, rho):

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConstructionError, InadmissibleWaveError, TwoPhaseError
+from .errors import ConfigError, ConstructionError, InadmissibleWaveError, TwoPhaseError
 from .state import PrimitiveState, check_resonance, eigenvalues, mixture_pressures, mixture_table
 from .waves import (
     WaveFamily,
@@ -149,17 +149,21 @@ class ExactSolution:
         return PrimitiveState.from_array(self.sample_many([xi])[0])
 
     def sample_many(self, xis):
-        """Rows (alpha1, rho1, rho2, u1, u2), one per point of xis."""
-        xi = np.asarray(xis, dtype=float)
-        rho1, u1 = self._sample_phase(1, xi)
-        rho2, u2 = self._sample_phase(2, xi)
-        alpha1 = np.where(
+        """Rows (alpha1, rho1, rho2, u1, u2), one per point of xis; a NaN
+        point lies nowhere in the solution and raises ConfigError."""
+        xi = np.asarray(xis, dtype=float).reshape(-1)
+        if nan := np.count_nonzero(np.isnan(xi)):
+            raise ConfigError(f"similarity coordinate is NaN at {nan} of {xi.size} points")
+        rows = np.empty((xi.size, 5))
+        rows[:, 0] = np.where(
             xi < self.contact_speed, self.contact_left.alpha1, self.contact_right.alpha1
         )
-        return np.column_stack([alpha1, rho1, rho2, u1, u2])
+        for phase in (1, 2):
+            self._sample_phase(phase, xi, rows[:, phase], rows[:, phase + 2])
+        return rows
 
-    def _sample_phase(self, phase, xi):
-        """(rho, u) of one phase at every point of the array xi.
+    def _sample_phase(self, phase, xi, rho, u):
+        """Fill (rho, u) of one phase at every point of the array xi.
 
         Each discontinuity, and each fan of this phase, overwrites the
         points at or right of its head, so the last element started
@@ -167,7 +171,7 @@ class ExactSolution:
         min(xi, tail) from its contact-side edge: points right of it
         take its tail value.
         """
-        rho, u = (np.full(xi.shape, v) for v in _phase_values(self.left_state, phase))
+        rho[:], u[:] = _phase_values(self.left_state, phase)
         for el in self.elements:
             if el.is_discontinuity:
                 at = xi >= el.xi_head
@@ -179,7 +183,6 @@ class ExactSolution:
                     el.family, el.family.eos_of(self.eos_pair), *_phase_values(edge, phase),
                     np.minimum(xi[at], el.xi_tail),
                 )
-        return rho, u
 
     def wave_speeds(self):
         """All breakpoints (heads, tails, discontinuity speeds), sorted."""
@@ -197,7 +200,9 @@ class ExactSolution:
         u = alpha1 * rho1 / rho * u1 + alpha2 * rho2 / rho * u2  # as PrimitiveState.u
         a1 = self.eos_pair.phase1.sound_speed(rho1)
         a2 = self.eos_pair.phase2.sound_speed(rho2)
-        return np.column_stack([u1 - a1, u2 - a2, u, u1 + a1, u2 + a2])
+        curves = np.empty((rho.size, 5))
+        curves.T[:] = u1 - a1, u2 - a2, u, u1 + a1, u2 + a2
+        return curves
 
     def summary(self):
         waves = []
@@ -483,7 +488,7 @@ def _derive_report(solution):
         entropy = 0.0
         lam = (eigenvalues(el.left, eos_pair), eigenvalues(el.right, eos_pair))
         if el.kind == CONTACT_KIND:
-            resid = float(np.max(contact_residuals(el.left, el.right, eos_pair)))
+            resid = float(contact_residuals(el.left, el.right, eos_pair).max())
             if resid > RESIDUAL_TOL:
                 flags.append(f"contact residual {resid:.3e} above {RESIDUAL_TOL:g}")
             entropy = entropy_production(el.left, el.right, el.speed, eos_pair, check=False)
@@ -492,7 +497,7 @@ def _derive_report(solution):
                 if not census.evolutionary:
                     flags.append("contact census is not evolutionary")
         elif el.is_discontinuity:
-            resid = float(np.max(rhc_residuals(el.left, el.right, el.speed, eos_pair)))
+            resid = float(rhc_residuals(el.left, el.right, el.speed, eos_pair).max())
             if resid > RESIDUAL_TOL:
                 flags.append(f"jump residual {resid:.3e} above {RESIDUAL_TOL:g}")
             entropy = entropy_production(el.left, el.right, el.speed, eos_pair, check=False)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import coincident_state, snapshot_tool
 from twophase import exact
-from twophase.errors import ConstructionError
+from twophase.errors import ConfigError, ConstructionError
 from twophase.exact import (
     build_solution,
     raref,
@@ -102,6 +102,29 @@ def test_sampling_outside_and_plateaus():
     # plateau between the interior shock and the resumed fan holds the
     # post-shock state (the plateau carries the downstream side)
     assert np.allclose(sol.sample(1.02).as_array(), states["U*_R"].as_array(), rtol=1e-12)
+
+
+def test_sampling_rejects_nan_and_takes_the_outer_states_at_infinity():
+    # NaN compares false with every speed, so it used to take alpha1 right
+    # of the contact with U_L's phase states: a state found nowhere
+    sol = rp1_solution()
+    for call in (lambda: sol.sample_many([np.nan]), lambda: sol.sample(np.nan),
+                 lambda: sol.sample_many([0.1, np.nan, 2.0])):
+        with pytest.raises(ConfigError, match="NaN"):
+            call()
+    rows = sol.sample_many([-np.inf, np.inf])
+    assert np.array_equal(rows[0], sol.left_state.as_array())
+    assert np.array_equal(rows[1], sol.right_state.as_array())
+
+
+@pytest.mark.parametrize("xis, n", [(0.3, 1), ([-1.0, 0.3, 1.2], 3), ([], 0), (np.zeros(0), 0)])
+def test_sample_many_and_eigen_curves_shapes(xis, n):
+    # one C-ordered row per point: (1, 5) for a scalar, (0, 5) when empty
+    sol = rp1_solution()
+    for rows in (sol.sample_many(xis), sol.eigen_curves(xis)):
+        assert rows.shape == (n, 5) and rows.flags.c_contiguous
+    if n:
+        assert np.array_equal(sol.sample_many(xis)[-1], sol.sample(np.ravel(xis)[-1]).as_array())
 
 
 def test_sampling_inside_fans_defining_relation():

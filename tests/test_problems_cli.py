@@ -284,6 +284,18 @@ def test_cli_exact_and_eigen(tmp_path):
     assert lines[0] == "xi,lam1m,lam2m,lamC,lam1p,lam2p"
 
 
+@pytest.mark.parametrize("command", ["exact", "eigen"])
+@pytest.mark.parametrize("samples", ["-5", "0", "1"])
+def test_cli_samples_below_two_is_a_config_error(tmp_path, capsys, command, samples):
+    # a grid needs both outer points; fewer is refused, not raised to 2
+    out = tmp_path / "s"
+    rc = cli.main([command, "RP1", "--samples", samples, "--out", str(out)])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"--samples must be at least 2, got {samples}" in err
+    assert not out.exists()
+
+
 def _per_value_csv(path, columns, rows):
     """The former writer: one f"{v:.17g}" per value."""
     with open(path, "w") as fh:

@@ -167,6 +167,61 @@ def test_rarefaction_sample_out_of_fan():
         fan(ISOTHERMAL_STATE, F1P, 1000.0, ISOTHERMAL_PAIR)
 
 
+def _numpy_scalar_fan(eos, sign, rho_e, u_e, xi):
+    """The gamma != 1 fan formula on np.float64 scalars: the arithmetic
+    that evaluated a float target before it took the float path."""
+    a_e = np.sqrt(np.float64(eos.sound_speed_sq(rho_e)))
+    a = a_e + sign * (eos.gamma - 1.0) / (eos.gamma + 1.0) * (xi - (u_e + sign * a_e))
+    return rho_e * (a / a_e) ** (2.0 / (eos.gamma - 1.0)), xi - sign * a
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("eos", [IDEAL_PAIR.phase1, IDEAL_PAIR.phase2, STIFF_PAIR.phase2],
+                         ids=["gamma1.4", "gamma2", "gamma2.8-stiff"])
+def test_fan_float_path_pins_the_numpy_scalar_and_array_paths(eos):
+    # seeded edges and in-fan targets of every family.  The float path
+    # must give the bits of the numpy scalar arithmetic it replaced, so
+    # built solutions do not move.  Numpy's vectorised array power is not
+    # correctly rounded: on AVX-512 hosts it differs from the scalar pow
+    # in the last bits of ~2% of these densities (at most 2 ulp measured),
+    # so the array path is held to 4 ulp and to the same outcome
+    rng = np.random.default_rng(29)
+    scale = eos.rho_ref
+    for family in (F1M, F1P, F2M, F2P):
+        for _ in range(300):
+            rho_e = scale * 10.0 ** rng.uniform(-1.0, 1.0)
+            a_e = eos.sound_speed(rho_e)
+            u_e = a_e * rng.normal()
+            # inside the fan on either side of the edge, short of the vacuum front
+            front = (eos.gamma + 1.0) / (eos.gamma - 1.0) * a_e
+            xi = u_e + family.sign * a_e + family.sign * rng.uniform(-0.9 * front, 3.0 * a_e)
+            rho, u = _fan_state(family, eos, rho_e, u_e, xi)
+            assert isinstance(rho, float) and isinstance(u, float)
+            want = _numpy_scalar_fan(eos, family.sign, rho_e, u_e, xi)
+            assert (_bits(rho), _bits(u)) == tuple(map(_bits, want))
+            rho_a, u_a = _fan_state(family, eos, rho_e, u_e, np.array([xi]))
+            assert abs(rho_a[0] - rho) <= 4.0 * np.spacing(rho) and u_a[0] == u
+
+
+@pytest.mark.parametrize("xi, error, match", [
+    (-2500.0, OutOfFanError, "vacuum front"),  # beyond the vacuum front: a <= 0
+    (-1000.0, OutOfFanError, "vacuum front"),  # a > 0, but (a/a_e)**2000 underflows to zero
+    (2000.0, NumericsError, "not finite"),  # the density overflows
+    (math.nan, NumericsError, "not finite"),
+], ids=["vacuum", "underflow", "overflow", "nan"])
+def test_fan_float_and_array_paths_raise_alike(xi, error, match):
+    # gamma = 1.001 puts the 1+ fan's vacuum front near xi = -2001 and
+    # makes the density exponent 2000; a float target and a one-point array
+    # end in the same error
+    eos = BarotropicEos(1.0, 1.001)
+    for target in (xi, np.array([xi])):
+        with pytest.raises(error, match=match):
+            _fan_state(F1P, eos, 1.0, 0.0, target)
+
+
 # ---------------------------------------------------------------------------
 # shocks
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 
     PYTHONPATH=src python3 tools/step_profile.py PRESET [--scheme S] [--cells N] [--repeats R]
         [--theta1 T1] [--theta2 T2]
+    PYTHONPATH=src python3 tools/step_profile.py PRESET --exact [--points N] [--repeats R]
 
 Runs `run_simulation` on a preset's Riemann data, at the preset's t_end
 and cfl, with the scheme (default: the preset's), cell count (default
@@ -25,6 +26,13 @@ A stage that the run does not reach, or that this version of the code
 does not have, is left out; the rest of the run is `driver`.  Nothing is
 changed on disk, and every rebound name is restored before the tool
 returns.
+
+With --exact the preset's exact solution is probed instead, phase by
+phase: its construction (`build_solution` with validate=False), its
+validation, `sample_many` and `eigen_curves` on N points (default 600)
+spread over the sampling window of `twophase exact`.  Each phase gets its
+median µs over R passes and its Python-level calls under
+`sys.setprofile`, counted as above.
 """
 
 import argparse
@@ -33,6 +41,8 @@ import sys
 import time
 
 from twophase import fv, state
+from twophase.cli import _xi_grid
+from twophase.exact import build_solution, validate_solution
 from twophase.fv import Grid, SolverConfig, run_simulation
 from twophase.problems import get_problem
 
@@ -100,6 +110,12 @@ def _counted_pass(preset, scheme, cells, thetas):
     calls made by the driver itself count under `driver`."""
     owner = {fn.__code__: name for _, name, fn in _stages()}
     owner[run_simulation.__code__] = "driver"
+    return _py_calls(lambda: _run(preset, scheme, cells, thetas), owner)
+
+
+def _py_calls(run, owner):
+    """{name: Python-level calls made while run() runs}, each call charged to
+    the innermost frame on the stack whose code `owner` maps to a name."""
     counts = {}
 
     def profile(frame, event, arg):
@@ -114,7 +130,7 @@ def _counted_pass(preset, scheme, cells, thetas):
 
     sys.setprofile(profile)
     try:
-        _run(preset, scheme, cells, thetas)
+        run()
     finally:
         sys.setprofile(None)
     return counts
@@ -149,6 +165,37 @@ def profile(preset, scheme=None, cells=300, repeats=5, theta1=None, theta2=None)
     }
 
 
+def _exact_phases(problem, xis):
+    """(phase, thunk) of each exact phase, in order; the later thunks work
+    on the solution that the build thunk left."""
+    spec, built = problem.exact_spec, []
+
+    def build():
+        built[:] = [build_solution(spec.contact_left, spec.alpha1_right, list(spec.left_waves),
+                                   list(spec.right_waves), problem.eos_pair, validate=False)]
+
+    return (("build", build), ("validate", lambda: validate_solution(built[0])),
+            ("sample_many", lambda: built[0].sample_many(xis)),
+            ("eigen_curves", lambda: built[0].eigen_curves(xis)))
+
+
+def exact_profile(preset, points=600, repeats=5):
+    """Per exact phase of a preset (build, validate, sample_many,
+    eigen_curves): the median µs of `repeats` passes and the Python-level
+    calls of one more."""
+    problem = get_problem(preset)
+    xis = _xi_grid(problem.build_exact(), points)
+    times = {}
+    for _ in range(repeats):
+        for name, thunk in _exact_phases(problem, xis):
+            t0 = time.perf_counter()
+            thunk()
+            times.setdefault(name, []).append(time.perf_counter() - t0)
+    return {name: {"us": 1e6 * statistics.median(times[name]),
+                   "py_calls": _py_calls(thunk, {thunk.__code__: name}).get(name, 0)}
+            for name, thunk in _exact_phases(problem, xis)}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("preset")
@@ -157,9 +204,18 @@ def main(argv=None):
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--theta1", type=float, default=None)
     ap.add_argument("--theta2", type=float, default=None)
+    ap.add_argument("--exact", action="store_true", help="probe the exact solution instead")
+    ap.add_argument("--points", type=int, default=600)
     args = ap.parse_args(argv)
-    if args.repeats < 1 or args.cells < 4:
-        ap.error("--repeats must be at least 1 and --cells at least 4")
+    if args.repeats < 1 or args.cells < 4 or args.points < 2:
+        ap.error("--repeats must be at least 1, --cells at least 4 and --points at least 2")
+    if args.exact:
+        out = exact_profile(args.preset, args.points, args.repeats)
+        print(f"{args.preset} exact, {args.points} points (median of {args.repeats})")
+        print(f"{'phase':<22}{'us':>12}{'py calls':>12}")
+        for name, row in out.items():
+            print(f"{name:<22}{row['us']:>12.1f}{row['py_calls']:>12d}")
+        return 0
     out = profile(args.preset, args.scheme, args.cells, args.repeats, args.theta1, args.theta2)
     scheme = args.scheme or get_problem(args.preset).default_scheme
     print(f"{args.preset} {scheme}, {args.cells} cells: {out['steps']} steps, "
