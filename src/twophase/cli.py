@@ -105,9 +105,12 @@ def _print_header(problem):
         print(f"  note: {problem.notes}")
 
 
-def _xi_grid(solution, n):
+def _check_samples(n):
     if n < 2:
         raise ConfigError(f"--samples must be at least 2, got {n}")
+
+
+def _xi_grid(solution, n):
     speeds = solution.wave_speeds()
     lo, hi = min(speeds), max(speeds)
     span = max(hi - lo, 1.0)
@@ -115,6 +118,7 @@ def _xi_grid(solution, n):
 
 
 def cmd_exact(args):
+    _check_samples(args.samples)
     problem = get_problem(args.problem)
     _print_header(problem)
     solution = problem.build_exact()
@@ -277,6 +281,7 @@ def cmd_compare(args):
 
 
 def cmd_eigen(args):
+    _check_samples(args.samples)
     problem = get_problem(args.problem)
     _print_header(problem)
     solution = problem.build_exact()

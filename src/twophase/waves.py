@@ -499,7 +499,7 @@ def contact_connect(state, alpha1_right, eos_pair):
         return x
 
     try:
-        x = walk([alpha1_right])
+        x = walk([float(alpha1_right)])
     except NumericsError:
         # continuation in alpha1 reaches jumps the direct solve misses
         x = walk(np.linspace(state.alpha1, alpha1_right, 41)[1:].tolist())

@@ -291,9 +291,10 @@ def test_cli_samples_below_two_is_a_config_error(tmp_path, capsys, command, samp
     out = tmp_path / "s"
     rc = cli.main([command, "RP1", "--samples", samples, "--out", str(out)])
     assert rc == cli.EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert "configuration error" in err and f"--samples must be at least 2, got {samples}" in err
-    assert not out.exists()
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert f"--samples must be at least 2, got {samples}" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def _per_value_csv(path, columns, rows):

@@ -69,14 +69,14 @@ def test_step_profile_reports_the_relaxation_stages(step_profile, scheme, relax)
 def test_step_profile_exact_mode(step_profile, capsys):
     # the exact path phase by phase: each phase runs and makes calls, and
     # sampling twice the points takes no more Python-level calls
-    out = step_profile.exact_profile("RP1", points=40, repeats=1)
+    out = step_profile.exact_profile("RP1", repeats=1, points=40, eigen_points=10)
     assert list(out) == ["build", "validate", "sample_many", "eigen_curves"]
     for row in out.values():
         assert row["us"] > 0.0 and row["py_calls"] > 0
-    wider = step_profile.exact_profile("RP1", points=80, repeats=1)
+    wider = step_profile.exact_profile("RP1", repeats=1, points=80, eigen_points=20)
     for name in ("sample_many", "eigen_curves"):
         assert wider[name]["py_calls"] == out[name]["py_calls"]
-    assert step_profile.main(["RP4", "--exact", "--points", "20", "--repeats", "1"]) == 0
+    assert step_profile.main(["RP4", "--exact", "--repeats", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "RP4 exact, 20 points (median of 1)"
+    assert lines[0] == "RP4 exact, 600 sample and 150 eigen points (median of 1)"
     assert [line.split()[0] for line in lines[2:]] == list(out)

@@ -3,7 +3,7 @@
 
     PYTHONPATH=src python3 tools/step_profile.py PRESET [--scheme S] [--cells N] [--repeats R]
         [--theta1 T1] [--theta2 T2]
-    PYTHONPATH=src python3 tools/step_profile.py PRESET --exact [--points N] [--repeats R]
+    PYTHONPATH=src python3 tools/step_profile.py PRESET --exact [--repeats R]
 
 Runs `run_simulation` on a preset's Riemann data, at the preset's t_end
 and cfl, with the scheme (default: the preset's), cell count (default
@@ -29,8 +29,9 @@ returns.
 
 With --exact the preset's exact solution is probed instead, phase by
 phase: its construction (`build_solution` with validate=False), its
-validation, `sample_many` and `eigen_curves` on N points (default 600)
-spread over the sampling window of `twophase exact`.  Each phase gets its
+validation, `sample_many` on 600 points and `eigen_curves` on 150, the
+counts of the exact-sample workload, spread over the sampling window of
+`twophase exact`.  Each phase gets its
 median µs over R passes and its Python-level calls under
 `sys.setprofile`, counted as above.
 """
@@ -165,7 +166,7 @@ def profile(preset, scheme=None, cells=300, repeats=5, theta1=None, theta2=None)
     }
 
 
-def _exact_phases(problem, xis):
+def _exact_phases(problem, xis, eigen_xis):
     """(phase, thunk) of each exact phase, in order; the later thunks work
     on the solution that the build thunk left."""
     spec, built = problem.exact_spec, []
@@ -176,24 +177,25 @@ def _exact_phases(problem, xis):
 
     return (("build", build), ("validate", lambda: validate_solution(built[0])),
             ("sample_many", lambda: built[0].sample_many(xis)),
-            ("eigen_curves", lambda: built[0].eigen_curves(xis)))
+            ("eigen_curves", lambda: built[0].eigen_curves(eigen_xis)))
 
 
-def exact_profile(preset, points=600, repeats=5):
-    """Per exact phase of a preset (build, validate, sample_many,
-    eigen_curves): the median µs of `repeats` passes and the Python-level
-    calls of one more."""
+def exact_profile(preset, repeats=5, points=600, eigen_points=150):
+    """Per exact phase of a preset (build, validate, sample_many on
+    `points`, eigen_curves on `eigen_points`): the median µs of `repeats`
+    passes and the Python-level calls of one more."""
     problem = get_problem(preset)
-    xis = _xi_grid(problem.build_exact(), points)
+    solution = problem.build_exact()
+    grids = (_xi_grid(solution, points), _xi_grid(solution, eigen_points))
     times = {}
     for _ in range(repeats):
-        for name, thunk in _exact_phases(problem, xis):
+        for name, thunk in _exact_phases(problem, *grids):
             t0 = time.perf_counter()
             thunk()
             times.setdefault(name, []).append(time.perf_counter() - t0)
     return {name: {"us": 1e6 * statistics.median(times[name]),
                    "py_calls": _py_calls(thunk, {thunk.__code__: name}).get(name, 0)}
-            for name, thunk in _exact_phases(problem, xis)}
+            for name, thunk in _exact_phases(problem, *grids)}
 
 
 def main(argv=None):
@@ -205,13 +207,12 @@ def main(argv=None):
     ap.add_argument("--theta1", type=float, default=None)
     ap.add_argument("--theta2", type=float, default=None)
     ap.add_argument("--exact", action="store_true", help="probe the exact solution instead")
-    ap.add_argument("--points", type=int, default=600)
     args = ap.parse_args(argv)
-    if args.repeats < 1 or args.cells < 4 or args.points < 2:
-        ap.error("--repeats must be at least 1, --cells at least 4 and --points at least 2")
+    if args.repeats < 1 or args.cells < 4:
+        ap.error("--repeats must be at least 1 and --cells at least 4")
     if args.exact:
-        out = exact_profile(args.preset, args.points, args.repeats)
-        print(f"{args.preset} exact, {args.points} points (median of {args.repeats})")
+        out = exact_profile(args.preset, args.repeats)
+        print(f"{args.preset} exact, 600 sample and 150 eigen points (median of {args.repeats})")
         print(f"{'phase':<22}{'us':>12}{'py calls':>12}")
         for name, row in out.items():
             print(f"{name:<22}{row['us']:>12.1f}{row['py_calls']:>12d}")
