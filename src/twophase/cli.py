@@ -105,11 +105,6 @@ def _print_header(problem):
         print(f"  note: {problem.notes}")
 
 
-def _check_samples(n):
-    if n < 2:
-        raise ConfigError(f"--samples must be at least 2, got {n}")
-
-
 def _xi_grid(solution, n):
     speeds = solution.wave_speeds()
     lo, hi = min(speeds), max(speeds)
@@ -118,12 +113,11 @@ def _xi_grid(solution, n):
 
 
 def cmd_exact(args):
-    _check_samples(args.samples)
     problem = get_problem(args.problem)
     _print_header(problem)
     solution = problem.build_exact()
-    xis = _xi_grid(solution, args.samples)
     out = _out_dir(args, problem, "exact")
+    xis = _xi_grid(solution, args.samples)
     write_csv(out / "solution.csv", SOLUTION_COLUMNS, solution_table(solution, xis))
     write_json(out / "validation.json", validate_solution(solution).as_dict())
     write_json(out / "waves.json", solution.summary())
@@ -281,7 +275,6 @@ def cmd_compare(args):
 
 
 def cmd_eigen(args):
-    _check_samples(args.samples)
     problem = get_problem(args.problem)
     _print_header(problem)
     solution = problem.build_exact()
@@ -362,6 +355,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "samples", 2) < 2:  # exact and eigen: a grid needs both outer points
+            raise ConfigError(f"--samples must be at least 2, got {args.samples}")
         return globals()["cmd_" + args.command](args)
     except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)

@@ -131,32 +131,21 @@ def _fan_state(family, eos, rho_edge, u_edge, xi):
     and gamma == 1 (constant a) makes the density exponential,
     rho = rho_e exp(+-(xi - lambda_e)/a_e).  Either way u = xi -+ a.
     Raises OutOfFanError at or beyond the vacuum front (or where rho
-    underflows to zero), NumericsError where rho is not finite.  A float
-    xi with gamma != 1 takes float arithmetic, bit for bit numpy's scalar
-    arithmetic (`math.exp` is not numpy's, so gamma == 1 stays on numpy).
+    underflows to zero), NumericsError where rho is not finite.
     """
     sign, gamma = family.sign, eos.gamma
-    a_e = math.sqrt(eos.sound_speed_sq(rho_edge))
-    lam_e = float(u_edge) + sign * a_e
-    if isinstance(xi, float) and gamma != 1.0:
-        a = a_e + sign * (gamma - 1.0) / (gamma + 1.0) * (float(xi) - lam_e)
-        try:  # a vacuum front (a <= 0) leaves no density; NaN goes on to the finite test
-            rho = 0.0 if a <= 0.0 else float(rho_edge) * (a / a_e) ** (2.0 / (gamma - 1.0))
-        except ArithmeticError:  # overflow, or a zero edge sound speed
-            rho = math.inf
-        ok = 0.0 < rho < math.inf
-    else:
-        with np.errstate(over="ignore"):
-            if gamma == 1.0:
-                a = a_e
-                rho = rho_edge * np.exp(sign * (xi - lam_e) / a_e)
-            else:
-                a = a_e + sign * (gamma - 1.0) / (gamma + 1.0) * (xi - lam_e)
-                if np.count_nonzero(a <= 0.0):
-                    raise OutOfFanError(f"speed {xi} beyond the vacuum front of the {family} fan")
-                rho = rho_edge * (a / a_e) ** (2.0 / (gamma - 1.0))
-        ok = np.count_nonzero((rho > 0.0) & (rho < np.inf)) == rho.size
-    if not ok:
+    a_e = np.sqrt(eos.sound_speed_sq(rho_edge))  # np.float64: a far scalar edge overflows to inf
+    lam_e = u_edge + sign * a_e
+    with np.errstate(over="ignore"):
+        if gamma == 1.0:
+            a = a_e
+            rho = rho_edge * np.exp(sign * (xi - lam_e) / a_e)
+        else:
+            a = a_e + sign * (gamma - 1.0) / (gamma + 1.0) * (xi - lam_e)
+            if np.count_nonzero(a <= 0.0):
+                raise OutOfFanError(f"speed {xi} beyond the vacuum front of the {family} fan")
+            rho = rho_edge * (a / a_e) ** (2.0 / (gamma - 1.0))
+    if np.count_nonzero((rho > 0.0) & (rho < np.inf)) != rho.size:
         if not np.all(np.isfinite(rho)):
             raise NumericsError(f"{family} fan density not finite at speed {xi}")
         raise OutOfFanError(f"speed {xi} beyond the vacuum front of the {family} fan")

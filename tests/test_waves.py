@@ -168,8 +168,7 @@ def test_rarefaction_sample_out_of_fan():
 
 
 def _numpy_scalar_fan(eos, sign, rho_e, u_e, xi):
-    """The gamma != 1 fan formula on np.float64 scalars: the arithmetic
-    that evaluated a float target before it took the float path."""
+    """The gamma != 1 fan formula on np.float64 scalars, spelled out."""
     a_e = np.sqrt(np.float64(eos.sound_speed_sq(rho_e)))
     a = a_e + sign * (eos.gamma - 1.0) / (eos.gamma + 1.0) * (xi - (u_e + sign * a_e))
     return rho_e * (a / a_e) ** (2.0 / (eos.gamma - 1.0)), xi - sign * a
@@ -181,13 +180,13 @@ def _bits(x):
 
 @pytest.mark.parametrize("eos", [IDEAL_PAIR.phase1, IDEAL_PAIR.phase2, STIFF_PAIR.phase2],
                          ids=["gamma1.4", "gamma2", "gamma2.8-stiff"])
-def test_fan_float_path_pins_the_numpy_scalar_and_array_paths(eos):
-    # seeded edges and in-fan targets of every family.  The float path
-    # must give the bits of the numpy scalar arithmetic it replaced, so
-    # built solutions do not move.  Numpy's vectorised array power is not
-    # correctly rounded: on AVX-512 hosts it differs from the scalar pow
-    # in the last bits of ~2% of these densities (at most 2 ulp measured),
-    # so the array path is held to 4 ulp and to the same outcome
+def test_fan_scalar_and_array_targets_agree(eos):
+    # seeded edges and in-fan targets of every family.  A float target
+    # gives the bits of the formula on numpy scalars, so built solutions
+    # do not move.  Numpy's vectorised array power is not correctly
+    # rounded: on AVX-512 hosts it differs from the scalar pow in the
+    # last bits of ~2% of these densities (at most 2 ulp measured), so
+    # an array target is held to 4 ulp and to the same outcome
     rng = np.random.default_rng(29)
     scale = eos.rho_ref
     for family in (F1M, F1P, F2M, F2P):
@@ -212,7 +211,7 @@ def test_fan_float_path_pins_the_numpy_scalar_and_array_paths(eos):
     (2000.0, NumericsError, "not finite"),  # the density overflows
     (math.nan, NumericsError, "not finite"),
 ], ids=["vacuum", "underflow", "overflow", "nan"])
-def test_fan_float_and_array_paths_raise_alike(xi, error, match):
+def test_fan_scalar_and_array_targets_raise_alike(xi, error, match):
     # gamma = 1.001 puts the 1+ fan's vacuum front near xi = -2001 and
     # makes the density exponent 2000; a float target and a one-point array
     # end in the same error
