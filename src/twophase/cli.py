@@ -294,8 +294,8 @@ def cmd_validate(args):
     # build_exact raises ConstructionError naming the wave unless every check passes
     report = validate_solution(solution)
     for er in report.elements:
-        extra = f" resid={er.max_jump_residual:.2e}" if er.kind != "rarefaction" else ""
-        print(f"  [ok] {er.label}{extra}")
+        extra = f" resid={er['max_jump_residual']:.2e}" if er["kind"] != "rarefaction" else ""
+        print(f"  [ok] {er['label']}{extra}")
     out = _out_dir(args, problem, "validate")
     write_json(out / "validation.json", report.as_dict())
     print("all admissibility checks passed")

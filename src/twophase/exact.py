@@ -374,21 +374,11 @@ def build_solution(contact_left, alpha1_right, left_waves, right_waves, eos_pair
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ElementReport:
-    label: str
-    kind: str
-    family: str
-    head: float
-    tail: float
-    max_jump_residual: float
-    entropy_production: float
-    census: object
-    lax: str
-    flags: list
-
-
-@dataclass
 class ValidationReport:
+    """`elements` holds one entry per element, in the layout `as_dict`
+    writes: label, kind, family, head, tail, max_jump_residual,
+    entropy_production, evolutionary, census, lax and flags."""
+
     elements: list
     ensemble_flags: list
     eigen_map: list
@@ -397,7 +387,7 @@ class ValidationReport:
     def failures(self):
         out = list(self.ensemble_flags)
         for er in self.elements:
-            out.extend(f"{er.label}: {f}" for f in er.flags)
+            out.extend(f"{er['label']}: {f}" for f in er["flags"])
         return out
 
     @property
@@ -407,34 +397,13 @@ class ValidationReport:
     @property
     def first_failure(self):
         """The label of a failed report's first flagged element, else "ensemble"."""
-        return next((er.label for er in self.elements if er.flags), "ensemble")
+        return next((er["label"] for er in self.elements if er["flags"]), "ensemble")
 
     def as_dict(self):
         return {
             "passed": bool(self.passed),
             "ensemble_flags": list(self.ensemble_flags),
-            "elements": [
-                {
-                    "label": er.label,
-                    "kind": er.kind,
-                    "family": er.family,
-                    "head": er.head,
-                    "tail": er.tail,
-                    "max_jump_residual": er.max_jump_residual,
-                    "entropy_production": er.entropy_production,
-                    "evolutionary": bool(er.census.evolutionary) if er.census else None,
-                    "census": {
-                        "incoming": list(map(list, er.census.incoming)),
-                        "outgoing": list(map(list, er.census.outgoing)),
-                        "coinciding": list(map(list, er.census.coinciding)),
-                    }
-                    if er.census
-                    else None,
-                    "lax": er.lax,
-                    "flags": list(er.flags),
-                }
-                for er in self.elements
-            ],
+            "elements": self.elements,
             "eigenvalues_at_bounds": self.eigen_map,
         }
 
@@ -444,27 +413,23 @@ def _is_zero_strength(el):
                for a, b in zip(el.left.as_tuple(), el.right.as_tuple()))
 
 
-def _check_interior_coincidence(el, sol, flags):
+def _check_interior_coincidence(el, lam, flags):
     """Interior shocks must carry the host-fan tangency on the inner
-    side and a mass flux oriented into the fan continuation (the
-    admissible shock-in-rarefaction shape); the mirrored tangency would
-    be the entropy-violating shape."""
+    side (left of a plus host, right of a minus one) and a mass flux
+    oriented into the fan continuation (the admissible
+    shock-in-rarefaction shape); the mirrored tangency would be the
+    entropy-violating shape.  `lam` holds the eigenvalues of both sides."""
     host = WaveFamily(el.family.other_phase, el.family.sign)
+    plus = host.sign > 0
     S = el.speed
-    lam_l = host.speed_of(el.left, sol.eos_pair)
-    lam_r = host.speed_of(el.right, sol.eos_pair)
-    tol = 1e-7 * max(1.0, abs(S))
+    lam_inner = lam[0 if plus else 1][host.key]
+    if abs(lam_inner - S) > 1e-7 * max(1.0, abs(S)):
+        flags.append(f"host characteristic not tangent on the inner side ({lam_inner} vs {S})")
     Q = -el.left.rho * (el.left.u - S)
-    if host.sign > 0:
-        if abs(lam_l - S) > tol:
-            flags.append(f"host characteristic not tangent on the inner side ({lam_l} vs {S})")
-        if Q <= 0:
-            flags.append("mixture mass flux has the wrong sign for a plus-family host")
-    else:
-        if abs(lam_r - S) > tol:
-            flags.append(f"host characteristic not tangent on the inner side ({lam_r} vs {S})")
-        if Q >= 0:
-            flags.append("mixture mass flux has the wrong sign for a minus-family host")
+    if Q * host.sign <= 0:
+        flags.append(
+            f"mixture mass flux has the wrong sign for a {'plus' if plus else 'minus'}-family host"
+        )
 
 
 def validate_solution(solution):
@@ -475,18 +440,31 @@ def validate_solution(solution):
 
 
 def _derive_report(solution):
-    """Re-derive every admissibility statement from the assembled pieces."""
+    """Re-derive every admissibility statement from the assembled pieces.
+
+    Neighbouring elements share the constant state between them, so the
+    eigenvalues and resonant keys of each state object are taken once
+    and every check reads them from that table.  It is keyed by
+    identity: equal states of different objects (the two sides of a
+    zero-strength contact) keep their own entries, signed zeros included.
+    """
     eos_pair = solution.eos_pair
+    table = {}
     reports = []
     ensemble = []
     eigen_map = []
     for el in solution.elements:
+        for state in (el.left, el.right):
+            if id(state) not in table:
+                speeds = {k: float(v) for k, v in eigenvalues(state, eos_pair).items()}
+                table[id(state)] = speeds, check_resonance(state, eos_pair, speeds).coinciding
+        (lam_l, res_l), (lam_r, res_r) = table[id(el.left)], table[id(el.right)]
+        lam = (lam_l, lam_r)
         flags = []
         census = None
         lax = ""
         resid = 0.0
         entropy = 0.0
-        lam = (eigenvalues(el.left, eos_pair), eigenvalues(el.right, eos_pair))
         if el.kind == CONTACT_KIND:
             resid = float(contact_residuals(el.left, el.right, eos_pair).max())
             if resid > RESIDUAL_TOL:
@@ -516,29 +494,36 @@ def _derive_report(solution):
                 if lax != "compressive":
                     flags.append(f"isolated shock is not compressive ({lax})")
             else:
-                _check_interior_coincidence(el, solution, flags)
+                _check_interior_coincidence(el, lam, flags)
         else:
             # fan: characteristic speed must grow with xi and match the bounds
-            fam = el.family
-            lam_l = fam.speed_of(el.left, eos_pair)
-            lam_r = fam.speed_of(el.right, eos_pair)
+            fan_l, fan_r = lam_l[el.family.key], lam_r[el.family.key]
             tol = 1e-7 * max(1.0, abs(el.xi_head), abs(el.xi_tail))
-            if abs(lam_l - el.xi_head) > tol or abs(lam_r - el.xi_tail) > tol:
+            if abs(fan_l - el.xi_head) > tol or abs(fan_r - el.xi_tail) > tol:
                 flags.append("fan bounds do not match the characteristic speeds")
-            if lam_r < lam_l - tol:
+            if fan_r < fan_l - tol:
                 flags.append("fan is not expanding")
-        eig = {"label": el.label()}
-        for side, state, speeds in zip(("left", "right"), (el.left, el.right), lam):
-            eig[side] = {k: float(v) for k, v in speeds.items()}
-            for k in check_resonance(state, eos_pair, speeds).coinciding:
-                flags.append(f"resonant {side} state: lambda_{k} = u")
-        eigen_map.append(eig)
-        reports.append(
-            ElementReport(
-                el.label(), el.kind, str(el.family), el.xi_head, el.xi_tail,
-                resid, float(entropy), census, lax, flags,
-            )
-        )
+        flags += [f"resonant left state: lambda_{k} = u" for k in res_l]
+        flags += [f"resonant right state: lambda_{k} = u" for k in res_r]
+        label = el.label()
+        eigen_map.append({"label": label, "left": lam_l, "right": lam_r})
+        reports.append({
+            "label": label,
+            "kind": el.kind,
+            "family": str(el.family),
+            "head": el.xi_head,
+            "tail": el.xi_tail,
+            "max_jump_residual": resid,
+            "entropy_production": float(entropy),
+            "evolutionary": census.evolutionary if census else None,
+            "census": {
+                "incoming": list(map(list, census.incoming)),
+                "outgoing": list(map(list, census.outgoing)),
+                "coinciding": list(map(list, census.coinciding)),
+            } if census else None,
+            "lax": lax,
+            "flags": flags,
+        })
 
     _ensemble_checks(solution, ensemble)
     return ValidationReport(reports, ensemble, eigen_map)

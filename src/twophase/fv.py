@@ -54,6 +54,7 @@ from .state import (
 )
 
 RELAX_PROJECTION_FACTOR = 1e-6  # theta < factor*dt switches to projection
+RELAX_TOL = 1e-13  # relative residual at which the pressure-relaxation Newton stops
 WAVESPEED_GROWTH_GUARD = 1.5  # max|lambda| growth in a step: the driver aborts, floor lowers order
 
 _log = logging.getLogger(__name__)
@@ -454,7 +455,7 @@ def step(u, dt, dx, config, eos_pair, t=0.0):
 RELAX_COUNTERS = ("solves", "newton_iterations", "max_iterations", "roundoff_stops")
 
 
-def _equilibrium_alpha(alpha0, m1, m2, dt, theta1, eos_pair, tol=1e-13, counts=None):
+def _equilibrium_alpha(alpha0, m1, m2, dt, theta1, eos_pair, counts=None):
     """Advance dalpha1/dt = (p1 - p2)/theta1 implicitly (or project to
     p1 = p2 for theta1 below the stiff threshold), partial masses
     frozen.  Safeguarded Newton on the increasing residual
@@ -462,8 +463,8 @@ def _equilibrium_alpha(alpha0, m1, m2, dt, theta1, eos_pair, tol=1e-13, counts=N
     with the root bracketed in (0, 1): a step that leaves the bracket,
     or is not finite, bisects it.
 
-    The cells whose first residual misses the tolerance
-    tol * max(|p1|, |p2|, mu) are gathered once and iterated until each
+    The cells whose first residual misses the tolerance RELAX_TOL *
+    max(|p1|, |p2|, mu) are gathered once and iterated until each
     stops, at the tolerance or at round-off (its update leaves x
     unchanged or no double lies strictly inside its bracket), and then
     its x is frozen; so each cell's iterates are those of a solve of
@@ -483,7 +484,7 @@ def _equilibrium_alpha(alpha0, m1, m2, dt, theta1, eos_pair, tol=1e-13, counts=N
         rho1, rho2 = m1 / x, m2 / y
         p1, p2 = pressure1(rho1), pressure2(rho2)
         f = mu * (x - a0) - (p1 - p2)
-        met = np.abs(f) <= tol * np.maximum(np.maximum(np.abs(p1), np.abs(p2)), fscale_floor)
+        met = np.abs(f) <= RELAX_TOL * np.maximum(np.maximum(np.abs(p1), np.abs(p2)), fscale_floor)
         return f, rho1, rho2, y, met
 
     alpha = np.clip(alpha0, 1e-12, 1.0 - 1e-12)

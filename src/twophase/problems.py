@@ -62,7 +62,7 @@ class Problem:
     def build_exact(self):
         if self.exact_spec is None:
             raise ConfigError(f"problem {self.name} has no exact construction")
-        return _build_cached(self.name, self)
+        return _build_cached(self)
 
     def riemann_data(self):
         if self.left is not None:
@@ -72,7 +72,7 @@ class Problem:
 
 
 @lru_cache(maxsize=32)
-def _build_cached(name, problem):
+def _build_cached(problem):
     es = problem.exact_spec
     return build_solution(
         es.contact_left,

@@ -161,7 +161,7 @@ def test_c1_runtime_and_jump_residuals(built_solutions):
     for name, sol in sols.items():
         rep = validate_solution(sol)
         assert rep.passed, (name, rep.failures)
-        worst = max(worst, max(er.max_jump_residual for er in rep.elements))
+        worst = max(worst, max(er["max_jump_residual"] for er in rep.elements))
     ok = elapsed < 1.0 and worst < RESIDUAL_TOL
     _report(
         f"criterion 1 (residuals/runtime): {'PASS' if ok else 'FAIL'} — "

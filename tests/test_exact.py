@@ -281,6 +281,29 @@ def test_validate_solution_derives_the_report_once(monkeypatch):
         built.elements = ()
 
 
+def test_derivation_takes_each_state_and_label_once(monkeypatch):
+    # neighbouring elements share the state between them: a derivation
+    # takes its eigenvalues and resonance once per state object, and
+    # formats each element's label once
+    seen = {"eigenvalues": [], "check_resonance": [], "label": []}
+
+    def counted(name, fn):
+        return lambda first, *rest: seen[name].append(id(first)) or fn(first, *rest)
+
+    for name in ("eigenvalues", "check_resonance"):
+        monkeypatch.setattr(exact, name, counted(name, getattr(exact, name)))
+    monkeypatch.setattr(exact.WaveElement, "label", counted("label", exact.WaveElement.label))
+    for name in sorted(PRESETS):
+        sol = _preset_build(name, validate=False)
+        for ids in seen.values():
+            ids.clear()
+        assert validate_solution(sol).passed
+        states = {id(s) for el in sol.elements for s in (el.left, el.right)}
+        assert sorted(seen["eigenvalues"]) == sorted(states), name
+        assert sorted(seen["check_resonance"]) == sorted(states), name
+        assert seen["label"] == [id(el) for el in sol.elements], name
+
+
 def test_validation_flags_corrupted_state():
     sol = rp1_solution()
     els = list(sol.elements)
@@ -300,7 +323,7 @@ def test_validation_flags_shock_resonance_ensemble():
     sol4 = get_problem("RP4").build_exact()
     els = list(sol4.elements)
     shocks = [e for e in els if e.kind == "shock"]
-    # coalesce two shock速度: move the second onto the first's speed
+    # coalesce two shock speeds: move the second onto the first's speed
     a, b = shocks[0], shocks[1]
     moved = dataclasses.replace(b, xi_head=a.xi_head, xi_tail=a.xi_tail)
     els[els.index(b)] = moved
@@ -336,6 +359,10 @@ FLAG_CASES = {
     "plus-host mass flux": (
         rp1_solution, "interior-shock", "2+", lambda el: _at(el, el.left.u - 0.1),
         "mixture mass flux has the wrong sign for a plus-family host",
+    ),
+    "plus-host tangency": (
+        rp1_solution, "interior-shock", "2+", lambda el: _at(el, el.speed + 0.1),
+        "host characteristic not tangent on the inner side",
     ),
     "minus-host tangency": (
         _mirrored_rp1, "interior-shock", "2-", lambda el: _at(el, el.speed + 0.1),
