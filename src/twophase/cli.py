@@ -33,12 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    ConfigError,
-    ConstructionError,
-    NumericsError,
-    PositivityError,
-    RelaxationError,
-    TwoPhaseError,
+    ConfigError, ConstructionError, NumericsError, PositivityError, RelaxationError, TwoPhaseError,
 )
 from .exact import SOLUTION_COLUMNS, solution_table, validate_solution
 from .fv import LIMITERS, SCHEMES, Grid, SolverConfig, run_simulation, run_simulations
@@ -224,7 +219,8 @@ def cmd_compare(args):
     columns = SNAPSHOT_COLUMNS[1:]
     tables = {m: mixture_table(r.x, r.prim, problem.eos_pair)[:, 1:] for m, r in runs.items()}
     report = {"problem": problem.name, "cells": cells, "pairs": {}, "verdicts": [],
-              "telemetry": {m: r.ledger["telemetry"] for m, r in runs.items()}}
+              "telemetry": {m: r.ledger["telemetry"] for m, r in runs.items()},
+              "wall_seconds": {m: r.ledger["wall_seconds"] for m, r in runs.items()}}
 
     exact_ref = None
     if problem.exact_spec is not None and not configs[0].relaxing:
@@ -327,28 +323,25 @@ def build_parser():
     p = sub.add_parser("exact", help="sample an exact solution")
     p.add_argument("problem")
     p.add_argument("--samples", type=int, default=2001)
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("simulate", help="run a finite-volume solver")
     p.add_argument("problem")
     p.add_argument("--model", default="shtc", choices=MODELS)
     _common_run_flags(p)
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("compare", help="compare solver backends")
     p.add_argument("problem")
     p.add_argument("--models", default="shtc,bn")
     _common_run_flags(p)
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("eigen", help="eigenvalue curves of the exact solution")
     p.add_argument("problem")
     p.add_argument("--samples", type=int, default=2001)
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("validate", help="admissibility report of the exact solution")
     p.add_argument("problem")
-    p.add_argument("--out", default=None)
+    for p in sub.choices.values():  # every command's last flag
+        p.add_argument("--out", default=None)
     return parser
 
 

@@ -26,12 +26,13 @@ around each transport step, taken on the cell rows by `_System.relax`.
 The velocity sub-step integrates dw/dt = -c1*c2*w/theta2 exactly; the
 pressure sub-step solves dalpha1/dt = (p1 - p2)/theta1 implicitly in
 alpha1 (its theta1 -> 0 end is the instantaneous pressure relaxation of
-Saurel & Abgrall 1999) by a safeguarded Newton iteration on the cells
-that its first residual leaves unconverged, gathered once.  Both project
-for theta below 1e-6*dt.  They rewrite alpha1*rho and w of conservative
+Saurel & Abgrall 1999) by safeguarded Halley steps, with both residual
+derivatives in closed form from the power law, on the cells that its
+first residual leaves unconverged, gathered once.  Both project for
+theta below 1e-6*dt.  They rewrite alpha1*rho and w of conservative
 cells and alpha1, q1 and q2 of Baer-Nunziato blocks: masses stay bit for
 bit, q1 + q2 to round-off.  ledger["telemetry"]["relax"] counts the
-pressure solves, their Newton iterations and their round-off stops.
+pressure solves, their Halley updates and their round-off stops.
 
 `run_simulation` marches one configuration in this process;
 `run_simulations` marches several, the first in this process and each
@@ -54,7 +55,7 @@ from .state import (
 )
 
 RELAX_PROJECTION_FACTOR = 1e-6  # theta < factor*dt switches to projection
-RELAX_TOL = 1e-13  # relative residual at which the pressure-relaxation Newton stops
+RELAX_TOL = 1e-13  # relative residual at which the pressure-relaxation solve stops
 WAVESPEED_GROWTH_GUARD = 1.5  # max|lambda| growth in a step: the driver aborts, floor lowers order
 
 _log = logging.getLogger(__name__)
@@ -458,10 +459,13 @@ RELAX_COUNTERS = ("solves", "newton_iterations", "max_iterations", "roundoff_sto
 def _equilibrium_alpha(alpha0, m1, m2, dt, theta1, eos_pair, counts=None):
     """Advance dalpha1/dt = (p1 - p2)/theta1 implicitly (or project to
     p1 = p2 for theta1 below the stiff threshold), partial masses
-    frozen.  Safeguarded Newton on the increasing residual
-    mu (alpha - alpha0) - (p1 - p2), mu = theta1/dt (0 when projecting),
-    with the root bracketed in (0, 1): a step that leaves the bracket,
-    or is not finite, bisects it.
+    frozen.  Safeguarded Halley steps x - f f'/(f'^2 - f f''/2) on the
+    increasing residual f = mu (x - alpha0) - (p1 - p2), mu = theta1/dt
+    (0 when projecting), with the root bracketed in (0, 1): a step that
+    leaves the bracket, or is not finite, bisects it.  Both derivatives
+    come from the residual's one power per phase: with y = 1 - x and
+    t_k = gamma_k P_k/(x, y), P_k = p_k - B_k the B-free pressures,
+    f' = mu + t1 + t2 and f'' = (gamma2 + 1) t2/y - (gamma1 + 1) t1/x.
 
     The cells whose first residual misses the tolerance RELAX_TOL *
     max(|p1|, |p2|, mu) are gathered once and iterated until each
@@ -470,43 +474,46 @@ def _equilibrium_alpha(alpha0, m1, m2, dt, theta1, eos_pair, counts=None):
     its x is frozen; so each cell's iterates are those of a solve of
     that cell alone.  The bracket [1e-14, 1 - 1e-14] keeps both
     densities positive, and the unchecked EOS formulas serve.  `counts`,
-    a dict over RELAX_COUNTERS, accumulates the solves, the Newton
-    iterations (in total and the most in one solve) and the cells
-    stopped at round-off short of the tolerance."""
+    a dict over RELAX_COUNTERS, accumulates the solves, the Halley
+    updates (`newton_iterations`: in total and the most in one solve)
+    and the cells stopped at round-off short of the tolerance."""
     mu = 0.0 if theta1 < RELAX_PROJECTION_FACTOR * dt else theta1 / dt
     fscale_floor = max(mu, 1e-300)
-    pressure1, pressure2 = eos_pair.phase1._pressure, eos_pair.phase2._pressure
-    ssq1, ssq2 = eos_pair.phase1._sound_speed_sq, eos_pair.phase2._sound_speed_sq
+    e1, e2 = eos_pair.phase1, eos_pair.phase2
 
     def residual(x, m1, m2, a0):
-        # f, the densities, y = 1 - x and which cells meet the tolerance (NaN: none)
+        # f, rho_k**gamma_k, y = 1 - x and which cells meet the tolerance (NaN: none)
         y = 1.0 - x
-        rho1, rho2 = m1 / x, m2 / y
-        p1, p2 = pressure1(rho1), pressure2(rho2)
+        r1, r2 = (m1 / x) ** e1.gamma, (m2 / y) ** e2.gamma
+        p1, p2 = e1._p_scale * r1, e2._p_scale * r2  # B-free; adding B = 0 changes no p >= +0
+        p1, p2 = p1 + e1.B if e1.B else p1, p2 + e2.B if e2.B else p2
         f = mu * (x - a0) - (p1 - p2)
         met = np.abs(f) <= RELAX_TOL * np.maximum(np.maximum(np.abs(p1), np.abs(p2)), fscale_floor)
-        return f, rho1, rho2, y, met
+        return f, r1, r2, y, met
 
-    alpha = np.clip(alpha0, 1e-12, 1.0 - 1e-12)
+    alpha = np.minimum(np.maximum(alpha0, 1e-12), 1.0 - 1e-12)
     *at_x, met = residual(alpha, m1, m2, alpha0)
     cells = np.flatnonzero(~met)
-    x, m1, m2, a0, f, rho1, rho2, y = [v[cells] for v in (alpha, m1, m2, alpha0, *at_x)]
+    x, m1, m2, a0, f, r1, r2, y = [v[cells] for v in (alpha, m1, m2, alpha0, *at_x)]
     lo, hi = 1e-14, 1.0 - 1e-14
     done = met = np.zeros(cells.size, dtype=bool)
-    for iterations in range(200):
-        if np.count_nonzero(done) == cells.size:
-            break
-        # x lies in [lo, hi], so it replaces the bound on its side
-        above = f > 0.0
-        lo, hi = np.where(above, lo, x), np.where(above, x, hi)
-        xn = x - f / (mu + ssq1(rho1) * m1 / x**2 + ssq2(rho2) * m2 / y**2)
-        xn = np.where((xn >= lo) & (xn <= hi), xn, 0.5 * (lo + hi))  # NaN and inf bisect
-        stuck = (xn == x) | (np.nextafter(lo, hi) >= hi)
-        x = np.where(done, x, xn)
-        f, rho1, rho2, y, met = residual(x, m1, m2, a0)
-        done = done | met | stuck
-    else:
-        raise RelaxationError("pressure relaxation solve did not converge")
+    with np.errstate(divide="ignore", invalid="ignore"):  # a vanishing denominator bisects
+        for iterations in range(200):
+            if np.count_nonzero(done) == cells.size:
+                break
+            # x lies in [lo, hi], so it replaces the bound on its side
+            above = f > 0.0
+            lo, hi = np.where(above, lo, x), np.where(above, x, hi)
+            t1, t2 = e1._k * r1 / x, e2._k * r2 / y  # _k = gamma _p_scale: gamma_k P_k/(x, y)
+            d1, d2 = mu + t1 + t2, (e2.gamma + 1.0) * t2 / y - (e1.gamma + 1.0) * t1 / x
+            xn = x - f * d1 / (d1 * d1 - 0.5 * f * d2)
+            xn = np.where((xn >= lo) & (xn <= hi), xn, 0.5 * (lo + hi))  # NaN and inf bisect
+            stuck = (xn == x) | (np.nextafter(lo, hi) >= hi)
+            x = np.where(done, x, xn)
+            f, r1, r2, y, met = residual(x, m1, m2, a0)
+            done = done | met | stuck
+        else:
+            raise RelaxationError("pressure relaxation solve did not converge")
     alpha[cells] = x
     if counts is not None:
         counts["solves"] += 1
@@ -520,31 +527,31 @@ def _equilibrium_alpha(alpha0, m1, m2, dt, theta1, eos_pair, counts=None):
 def _relaxed(alpha1, m1, m2, w, dt, config, eos_pair, counts):
     """alpha1 and the slip w after the relaxation sources over dt, the
     partial masses m1, m2 frozen; `counts` goes to _equilibrium_alpha."""
-    if config.theta2 is not None:
+    if config.theta2 is not None:  # projected below the stiff threshold, else decayed exactly
         rho = m1 + m2
-        if config.theta2 < RELAX_PROJECTION_FACTOR * dt:
-            w = np.zeros_like(w)
-        else:
-            w = w * np.exp(-(m1 / rho) * (m2 / rho) * dt / config.theta2)
+        w = (np.zeros_like(w) if config.theta2 < RELAX_PROJECTION_FACTOR * dt
+             else w * np.exp(-(m1 / rho) * (m2 / rho) * dt / config.theta2))
     if config.theta1 is not None:
         alpha1 = _equilibrium_alpha(alpha1, m1, m2, dt, config.theta1, eos_pair, counts=counts)
     return alpha1, w
 
 
 def _relax_cons(c, dt, config, eos_pair, counts):
-    # only w1 = alpha1 rho and w5 = w change
-    alpha1, w = _relaxed(c[0] / c[2], c[1], c[2] - c[1], c[4], dt, config, eos_pair, counts)
-    return np.stack((alpha1 * c[2], c[1], c[2], c[3], w))
+    out = c.copy()  # only w1 = alpha1 rho and w5 = w change
+    alpha1, out[4] = _relaxed(c[0] / c[2], c[1], c[2] - c[1], c[4], dt, config, eos_pair, counts)
+    out[0] = alpha1 * c[2]
+    return out
 
 
 def _relax_bn(b, dt, config, eos_pair, counts):
     # alpha1 changes, and q1, q2 move to m1 (u + c2 w), m2 (u - c1 w)
-    # around the fixed mixture velocity u = (q1 + q2)/rho
-    alpha1, m1, m2, q1, q2 = b
-    alpha1, w = _relaxed(alpha1, m1, m2, q1 / m1 - q2 / m2, dt, config, eos_pair, counts)
+    # around the fixed mixture velocity u = (q1 + q2)/rho, in a copy of b
+    (alpha1, m1, m2, q1, q2), out = b, b.copy()
+    out[0], w = _relaxed(alpha1, m1, m2, q1 / m1 - q2 / m2, dt, config, eos_pair, counts)
     u = (q1 + q2) / (m1 + m2)
     slip = m1 * m2 * w / (m1 + m2)  # m1 c2 w = m2 c1 w
-    return np.stack((alpha1, m1, m2, m1 * u + slip, m2 * u - slip))
+    out[3], out[4] = m1 * u + slip, m2 * u - slip
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +574,7 @@ class SimulationResult:
 
 
 def _riemann_cells(left, right, grid, x0):
-    x = grid.centers()
-    return np.where(
-        (x < x0)[:, None], left.as_array()[None, :], right.as_array()[None, :]
-    )
+    return np.where((grid.centers() < x0)[:, None], left.as_array(), right.as_array())
 
 
 def run_simulation(left, right, grid, config, eos_pair, x0=None):

@@ -16,7 +16,6 @@ from scipy.optimize import brentq
 
 from conftest import primitive_rows, random_state_array, round_trip_error, snapshot_tool
 from twophase import fv
-from twophase.eos import BarotropicEos, EosPair
 from twophase.errors import (
     ConfigError, NumericsError, PositivityError, RelaxationError, StateDecodeError,
 )
@@ -813,18 +812,10 @@ def test_implicit_pressure_step_partial(ideal_pair):
         assert abs(p1 - p2) < abs(p1_0 - p2_0)
 
 
-def test_pressure_relaxation_newton_iteration_count():
-    # every iteration of the Newton solve evaluates the unchecked phase-1
-    # sound speed once; a cell that has met the tolerance must not be
-    # sent back to its bracket midpoint and hold the whole batch up
-    calls = []
-
-    class CountingEos(BarotropicEos):
-        def _sound_speed_sq(self, rho):
-            calls.append(1)
-            return super()._sound_speed_sq(rho)
-
-    pair = EosPair(CountingEos(1.0, 1.4), BarotropicEos(1.0, 2.0))
+def test_pressure_relaxation_newton_iteration_count(ideal_pair):
+    # the solve's own counter of its Halley updates: a cell that has met
+    # the tolerance must not be sent back to its bracket midpoint and
+    # hold the whole batch up
     rng = np.random.default_rng(21)
     n = 2000
     v = np.column_stack([
@@ -834,9 +825,12 @@ def test_pressure_relaxation_newton_iteration_count():
     dt = 1e-3
     # implicit step (mu = theta1/dt) and projection (theta1 << dt, mu = 0)
     for (_, system), (theta1, mu) in product(SYSTEMS.values(), ((1e-3, 1.0), (1e-12, 0.0))):
-        calls.clear()
-        out = relax(system, v, dt, theta1, None, pair)
-        assert 0 < len(calls) <= 25, theta1
+        counts = dict.fromkeys(fv.RELAX_COUNTERS, 0)
+        config = SolverConfig(t_end=1.0, theta1=theta1)
+        c = system.relax(system.encode(v.T), dt, config, ideal_pair, counts)
+        assert counts["solves"] == 1
+        assert 0 < counts["newton_iterations"] <= 25, theta1
+        out = np.stack(system.decode(c), axis=-1)
         p1 = out[:, 1] ** 1.4
         p2 = out[:, 2] ** 2.0
         balance = mu * (out[:, 0] - v[:, 0]) - (p1 - p2)
@@ -846,7 +840,7 @@ def test_pressure_relaxation_newton_iteration_count():
 def _dense_equilibrium_alpha(alpha0, m1, m2, dt, theta1, eos_pair, tol=1e-13):
     # the solve as it was before it iterated on the unconverged cells only:
     # every iterate evaluates every cell with the checked EOS and stops
-    # when all cells meet the tolerance
+    # when all cells meet the tolerance; its Halley step is the solve's
     mu = 0.0 if theta1 < fv.RELAX_PROJECTION_FACTOR * dt else theta1 / dt
     e1, e2 = eos_pair.phase1, eos_pair.phase2
 
@@ -855,10 +849,15 @@ def _dense_equilibrium_alpha(alpha0, m1, m2, dt, theta1, eos_pair, tol=1e-13):
         p2 = e2.pressure(m2 / (1.0 - a))
         return mu * (a - alpha0) - (p1 - p2), p1, p2
 
-    def derivative(a):
-        a1sq = e1.sound_speed_sq(m1 / a)
-        a2sq = e2.sound_speed_sq(m2 / (1.0 - a))
-        return mu + a1sq * m1 / a**2 + a2sq * m2 / (1.0 - a) ** 2
+    def step(a, f):
+        # f' and f'' from t_k = gamma_k (p_k - B_k) / (x, y), in the solve's operations
+        y = 1.0 - a
+        t1 = e1._k * (m1 / a) ** e1.gamma / a
+        t2 = e2._k * (m2 / y) ** e2.gamma / y
+        d1 = mu + t1 + t2
+        d2 = (e2.gamma + 1.0) * t2 / y - (e1.gamma + 1.0) * t1 / a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return a - f * d1 / (d1 * d1 - 0.5 * f * d2)
 
     lo = np.full_like(alpha0, 1e-14)
     hi = np.full_like(alpha0, 1.0 - 1e-14)
@@ -872,7 +871,7 @@ def _dense_equilibrium_alpha(alpha0, m1, m2, dt, theta1, eos_pair, tol=1e-13):
         above = f > 0.0
         hi = np.where(above, np.minimum(hi, x), hi)
         lo = np.where(~above, np.maximum(lo, x), lo)
-        xn = x - f / derivative(x)
+        xn = step(x, f)
         outside = (xn < lo) | (xn > hi) | ~np.isfinite(xn)
         x = np.where(active, np.where(outside, 0.5 * (lo + hi), xn), x)
         f, p1, p2 = residual(x)
@@ -930,11 +929,10 @@ def test_pressure_relaxation_meets_tolerance_or_roundoff(ideal_pair, stiff_pair,
 
 
 def test_pressure_relaxation_raises_after_its_iteration_cap(ideal_pair):
-    # a slope a million times too steep makes Newton steps that stay in
-    # the bracket and crawl: no cell meets the tolerance or stops at
-    # round-off within the 200 iterations
-    steep = [SimpleNamespace(_pressure=e._pressure,
-                             _sound_speed_sq=lambda rho, e=e: 1e6 * e._sound_speed_sq(rho))
+    # an EOS whose slope scale _k is a million times its pressure's makes
+    # steps that stay in the bracket and crawl: no cell meets the
+    # tolerance or stops at round-off within the 200 iterations
+    steep = [SimpleNamespace(_p_scale=e._p_scale, gamma=e.gamma, B=e.B, _k=1e6 * e._k)
              for e in (ideal_pair.phase1, ideal_pair.phase2)]
     pair = SimpleNamespace(phase1=steep[0], phase2=steep[1])
     alpha0, m1, m2 = np.array([0.5]), np.array([0.5]), np.array([1.5])
@@ -1322,8 +1320,9 @@ def test_run_simulation_matches_snapshot():
     # interface case, after MUSCL-Hancock took its face fluxes from the
     # cell rows (`--case`): equal step counts, primitives within 1e-12 of
     # each field's scale.  The MUSCL-Hancock ledger figures, frozen with
-    # the face fluxes from the cell rows (`--ledger`), are equal byte for
-    # byte; the FORCE cases, whose flux rows moved to the conserved-row
+    # the face fluxes from the cell rows and, for the six pressure-relaxed
+    # cases, with the Halley relaxation solve (`--ledger`), are equal byte
+    # for byte; the FORCE cases, whose flux rows moved to the conserved-row
     # algebra, hold them within 1e-12 of each component's ledger scale (the
     # larger of the figure and the component's L1 mass), and
     # worst_step_closure, itself relative to that scale, within 1e-12

@@ -424,6 +424,27 @@ def test_cli_compare(tmp_path):
 
 
 
+def test_cli_compare_reports_each_backends_wall_time(tmp_path, monkeypatch):
+    # compare.json gives each backend's wall time from its own ledger, so
+    # that it shows which backend sets compare's wall time
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.extend(cli_run_simulations(*args, **kwargs))
+        return runs
+
+    cli_run_simulations = cli.run_simulations
+    monkeypatch.setattr(cli, "run_simulations", recorded)
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "RP5", "--cells", "40", "--models", "bn,shtc",
+                     "--out", str(out)]) == cli.EXIT_OK
+    rep = json.loads((out / "compare.json").read_text())
+    assert [r.config.scheme for r in runs] == ["muscl-pathcons-bn", "muscl-rusanov"]
+    assert rep["wall_seconds"] == {"bn": runs[0].ledger["wall_seconds"],
+                                   "shtc": runs[1].ledger["wall_seconds"]}
+    assert all(t > 0.0 for t in rep["wall_seconds"].values())
+
+
 BAD_MODELS = {
     "shtc,kapila": "--models names shtc and bn once each, in either order; got 'shtc,kapila'",
     "shtc,shtc": "--models names shtc and bn once each, in either order; got 'shtc,shtc'",

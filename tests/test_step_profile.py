@@ -64,6 +64,28 @@ def test_step_profile_reports_the_relaxation_stages(step_profile, scheme, relax)
         assert out["stages"][name]["calls"] == 2.0
         assert out["stages"][name]["self_us"] > 0.0
     assert fv._equilibrium_alpha is solve
+    # and the run's relaxation counters, one pressure solve per half step
+    relax = out["relax"]
+    assert set(relax) == set(fv.RELAX_COUNTERS)
+    assert relax["solves"] == 2 * out["steps"]
+    assert 0 < relax["max_iterations"] <= relax["newton_iterations"]
+
+
+def test_step_profile_prints_the_relaxation_counters(step_profile, capsys):
+    argv = ["RP6", "--cells", "16", "--repeats", "1"]
+    assert step_profile.main([*argv, "--theta1", "1e-3", "--theta2", "1e-8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    words = lines[1].split()
+    assert words[0] == "relaxation:" and words[2:4] == ["pressure", "solves,"]
+    assert lines[1].endswith("in one solve") and "iterations per solve" in lines[1]
+    solves = step_profile.profile("RP6", cells=16, repeats=1, theta1=1e-3, theta2=1e-8)["relax"]
+    assert int(words[1]) == solves["solves"] > 0
+    assert float(words[4]) == pytest.approx(solves["newton_iterations"] / solves["solves"],
+                                            abs=5e-3)
+    assert lines[2].split()[0] == "stage"
+    # an unrelaxed run prints no relaxation line
+    assert step_profile.main(argv) == 0
+    assert not any(line.startswith("relaxation:") for line in capsys.readouterr().out.splitlines())
 
 
 def test_step_profile_exact_mode(step_profile, capsys):

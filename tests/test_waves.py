@@ -268,6 +268,21 @@ def test_shock_zero_strength_rejected():
         shock_connect(pre, F1M, lam, STIFF_PAIR)
 
 
+def test_shock_collapse_onto_the_unjumped_state(monkeypatch):
+    # a fixed draw whose converged starts all fall back onto the known
+    # side: the weak-shock, +8% and +20% starts do not converge, and the
+    # -8% and -20% starts each collapse; with no other root the solve
+    # names the collapse
+    st = PrimitiveState(0.19669485236666234, 1.1858845362708126, 2.7203089816079733,
+                        0.45563214701868393, -0.632563069903322)
+    roots, solve = [], waves._damped_newton
+    monkeypatch.setattr(waves, "_damped_newton", lambda *a: roots.append(solve(*a)) or roots[-1])
+    with pytest.raises(DegenerateShockError, match="collapses onto the unjumped state"):
+        shock_connect(st, F1P, 1.700512721229747, IDEAL_PAIR)
+    assert len(roots) == 2
+    assert all(abs(x[0] - st.rho1) < waves.ZERO_STRENGTH_TOL * st.rho1 for x in roots)
+
+
 def test_shock_u_equals_s_rejected():
     pre = RP4["U**_L"]  # u = 0
     with pytest.raises(InadmissibleWaveError):

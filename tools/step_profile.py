@@ -23,7 +23,10 @@ and cfl, with the scheme (default: the preset's), cell count (default
    profile event and are not counted.
 
 A stage that the run does not reach, or that this version of the code
-does not have, is left out; the rest of the run is `driver`.  Nothing is
+does not have, is left out; the rest of the run is `driver`.  A run
+given --theta1 or --theta2 also prints the relaxation counters of its
+ledger (`ledger["telemetry"]["relax"]`): the pressure solves, their
+iterations per solve and the most in one solve.  Nothing is
 changed on disk, and every rebound name is restored before the tool
 returns.
 
@@ -139,14 +142,15 @@ def _py_calls(run, owner):
 
 def profile(preset, scheme=None, cells=300, repeats=5, theta1=None, theta2=None):
     """Per-step figures of one preset run: steps, plain µs per step (median
-    of `repeats` runs), Python-level calls per step, and per stage (driver
-    last) its calls, self µs and Python-level calls per step."""
+    of `repeats` runs), Python-level calls per step, per stage (driver
+    last) its calls, self µs and Python-level calls per step, and the
+    run's relaxation counters (`ledger["telemetry"]["relax"]`)."""
     thetas = {"theta1": theta1, "theta2": theta2}
     plain = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        steps = _run(preset, scheme, cells, thetas).steps
-        plain.append((time.perf_counter() - t0) / steps)
+        res = _run(preset, scheme, cells, thetas)
+        plain.append((time.perf_counter() - t0) / res.steps)
     timed_steps, wall, stats = _timed_pass(preset, scheme, cells, thetas)
     counts = _counted_pass(preset, scheme, cells, thetas)
     stats["driver"] = [0, wall - sum(s for _, s in stats.values())]
@@ -159,10 +163,11 @@ def profile(preset, scheme=None, cells=300, repeats=5, theta1=None, theta2=None)
         for name in [n for _, n in STAGES] + ["driver"] if name in stats
     }
     return {
-        "steps": steps,
+        "steps": res.steps,
         "us_per_step": 1e6 * statistics.median(plain),
         "py_calls_per_step": sum(counts.values()) / timed_steps,
         "stages": rows,
+        "relax": res.ledger["telemetry"]["relax"],
     }
 
 
@@ -222,6 +227,11 @@ def main(argv=None):
     print(f"{args.preset} {scheme}, {args.cells} cells: {out['steps']} steps, "
           f"{out['us_per_step']:.1f} us per step (median of {args.repeats}), "
           f"{out['py_calls_per_step']:.1f} Python-level calls per step")
+    if args.theta1 is not None or args.theta2 is not None:
+        relax = out["relax"]
+        print(f"relaxation: {relax['solves']} pressure solves, "
+              f"{relax['newton_iterations'] / max(relax['solves'], 1):.2f} iterations per solve, "
+              f"at most {relax['max_iterations']} in one solve")
     print(f"{'stage':<22}{'calls/step':>12}{'self us/step':>14}{'py calls/step':>15}")
     for name, row in out["stages"].items():
         print(f"{name:<22}{row['calls']:>12.2f}{row['self_us']:>14.1f}{row['py_calls']:>15.1f}")
