@@ -4,6 +4,7 @@ import logging
 import multiprocessing
 import os
 import time
+import warnings
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -940,6 +941,22 @@ def test_pressure_relaxation_raises_after_its_iteration_cap(ideal_pair):
         fv._equilibrium_alpha(alpha0, m1, m2, 1.0, 1e-30, pair)
     # the true slope converges
     assert fv._equilibrium_alpha(alpha0, m1, m2, 1.0, 1e-30, ideal_pair)[0] != 0.5
+
+
+def test_pressure_relaxation_bisects_where_the_halley_step_is_not_finite(ideal_pair):
+    # a zero slope scale makes every projected Halley step 0/0: each one
+    # bisects the bracket, without a numpy warning, down to round-off
+    flat = [SimpleNamespace(_p_scale=e._p_scale, gamma=e.gamma, B=e.B, _k=0.0)
+            for e in (ideal_pair.phase1, ideal_pair.phase2)]
+    pair = SimpleNamespace(phase1=flat[0], phase2=flat[1])
+    alpha0, m1, m2 = np.array([0.5, 0.2]), np.array([0.5, 0.1]), np.array([1.5, 0.9])
+    counts = dict.fromkeys(fv.RELAX_COUNTERS, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = fv._equilibrium_alpha(alpha0, m1, m2, 1.0, 1e-30, pair, counts)
+    assert 40 <= counts["max_iterations"] <= 80
+    want = fv._equilibrium_alpha(alpha0, m1, m2, 1.0, 1e-30, ideal_pair)
+    assert np.allclose(x, want, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("theta1", [1e-3, 1e-2, 0.1])
