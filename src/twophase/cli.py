@@ -173,7 +173,7 @@ def cmd_simulate(args):
         relax = result.ledger["telemetry"]["relax"]
         print(
             f"  relaxation: {relax['solves']} pressure solves, {relax['newton_iterations']} "
-            f"Newton iterations (at most {relax['max_iterations']} in one solve), "
+            f"Halley updates (at most {relax['max_iterations']} in one solve), "
             f"{relax['roundoff_stops']} cells stopped at round-off"
         )
         diag = kapila_limit_diagnostics(result.prim, problem.eos_pair)

@@ -22,7 +22,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, InadmissibleWaveError, TwoPhaseError
-from .state import PrimitiveState, check_resonance, eigenvalues, mixture_pressures, mixture_table
+from .state import (
+    COINCIDENCE_TOL, PrimitiveState, _coincide, check_resonance, eigenvalues, mixture_pressures,
+    mixture_table,
+)
 from .waves import (
     WaveFamily,
     _fan_state,
@@ -43,7 +46,6 @@ SHOCK_IN_RAREFACTION = "shock-in-rarefaction"
 CONTACT_KIND = "contact"
 INTERIOR_SHOCK = "interior-shock"
 
-SPEED_SEP_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
 ZERO_TOL = 1e-10
 
@@ -490,7 +492,7 @@ def _derive_report(solution):
                     f"undetermined={census.undetermined})"
                 )
             if el.kind == SHOCK:
-                lax = lax_check(el.left, el.right, el.speed, el.family, eos_pair, lam)
+                lax = lax_check(el.left, el.right, el.speed, el.family, eos_pair, census)
                 if lax != "compressive":
                     flags.append(f"isolated shock is not compressive ({lax})")
             else:
@@ -541,8 +543,7 @@ def _ensemble_checks(solution, ensemble):
     discs = [el for el in els if el.is_discontinuity and not _is_zero_strength(el)]
     for i, a in enumerate(discs):
         for b in discs[i + 1:]:
-            sep = abs(a.speed - b.speed)
-            if sep < SPEED_SEP_TOL * max(1.0, abs(a.speed), abs(b.speed)):
+            if _coincide(a.speed, b.speed):
                 ensemble.append(
                     f"coinciding discontinuities {a.label()} and {b.label()}"
                 )
@@ -555,13 +556,13 @@ def _ensemble_checks(solution, ensemble):
         for b in spans[i + 1:]:
             lo = max(a.xi_head, b.xi_head)
             hi = min(a.xi_tail, b.xi_tail)
-            if lo < hi - SPEED_SEP_TOL and a.family.phase == b.family.phase:
+            if lo < hi - COINCIDENCE_TOL and a.family.phase == b.family.phase:
                 ensemble.append(
                     f"same-phase fans overlap: {a.label()} and {b.label()}"
                 )
     # no fan may contain the contact strictly (contact inside rarefaction)
     for el in spans:
-        pad = SPEED_SEP_TOL * max(1.0, abs(u_c))
+        pad = COINCIDENCE_TOL * max(1.0, abs(u_c))
         if el.xi_head + pad < u_c < el.xi_tail - pad:
             ensemble.append(f"{el.label()}: contact lies inside the fan")
     # shocks tangent to or inside a fan of the other phase must be the
@@ -570,7 +571,7 @@ def _ensemble_checks(solution, ensemble):
         if el.kind != SHOCK:
             continue
         for sp in spans:
-            pad = SPEED_SEP_TOL * max(1.0, abs(el.speed))
+            pad = COINCIDENCE_TOL * max(1.0, abs(el.speed))
             if sp.xi_head - pad < el.speed < sp.xi_tail + pad:
                 ensemble.append(
                     f"{el.label()}: undeclared shock touching fan {sp.label()}"

@@ -537,20 +537,23 @@ def _relaxed(alpha1, m1, m2, w, dt, config, eos_pair, counts):
 
 
 def _relax_cons(c, dt, config, eos_pair, counts):
-    out = c.copy()  # only w1 = alpha1 rho and w5 = w change
+    # in a copy of c, w1 = alpha1 rho changes under theta1 and w5 = w under theta2
+    out = c.copy()
     alpha1, out[4] = _relaxed(c[0] / c[2], c[1], c[2] - c[1], c[4], dt, config, eos_pair, counts)
-    out[0] = alpha1 * c[2]
+    if config.theta1 is not None:
+        out[0] = alpha1 * c[2]
     return out
 
 
 def _relax_bn(b, dt, config, eos_pair, counts):
-    # alpha1 changes, and q1, q2 move to m1 (u + c2 w), m2 (u - c1 w)
-    # around the fixed mixture velocity u = (q1 + q2)/rho, in a copy of b
+    # in a copy of b, alpha1 changes under theta1, and under theta2 q1, q2 move
+    # to m1 (u + c2 w), m2 (u - c1 w) around the fixed mixture velocity u = (q1 + q2)/rho
     (alpha1, m1, m2, q1, q2), out = b, b.copy()
     out[0], w = _relaxed(alpha1, m1, m2, q1 / m1 - q2 / m2, dt, config, eos_pair, counts)
-    u = (q1 + q2) / (m1 + m2)
-    slip = m1 * m2 * w / (m1 + m2)  # m1 c2 w = m2 c1 w
-    out[3], out[4] = m1 * u + slip, m2 * u - slip
+    if config.theta2 is not None:
+        u = (q1 + q2) / (m1 + m2)
+        slip = m1 * m2 * w / (m1 + m2)  # m1 c2 w = m2 c1 w
+        out[3], out[4] = m1 * u + slip, m2 * u - slip
     return out
 
 

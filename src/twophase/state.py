@@ -33,7 +33,8 @@ from .errors import StateDecodeError
 FAMILY_KEYS = ("1-", "2-", "C", "1+", "2+")
 ACOUSTIC_KEYS = ("1-", "1+", "2-", "2+")
 
-# eigenvalues coincide when |li - lj| < tol * max(1, |li|, |lj|);
+# speeds coincide when |li - lj| < tol * max(1, |li|, |lj|) (_coincide, the
+# package's one coincidence test);
 # eigenvector collapse when the smallest singular value of the stacked
 # set falls below tol * largest
 COINCIDENCE_TOL = 1e-9
@@ -277,6 +278,7 @@ def _contact_eigenvector_raw(state, eos_pair):
 
 
 def _coincide(la, lb):
+    """Whether two speeds coincide (COINCIDENCE_TOL)."""
     return abs(la - lb) < COINCIDENCE_TOL * max(1.0, abs(la), abs(lb))
 
 
@@ -337,10 +339,6 @@ class ResonanceReport:
     coinciding: tuple
     collapsed: tuple
     rc_null: bool
-
-    @property
-    def resonant(self):
-        return bool(self.coinciding)
 
 
 def check_resonance(state, eos_pair, speeds=None):

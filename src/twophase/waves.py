@@ -39,17 +39,12 @@ from .errors import (
     OutOfFanError,
 )
 from .state import (
-    ACOUSTIC_KEYS,
-    PrimitiveState,
-    _cons_rows,
-    eigenvalues,
-    mixture_pressures,
+    ACOUSTIC_KEYS, PrimitiveState, _coincide, _cons_rows, eigenvalues, mixture_pressures,
 )
 
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 100
 ZERO_STRENGTH_TOL = 1e-10
-COINCIDE_TOL = 1e-9
 CONNECTED_TOL = 1e-6  # scaled jump residual entropy_production accepts
 
 
@@ -311,7 +306,7 @@ def shock_connect(state, family, S, eos_pair, initial_guess=None):
     +-20%, and keeps the first new root whose pair is evolutionary (the
     first root found when none is).  When the known side sits on a
     sonic point of the other phase (its same-sign characteristic
-    equals S within COINCIDE_TOL, as for a shock placed inside that
+    coincides with S by state._coincide, as for a shock placed inside that
     phase's fan) the jump system bifurcates there and the undisplaced
     start has a vanishing Jacobian column, so only the displaced starts
     are tried.  The known side goes left when its family characteristic
@@ -340,7 +335,7 @@ def shock_connect(state, family, S, eos_pair, initial_guess=None):
     starts = [initial_guess] if initial_guess is not None else []
     nu = WaveFamily(family.other_phase, family.sign)
     lam_nu = nu.speed_of(state, eos_pair)
-    if abs(lam_nu - S) >= COINCIDE_TOL * max(1.0, abs(lam_nu), abs(S)):
+    if not _coincide(lam_nu, S):
         starts.append(base)
     # displaced starts along the other phase pick up bifurcated branches
     rho_nu = nu.rho_of(state)
@@ -559,94 +554,87 @@ def entropy_production(w_left, w_right, S, eos_pair, check=True):
     return -Q * bracket
 
 
-def lax_check(w_left, w_right, S, family, eos_pair, speeds=None):
-    """Classify the discontinuity against the Lax inequality chains;
-    `speeds` are the `eigenvalues` of both sides when the caller has them.
+def lax_check(w_left, w_right, S, family, eos_pair, census=None):
+    """Classify the discontinuity against the Lax inequality chains, read
+    from its characteristic census (taken here unless the caller has it).
 
-    Sorted eigenvalues on each side are compared with S (agreement
-    lambda^(0) = -inf, lambda^(n+1) = +inf).  With i the first left
-    index above S and j the count of right eigenvalues below S, the
-    shock is compressive for i == j, overcompressive for i < j and
-    undercompressive for i > j.  Tangencies (S equal to an eigenvalue)
-    or a compressive count whose crossing family is not the requested
-    one return "fails".
+    In the chains each side's eigenvalues are sorted (agreement
+    lambda^(0) = -inf, lambda^(n+1) = +inf); i, the first left index
+    above S, is 1 + the outgoing left count, and j, the count of right
+    eigenvalues below S, is the incoming right count.  The shock is
+    compressive for i == j, overcompressive for i < j and
+    undercompressive for i > j.  A tangency (any coinciding
+    characteristic) or a compressive count whose requested family is not
+    incoming on both sides returns "fails".
     """
     dl, dr = w_left.as_tuple(), w_right.as_tuple()
     if all(abs(b - a) <= 1e-12 * max(abs(a), 1.0) for a, b in zip(dl, dr)):
         return "fails"  # zero-strength: no discontinuity to classify
-    lam_l, lam_r = speeds or (eigenvalues(w_left, eos_pair), eigenvalues(w_right, eos_pair))
-    all_l = sorted(lam_l.values())
-    all_r = sorted(lam_r.values())
-    for lam in list(all_l) + list(all_r):
-        if abs(lam - S) < COINCIDE_TOL * max(1.0, abs(lam), abs(S)):
-            return "fails"
-    i = sum(1 for lam in all_l if lam < S) + 1
-    j = sum(1 for lam in all_r if lam < S)
+    census = census or classify_discontinuity(w_left, w_right, S, eos_pair)
+    if census.coinciding:
+        return "fails"
+    i = 1 + sum(side == "left" for _, side in census.outgoing)
+    j = sum(side == "right" for _, side in census.incoming)
     if i < j:
         return "overcompressive"
     if i > j:
         return "undercompressive"
-    if family.acoustic and not (lam_l[family.key] > S > lam_r[family.key]):
+    crossing = {(family.key, "left"), (family.key, "right")}
+    if family.acoustic and not crossing <= set(census.incoming):
         return "fails"
     return "compressive"
 
 
+N_UNKNOWNS = 11  # both sides' five primitives and S
+M_RELATIONS = 5  # jump relations
+
+
 @dataclass(frozen=True)
 class CharacteristicCensus:
-    """Per-side characteristic bookkeeping of a discontinuity.
+    """Per-side characteristic bookkeeping of a discontinuity: the ten
+    (family, side) characteristics split into incoming, outgoing and
+    coinciding lists, of lengths i, o and c.
 
-    Ten (family, side) characteristics split into incoming, outgoing
-    and coinciding; with m = 5 jump relations and N = 2*5 + 1 unknowns
-    the counting condition N = i + c + m (equivalently o = m - 1) must
-    hold.  A genuinely nonlinear family whose characteristics leave on
-    both sides with none arriving is undetermined even when the count
+    With M_RELATIONS = 5 jump relations and N_UNKNOWNS = 2*5 + 1 the
+    counting condition N = i + c + m (equivalently o = m - 1) must hold.
+    A genuinely nonlinear family whose characteristics leave on both
+    sides with none arriving is undetermined even when the count
     balances, which rules out shocks with a tangential contact.
     """
 
     incoming: tuple
     outgoing: tuple
     coinciding: tuple
-    i: int
-    o: int
-    c: int
-    n_unknowns: int
-    m: int
-    undetermined: tuple
-    evolutionary: bool
+
+    i = property(lambda self: len(self.incoming))
+    o = property(lambda self: len(self.outgoing))
+    c = property(lambda self: len(self.coinciding))
+
+    @property
+    def undetermined(self):
+        outs = [key for key, _ in self.outgoing]
+        return tuple(key for key in ACOUSTIC_KEYS if outs.count(key) == 2)
 
     @property
     def count_ok(self):
-        return self.n_unknowns == self.i + self.c + self.m
+        return N_UNKNOWNS == self.i + self.c + M_RELATIONS
+
+    @property
+    def evolutionary(self):
+        return self.count_ok and not self.undetermined
 
 
 def classify_discontinuity(w_left, w_right, S, eos_pair, speeds=None):
-    """Census of a discontinuity; `speeds` as in `lax_check`."""
+    """Census of a discontinuity; `speeds` are the `eigenvalues` of both
+    sides when the caller has them."""
     lam = speeds or (eigenvalues(w_left, eos_pair), eigenvalues(w_right, eos_pair))
     incoming, outgoing, coinciding = [], [], []
     for side, lam_side in zip(("left", "right"), lam):
         for key, val in lam_side.items():
-            if abs(val - S) < COINCIDE_TOL * max(1.0, abs(val), abs(S)):
+            if _coincide(val, S):
                 coinciding.append((key, side))
             elif (val > S) == (side == "left"):
                 incoming.append((key, side))
             else:
                 outgoing.append((key, side))
-    i, o, c = len(incoming), len(outgoing), len(coinciding)
-    undetermined = []
-    for key in ACOUSTIC_KEYS:
-        outs = sum(1 for k, _ in outgoing if k == key)
-        if outs == 2:
-            undetermined.append(key)
-    census = CharacteristicCensus(
-        tuple(incoming),
-        tuple(outgoing),
-        tuple(coinciding),
-        i,
-        o,
-        c,
-        11,
-        5,
-        tuple(undetermined),
-        evolutionary=(11 == i + c + 5) and not undetermined,
-    )
-    return census
+    return CharacteristicCensus(tuple(incoming), tuple(outgoing), tuple(coinciding))

@@ -192,3 +192,17 @@ def test_gain_verdict(bench_pairs, tmp_path, monkeypatch, capsys, case):
     # a metric equal on both sides wins no pair
     assert {s["gain"] for name, s in summary.items() if name != "wall_s"} == {"not shown"}
     assert f"gain: {gain}  regression:" in line
+
+
+def test_roundoff_move_is_a_tie(bench_pairs, tmp_path, monkeypatch, capsys):
+    # a deterministic answer that moves by round-off (rp6-kapila's l1_rho,
+    # x(1 - 1.1e-13)) against a parent whose interquartile range is 0: no
+    # pair is won and no gap opens, so no gain is shown
+    parent, change = [0.0016125340789984316] * 10, [0.0016125340789982581] * 10
+    rc, summary, line = _walls_through_the_tool(bench_pairs, tmp_path, monkeypatch, capsys,
+                                                parent, change)
+    assert rc == 0
+    s = summary["wall_s"]
+    assert (s["change_wins"], s["ties"], s["gap_exceeds_parent_iqr"]) == (0, 10, False)
+    assert s["gain"] == "not shown" and s["regression"] == "holds"
+    assert "won 0/10 (ties 10)" in line

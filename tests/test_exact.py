@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import coincident_state, snapshot_tool
-from twophase import exact
+from twophase import exact, waves
 from twophase.errors import ConfigError, ConstructionError
 from twophase.exact import (
     build_solution,
@@ -283,15 +283,20 @@ def test_validate_solution_derives_the_report_once(monkeypatch):
 
 def test_derivation_takes_each_state_and_label_once(monkeypatch):
     # neighbouring elements share the state between them: a derivation
-    # takes its eigenvalues and resonance once per state object, and
-    # formats each element's label once
-    seen = {"eigenvalues": [], "check_resonance": [], "label": []}
+    # takes its eigenvalues and resonance once per state object, formats
+    # each element's label once, and takes one census per discontinuity of
+    # non-zero strength, from which a shock's Lax class is read as well
+    # (lax_check takes no census of its own)
+    names = ("eigenvalues", "check_resonance", "classify_discontinuity")
+    seen = {name: [] for name in (*names, "label", "lax census")}
 
     def counted(name, fn):
         return lambda first, *rest: seen[name].append(id(first)) or fn(first, *rest)
 
-    for name in ("eigenvalues", "check_resonance"):
+    for name in names:
         monkeypatch.setattr(exact, name, counted(name, getattr(exact, name)))
+    monkeypatch.setattr(waves, "classify_discontinuity",
+                        counted("lax census", waves.classify_discontinuity))
     monkeypatch.setattr(exact.WaveElement, "label", counted("label", exact.WaveElement.label))
     for name in sorted(PRESETS):
         sol = _preset_build(name, validate=False)
@@ -302,6 +307,9 @@ def test_derivation_takes_each_state_and_label_once(monkeypatch):
         assert sorted(seen["eigenvalues"]) == sorted(states), name
         assert sorted(seen["check_resonance"]) == sorted(states), name
         assert seen["label"] == [id(el) for el in sol.elements], name
+        jumps = [el for el in sol.elements if el.is_discontinuity and not exact._is_zero_strength(el)]
+        assert seen["classify_discontinuity"] == [id(el.left) for el in jumps], name
+        assert seen["lax census"] == [], name
 
 
 def test_validation_flags_corrupted_state():

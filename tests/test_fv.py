@@ -307,9 +307,16 @@ def _half_step_fault(n, k):
     return v
 
 
-def _reconstruction_fault(n, k):
-    # valid conservative cells whose superbee slopes at cell k alone give
-    # a right face with w2 > w3 (w3 has a local minimum there)
+def _reconstruction_fault(n, k, system="shtc"):
+    # valid cells whose superbee slopes at cell k alone break a face there.
+    # Baer-Nunziato blocks with alpha1 = 1e-20 | 0.3 | 0.9 (and m1 alike)
+    # give the left face alpha1 = 0.3 - 0.3 = 0: a TVD face value lies
+    # between its neighbours' only in exact arithmetic.  Conservative cells
+    # get a right face with w2 > w3 (w3 has a local minimum there)
+    if system == "bn":
+        v = np.tile([0.3, 1.0, 1.0, 0.0, 0.0], (n, 1))
+        v[:k, 0], v[k + 1:, 0] = 1e-20, 0.9
+        return encode(fv._BN, v)
     u = prim_to_cons_array(np.tile([0.5, 1.0, 1.0, 0.0, 0.0], (n, 1)))
     u[:k, :3] = [0.5, 0.1, 1.0]
     u[k, :3] = [0.4, 0.6, 0.8]
@@ -327,11 +334,10 @@ def test_stage_errors_name_the_cell(ideal_pair, system):
     with pytest.raises(PositivityError, match=r"cell 6 \(half step\)") as err:
         fv.step(encode(cells, _half_step_fault(n, k)), 2e-3, 0.01, cfg, ideal_pair)
     assert err.value.cell == k
-    if system == "shtc":
-        cfg = SolverConfig(t_end=1.0, limiter="superbee")
-        with pytest.raises(PositivityError, match=r"cell 6 \(reconstruction\)") as err:
-            fv.step(_reconstruction_fault(n, k), 1e-4, 0.01, cfg, ideal_pair)
-        assert err.value.cell == k
+    cfg = SolverConfig(t_end=1.0, scheme=scheme, limiter="superbee")
+    with pytest.raises(PositivityError, match=r"cell 6 \(reconstruction\)") as err:
+        fv.step(_reconstruction_fault(n, k, system), 1e-4, 0.01, cfg, ideal_pair)
+    assert err.value.cell == k
     # a broken cell reaches the kernel's first mask only past the input
     # check of fv.step; that mask names it too, with the ghost row beside
     # cell 0 (also broken) clipped to the cell
@@ -441,17 +447,23 @@ def test_muscl_survives_violent_steps(ideal_pair, system, limiter):
 @pytest.mark.parametrize(
     "stage, cells, limiter, dt",
     [
-        ("reconstruction", lambda: _reconstruction_fault(16, 6), "superbee", 1e-4),
-        ("half step", lambda: prim_to_cons_array(_half_step_fault(16, 6)), "minmod", 2e-3),
+        ("reconstruction", lambda: ("shtc", _reconstruction_fault(16, 6)), "superbee", 1e-4),
+        pytest.param("reconstruction", lambda: ("bn", _reconstruction_fault(16, 6, "bn")),
+                     "superbee", 1e-4, id="reconstruction-bn"),
+        ("half step", lambda: ("shtc", prim_to_cons_array(_half_step_fault(16, 6))), "minmod", 2e-3),
     ],
 )
 def test_floor_fallbacks_are_logged(ideal_pair, caplog, stage, cells, limiter, dt):
-    cfg = SolverConfig(t_end=1.0, limiter=limiter, positivity="floor")
+    # floor mode logs the one cell it repairs and returns valid cells
+    system, u = cells()
+    scheme, rows = SYSTEMS[system]
+    cfg = SolverConfig(t_end=1.0, scheme=scheme, limiter=limiter, positivity="floor")
     with caplog.at_level(logging.WARNING, logger="twophase.fv"):
-        fv.step(cells(), dt, 0.01, cfg, ideal_pair, t=0.5)
+        out, _ = fv.step(u, dt, 0.01, cfg, ideal_pair, t=0.5)
     assert any(
         r.getMessage().endswith(f" 1 cells at t=0.5 ({stage})") for r in caplog.records
     ), [r.getMessage() for r in caplog.records]
+    assert np.all(np.isfinite(out)) and not np.any(rows.invalid(out.T))
 
 
 @pytest.mark.parametrize("ratio", [0.005, 0.02])
@@ -1029,6 +1041,33 @@ def test_relax_holds_its_invariant_rows(ideal_pair, thetas):
     q = b[3] + b[4]
     scale = np.abs(b[3]) + np.abs(b[4])
     assert np.all(np.abs(out[3] + out[4] - q) <= 4 * np.finfo(float).eps * scale)
+    # a row moves only under its own source: alpha1 (rho) under theta1, the
+    # slip w and the phase momenta under theta2
+    if thetas[0] is None:
+        assert out[0].tobytes() == b[0].tobytes()
+        assert fv._SHTC.relax(c, 1e-2, config, ideal_pair, None)[0].tobytes() == c[0].tobytes()
+    if thetas[1] is None:
+        assert out[3:].tobytes() == b[3:].tobytes()
+        assert fv._SHTC.relax(c, 1e-2, config, ideal_pair, None)[4].tobytes() == c[4].tobytes()
+
+
+# the rows each relaxation source acts on, per cell system
+SOURCE_ROWS = {"shtc": {"theta1": [0], "theta2": [4]}, "bn": {"theta1": [0], "theta2": [3, 4]}}
+
+
+@pytest.mark.parametrize("source", ["theta1", "theta2"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_single_source_leaves_other_rows_unrelaxed(ideal_pair, scheme, source):
+    # with one relaxation source on, the ledger's source integrals of the
+    # rows it does not act on are exactly zero, not round-off
+    p = get_problem("RP6")
+    cfg = SolverConfig(t_end=p.t_end, cfl=p.cfl, scheme=scheme,
+                       **{source: 1e-3 if source == "theta1" else 1e-8})
+    res = run_simulation(*p.riemann_data(), Grid(p.x_min, p.x_max, 128), cfg, ideal_pair)
+    rows = SOURCE_ROWS["bn" if scheme == "muscl-pathcons-bn" else "shtc"][source]
+    integrals = res.ledger["relaxation_source_integrals"]
+    assert [integrals[i] for i in range(5) if i not in rows] == [0.0] * (5 - len(rows))
+    assert all(integrals[i] != 0.0 for i in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1338,8 +1377,10 @@ def test_run_simulation_matches_snapshot():
     # cell rows (`--case`): equal step counts, primitives within 1e-12 of
     # each field's scale.  The MUSCL-Hancock ledger figures, frozen with
     # the face fluxes from the cell rows and, for the six pressure-relaxed
-    # cases, with the Halley relaxation solve (`--ledger`), are equal byte
-    # for byte; the FORCE cases, whose flux rows moved to the conserved-row
+    # cases, with the Halley relaxation solve (`--ledger`), and for the
+    # theta2-only SHTC and theta1-only BN cases once relaxation left the
+    # rows of a source that is off alone (`--ledger`), are equal byte for
+    # byte; the FORCE cases, whose flux rows moved to the conserved-row
     # algebra, hold them within 1e-12 of each component's ledger scale (the
     # larger of the figure and the component's L1 mass), and
     # worst_step_closure, itself relative to that scale, within 1e-12

@@ -375,7 +375,7 @@ def test_cli_reports_relaxation_counters(tmp_path, capsys):
     relax = json.loads((tmp_path / "sim" / "ledger.json").read_text())["telemetry"]["relax"]
     assert relax["solves"] > 0 and relax["newton_iterations"] > 0
     assert (f"relaxation: {relax['solves']} pressure solves, {relax['newton_iterations']} "
-            "Newton iterations") in capsys.readouterr().out
+            "Halley updates") in capsys.readouterr().out
     # compare's workers send their counters back with their results
     assert cli.main(["compare", "RP6", *relaxed, "--out", str(tmp_path / "cmp")]) == 0
     report = json.loads((tmp_path / "cmp" / "compare.json").read_text())

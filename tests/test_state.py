@@ -194,7 +194,7 @@ def test_eigen_residuals_random(ideal_pair):
     rng = np.random.default_rng(4)
     for st in random_states(rng, 300):
         A = jacobian_primitive(st, ideal_pair)
-        if check_resonance(st, ideal_pair).resonant:
+        if check_resonance(st, ideal_pair).coinciding:
             continue
         speeds, vectors = eigenstructure(st, ideal_pair)
         nA = np.linalg.norm(A)
@@ -215,7 +215,7 @@ def test_degeneracy_flag_and_collapse(ideal_pair):
     st = coincident_state(ideal_pair)
     lam = eigenvalues(st, ideal_pair)
     assert lam["1+"] == pytest.approx(lam["C"], abs=1e-12)
-    assert check_resonance(st, ideal_pair).resonant
+    assert check_resonance(st, ideal_pair).coinciding
     _, vectors = eigenstructure(st, ideal_pair)
     # R_C falls into span{R_1-, R_1+}: components 0, 2, 4 vanish
     rc = vectors["C"]
@@ -226,7 +226,7 @@ def test_check_resonance_reports(ideal_pair):
     rng = np.random.default_rng(6)
     generic = PrimitiveState(0.3, 1.0, 2.0, 0.5, -0.4)
     rep = check_resonance(generic, ideal_pair)
-    assert rep.coinciding == () and not rep.resonant and not rep.rc_null
+    assert rep.coinciding == () and not rep.rc_null
 
     single = coincident_state(ideal_pair)
     rep = check_resonance(single, ideal_pair)
@@ -272,7 +272,7 @@ def _fd_grad_lambda(st, pair, key, h=1e-7):
 def test_field_characterization(ideal_pair):
     rng = np.random.default_rng(8)
     for st in random_states(rng, 30):
-        if check_resonance(st, ideal_pair).resonant:
+        if check_resonance(st, ideal_pair).coinciding:
             continue
         _, vectors = eigenstructure(st, ideal_pair)
         vals = field_characterization(st, ideal_pair)

@@ -14,8 +14,10 @@ even i), so that a drift of the machine does not fall on one side only.
 
 Per workload it prints every pair, then per end-to-end metric of the parent's
 BENCHMARK.json each side's median and quartiles, the pairs the change won
-(better in the metric's direction), and whether the change's median is
-better than the parent's by more than the parent's interquartile range.
+(better in the metric's direction; readings within TIE_TOL = 1e-9 of each
+other, relative, are a tie and win nothing), and whether the change's
+median is better than the parent's by more than the parent's
+interquartile range and by more than TIE_TOL of the medians.
 A claim of a gain holds when the change wins at least nine tenths of
 the pairs (9 of 10) and that gap holds; the metric's `gain` field reads
 `shown` then and `not shown` otherwise.  Each metric also gets the
@@ -42,6 +44,10 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+# readings within this relative distance tie: a deterministic answer that
+# moves by round-off neither wins a pair nor opens a gap
+TIE_TOL = 1e-9
 
 
 def parse_args(argv):
@@ -122,6 +128,11 @@ def regression(par, chg, sign, bound):
     return "holds"
 
 
+def _tied(a, b):
+    """Whether two readings differ by round-off only (TIE_TOL relative)."""
+    return abs(b - a) <= TIE_TOL * max(abs(a), abs(b))
+
+
 def summarize(pairs, metrics):
     """Per metric: medians, quartiles, wins and the evidence verdicts."""
     out = {}
@@ -129,11 +140,11 @@ def summarize(pairs, metrics):
         par = [p["parent"][name] for p in pairs]
         chg = [p["change"][name] for p in pairs]
         sign = -1.0 if better == "lower" else 1.0
-        wins = sum(1 for a, b in zip(par, chg) if sign * (b - a) > 0.0)
-        ties = sum(1 for a, b in zip(par, chg) if a == b)
+        ties = sum(1 for a, b in zip(par, chg) if _tied(a, b))
+        wins = sum(1 for a, b in zip(par, chg) if sign * (b - a) > 0.0 and not _tied(a, b))
         pq1, pmed, pq3 = quartiles(par)
         cq1, cmed, cq3 = quartiles(chg)
-        gap = sign * (cmed - pmed) > pq3 - pq1
+        gap = sign * (cmed - pmed) > max(pq3 - pq1, TIE_TOL * max(abs(cmed), abs(pmed)))
         out[name] = {
             "parent_median": pmed, "parent_q1": pq1, "parent_q3": pq3,
             "change_median": cmed, "change_q1": cq1, "change_q3": cq3,
